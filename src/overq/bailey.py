@@ -5,8 +5,10 @@ A Bailey pair relative to a is a sequence pair (alpha_n, beta_n) with
 
     beta_n = sum_{r=0}^n alpha_r / ((q;q)_(n-r) (a*q;q)_(n+r)).
 
-bailey_check verifies that relation directly.  lemma_sides builds both
-sides of the conjugate Bailey lemma: for a pair relative to a^2,
+Each pair stores its closed beta as a term-ratio table (beta_ratio), so
+BaileyPair.beta, bailey_check and the lemma all advance beta by the same
+step.  bailey_check verifies the defining relation directly.  lemma_sides
+builds both sides of the conjugate Bailey lemma: for a pair relative to a^2,
 
     (q;q)_inf (-a*q;q)_inf^2
         * sum_n q^n (a;q)_n (a^2 q;q^2)_n / (-a*q;q)_n * beta_n
@@ -16,12 +18,16 @@ sides of the conjugate Bailey lemma: for a pair relative to a^2,
 At a = -1 the r = 0 denominator is the constant 2, so the right side runs
 through rational intermediates; the (1-a) normalization cancels them.
 
+The lemma's left side sums the weight's ratio table chained with the
+pair's, through the same kernel (products.ratio_sum) as every other sum
+over n.
+
 verify_chain replays the two derivations that turn the lemma into the
 two-square identities, one displayed equality per stage, so a transcription
 slip is caught at the exact step instead of only end to end.  Consecutive
-sum-over-n stages share their term-advance arithmetic only when the terms
-are literally equal; every stage's initial term and every lattice exponent
-formula is coded independently.
+sum-over-n stages share a ratio table only when the terms are literally
+equal; every stage's initial term and every lattice exponent formula is
+coded independently.
 """
 
 from __future__ import annotations
@@ -29,17 +35,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from itertools import islice
+from typing import Callable, Iterator, Union
 
-from .identities import gen_family, rhs_theorem
+from .identities import gen_family, jacobi_theta, mapped_inner_order, rhs_theorem
 from .products import (
     Monomial,
     NonintegralExponent,
+    Ratio,
     Theta1D,
     Theta2D,
     lattice_sum,
     poch_finite,
     poch_infinite,
+    ratio_sum,
     theta1d,
     theta2d,
 )
@@ -50,7 +59,6 @@ from .series import (
     _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
-    monomial,
     one,
 )
 
@@ -59,34 +67,31 @@ class MismatchedRelativeError(ValueError):
     """A lemma parameter whose square is not the pair's relative parameter."""
 
 
-def _shift_inplace(cs: list, k: int) -> None:
-    """Multiply the coefficient list by q^k in place (top falls off)."""
-    if k <= 0:
-        return
-    n = len(cs)
-    cs[k:] = cs[: n - k]
-    cs[:k] = [0] * min(k, n)
-
-
 @dataclass(frozen=True)
 class BaileyPair:
     """A named Bailey pair with polynomial alpha and closed-form beta.
 
-    beta_step advances the closed beta coefficient list from beta_(n-1) to
-    beta_n in place; beta_0 = 1 for both stored pairs.
+    beta_ratio is the term ratio beta_(n+1)/beta_n; beta_0 = 1 for both
+    stored pairs.
     """
 
     name: str
     relative: Monomial
     alpha: Callable[[int, int], QSeries]
-    beta_step: Callable[[list, int], None]
+    beta_ratio: Ratio
+
+    def betas(self, order: int) -> Iterator[QSeries]:
+        """beta_0, beta_1, ... at the order, each advanced from the last."""
+        term: list[Coeff] = [0] * (order + 1)
+        term[0] = 1
+        at = n = 0
+        while True:
+            yield QSeries(([0] * at + term)[: order + 1], order)
+            at = self.beta_ratio.advance(term, n, at, order)
+            n += 1
 
     def beta(self, n: int, order: int) -> QSeries:
-        cs: list[Coeff] = [0] * (order + 1)
-        cs[0] = 1
-        for k in range(1, n + 1):
-            self.beta_step(cs, k)
-        return QSeries(cs, order)
+        return next(islice(self.betas(order), n, None))
 
 
 def _lovejoy_alpha(n: int, order: int) -> QSeries:
@@ -101,10 +106,8 @@ def _lovejoy_alpha(n: int, order: int) -> QSeries:
     return QSeries(cs, order)
 
 
-def _lovejoy_beta_step(cs: list, n: int) -> None:
-    # beta_n = 1 / ((q;q)_n (q^2;q)_n)
-    _div_binomial_inplace(cs, -1, n)
-    _div_binomial_inplace(cs, -1, n + 1)
+#: beta_n = 1 / ((q;q)_n (q^2;q)_n)
+_LOVEJOY_BETA = Ratio((1, 0, 0), divs=((1, 1, 1), (1, 1, 2)))
 
 
 def _slater_alpha(n: int, order: int) -> QSeries:
@@ -120,16 +123,13 @@ def _slater_alpha(n: int, order: int) -> QSeries:
     return QSeries(cs, order)
 
 
-def _slater_beta_step(cs: list, n: int) -> None:
-    # beta_n = q^n / (q;q)_n^2
-    _shift_inplace(cs, 1)
-    _div_binomial_inplace(cs, -1, n)
-    _div_binomial_inplace(cs, -1, n)
+#: beta_n = q^n / (q;q)_n^2
+_SLATER_BETA = Ratio((1, 0, 1), divs=((1, 1, 1), (1, 1, 1)))
 
 
 PAIRS: dict[str, BaileyPair] = {
-    "lovejoy-q2": BaileyPair("lovejoy-q2", Monomial(1, 2), _lovejoy_alpha, _lovejoy_beta_step),
-    "slater-h1": BaileyPair("slater-h1", Monomial(1, 0), _slater_alpha, _slater_beta_step),
+    "lovejoy-q2": BaileyPair("lovejoy-q2", Monomial(1, 2), _lovejoy_alpha, _LOVEJOY_BETA),
+    "slater-h1": BaileyPair("slater-h1", Monomial(1, 0), _slater_alpha, _SLATER_BETA),
 }
 
 PairLike = Union[str, BaileyPair]
@@ -160,13 +160,10 @@ def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
     p = pair(p)
     start = time.perf_counter()
     a = p.relative
-    beta_cs: list[Coeff] = [0] * (order + 1)
-    beta_cs[0] = 1
     p0: list[Coeff] = [0] * (order + 1)  # 1 / ((q;q)_n (aq;q)_n)
     p0[0] = 1
-    for n in range(n_max + 1):
+    for n, beta in zip(range(n_max + 1), p.betas(order)):
         if n:
-            p.beta_step(beta_cs, n)
             _div_binomial_inplace(p0, -1, n)
             _div_binomial_inplace(p0, -a.c, a.e + n)
         acc: list[Coeff] = [0] * (order + 1)
@@ -179,7 +176,7 @@ def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
             for e, c in enumerate(alpha_r.coeffs):
                 if c:
                     _add_inplace(acc, den, e, c)
-        mismatch = QSeries(acc, order).first_mismatch(QSeries(list(beta_cs), order), order)
+        mismatch = QSeries(acc, order).first_mismatch(beta, order)
         if mismatch is not None:
             return VerificationReport(
                 name=f"bailey:{p.name}",
@@ -207,21 +204,16 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]
             f"a={a} squares to {a.squared()}, pair {p.name} is relative to {p.relative}"
         )
 
-    total: list[Coeff] = [0] * (order + 1)
-    term: list[Coeff] = [0] * (order + 1)  # q^n (a;q)_n (a^2 q;q^2)_n / (-aq;q)_n * beta_n
-    term[0] = 1
-    n = 0
-    while n <= order:
-        _add_inplace(total, term)
-        p.beta_step(term, n + 1)
-        _mul_binomial_inplace(term, -a.c, a.e + n)
-        _mul_binomial_inplace(term, -1, 2 * a.e + 2 * n + 1)
-        _div_binomial_inplace(term, a.c, a.e + n + 1)
-        _shift_inplace(term, 1)
-        n += 1
+    # the weight q^n (a;q)_n (a^2 q;q^2)_n / (-aq;q)_n, times beta_n
+    weight = Ratio(
+        (1, 0, 1),
+        muls=((a.c, 1, a.e), (1, 2, 2 * a.e + 1)),
+        divs=((-a.c, 1, a.e + 1),),
+    )
+    total = ratio_sum(one(order), weight * p.beta_ratio, order)
     neg_aq = Monomial(-a.c, a.e + 1)
     paren = poch_infinite(neg_aq, 1, order)
-    lhs = poch_infinite(Monomial(1, 1), 1, order) * paren * paren * QSeries(total, order)
+    lhs = poch_infinite(Monomial(1, 1), 1, order) * paren * paren * total
 
     acc: list[Coeff] = [0] * (order + 1)
     r = 0
@@ -241,11 +233,7 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]
                     _add_inplace(acc, dr, hi, a.c)
                 n += 1
         r += 1
-    rhs = QSeries(acc, order)
-    if a.e == 0:
-        rhs = rhs.scale(1 - a.c)
-    else:
-        rhs = rhs.mul_binomial(-a.c, a.e)
+    rhs = QSeries(acc, order).mul_binomial(-a.c, a.e)  # the (1 - a) normalization
     return lhs, rhs
 
 
@@ -264,33 +252,6 @@ def verify_lemma(p: PairLike, a: Monomial, order: int) -> VerificationReport:
 
 
 # -- derivation chains -------------------------------------------------------
-#
-# Sum-over-n builders: the term at index n+1 equals the term at n times
-# q^shift times the listed binomial factors (1 - c q^(slope*n + offset)),
-# multiplied for `muls` and divided for `divs`.
-
-
-@dataclass(frozen=True)
-class _Ratio:
-    shift: int
-    muls: tuple[tuple[int, int, int], ...] = ()
-    divs: tuple[tuple[int, int, int], ...] = ()
-
-
-def _sum_terms(order: int, init: QSeries, start: int, ratio: _Ratio) -> QSeries:
-    total: list[Coeff] = [0] * (order + 1)
-    term = list(init.coeffs[: order + 1])
-    term += [0] * (order + 1 - len(term))
-    n = start
-    while ratio.shift * n <= order:
-        _add_inplace(total, term)
-        for c, slope, offset in ratio.muls:
-            _mul_binomial_inplace(term, -c, slope * n + offset)
-        for c, slope, offset in ratio.divs:
-            _div_binomial_inplace(term, -c, slope * n + offset)
-        _shift_inplace(term, ratio.shift)
-        n += 1
-    return QSeries(total, order)
 
 
 def _lattice(
@@ -322,11 +283,11 @@ def _poch3(order: int) -> QSeries:
 
 #: shared advance for the product-ladder sums whose factor tables are, after
 #: cancellation, termwise identical
-_C_LADDER_RATIO = _Ratio(
-    shift=1, muls=((-1, 1, 1), (1, 2, 3)), divs=((1, 1, 1), (1, 1, 2), (1, 1, 2))
+_C_LADDER_RATIO = Ratio(
+    (1, 0, 1), muls=((-1, 1, 1), (1, 2, 3)), divs=((1, 1, 1), (1, 1, 2), (1, 1, 2))
 )
-_C_LADDER2_RATIO = _Ratio(
-    shift=1,
+_C_LADDER2_RATIO = Ratio(
+    (1, 0, 1),
     muls=((1, 2, 2), (1, 2, 3)),
     divs=((1, 1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 2)),
 )
@@ -334,7 +295,7 @@ _C_LADDER2_RATIO = _Ratio(
 
 def _c_sum_triple(order: int) -> QSeries:
     # sum q^n (-q;q)_n (q^3;q^2)_n / ((q^2;q)_n (q;q)_n (q^2;q)_n)
-    return _sum_terms(order, one(order), 0, _C_LADDER_RATIO)
+    return ratio_sum(one(order), _C_LADDER_RATIO, order)
 
 
 def _c_prefix(order: int) -> QSeries:
@@ -345,19 +306,19 @@ def _c_prefix(order: int) -> QSeries:
 def _c_ladder_tails(order: int) -> QSeries:
     # sum q^n (-q;q)_n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2
     init = _c_prefix(order).mul_binomial(-1, 1)
-    return _sum_terms(order, init, 0, _C_LADDER_RATIO)
+    return ratio_sum(init, _C_LADDER_RATIO, order)
 
 
 def _c_ladder_overline(order: int) -> QSeries:
     # sum q^n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / (-q^(n+1);q)_inf
     init = _c_prefix(order).mul_binomial(-1, 1) * poch_infinite(_NEG_Q, 1, order).invert()
-    return _sum_terms(order, init, 0, _C_LADDER_RATIO)
+    return ratio_sum(init, _C_LADDER_RATIO, order)
 
 
 def _c_ladder_odd_tail(order: int) -> QSeries:
     # sum q^n (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / ((-q^(n+1);q)_inf (q^(2n+3);q^2)_inf)
     den = poch_infinite(_NEG_Q, 1, order) * poch_infinite(Monomial(1, 3), 2, order)
-    return _sum_terms(order, _c_prefix(order) * den.invert(), 0, _C_LADDER_RATIO)
+    return ratio_sum(_c_prefix(order) * den.invert(), _C_LADDER_RATIO, order)
 
 
 def _c_ladder_squares(order: int) -> QSeries:
@@ -365,7 +326,7 @@ def _c_ladder_squares(order: int) -> QSeries:
     p1 = poch_infinite(_Q, 1, order)
     p2 = poch_infinite(_Q2, 1, order)
     den = poch_infinite(_Q2, 2, order) * poch_infinite(Monomial(1, 3), 2, order)
-    return _sum_terms(order, p1 * p1 * p2 * p2 * den.invert(), 0, _C_LADDER2_RATIO)
+    return ratio_sum(p1 * p1 * p2 * p2 * den.invert(), _C_LADDER2_RATIO, order)
 
 
 def _c_ladder_merged(order: int) -> QSeries:
@@ -373,14 +334,14 @@ def _c_ladder_merged(order: int) -> QSeries:
     p1 = poch_infinite(_Q, 1, order)
     p2 = poch_infinite(_Q2, 1, order)
     init = p1 * p1 * p2 * p2 * poch_infinite(_Q2, 1, order).invert()
-    return _sum_terms(order, init, 0, _C_LADDER2_RATIO)
+    return ratio_sum(init, _C_LADDER2_RATIO, order)
 
 
 def _c_ladder_finite(order: int) -> QSeries:
     # sum q^n (q^(n+1);q)_inf (q^(n+1);q)_(n+1) (q^(n+2);q)_inf^2
     p2 = poch_infinite(_Q2, 1, order)
     init = poch_infinite(_Q, 1, order).mul_binomial(-1, 1) * p2 * p2
-    return _sum_terms(order, init, 0, _C_LADDER2_RATIO)
+    return ratio_sum(init, _C_LADDER2_RATIO, order)
 
 
 def _c_bpd1_lattice(order: int) -> QSeries:
@@ -469,45 +430,37 @@ def _c_mapped_assembly(order: int) -> QSeries:
 
 def _d_core_sum(order: int) -> QSeries:
     # S = sum_{n>=1} q^(2n) (-q;q)_(n-1) (q;q^2)_n / (q;q)_n^3
-    init = monomial(1, 2, order).div_binomial(-1, 1).div_binomial(-1, 1)
-    ratio = _Ratio(
-        shift=2,
+    init = one(order).div_binomial(-1, 1).div_binomial(-1, 1)
+    ratio = Ratio(
+        (1, 0, 2),
         muls=((-1, 1, 0), (1, 2, 1)),
         divs=((1, 1, 1), (1, 1, 1), (1, 1, 1)),
     )
-    return _sum_terms(order, init, 1, ratio)
+    return ratio_sum(init, ratio, order, start=1, at=2)
 
 
 def _d_ladder_middle(order: int) -> QSeries:
     # sum q^(2n) (-q;q)_(n-1) (q;q)_(2n) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
-    init = (
-        monomial(1, 2, order)
-        * poch_finite(_Q, 1, 2, order)
-        * (p * p * p)
-    ).div_binomial(-1, 2)
-    ratio = _Ratio(
-        shift=2,
+    init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(-1, 2)
+    ratio = Ratio(
+        (1, 0, 2),
         muls=((-1, 1, 0), (1, 2, 1), (1, 2, 2)),
         divs=((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 2, 2)),
     )
-    return _sum_terms(order, init, 1, ratio)
+    return ratio_sum(init, ratio, order, start=1, at=2)
 
 
 def _d_ladder_even(order: int) -> QSeries:
     # sum q^(2n) (q^2;q^2)_(n-1) (q^n;q)_(n+1) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
-    init = (
-        monomial(1, 2, order)
-        * poch_finite(_Q, 1, 2, order)
-        * (p * p * p)
-    ).div_binomial(-1, 2)
-    ratio = _Ratio(
-        shift=2,
+    init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(-1, 2)
+    ratio = Ratio(
+        (1, 0, 2),
         muls=((1, 2, 0), (1, 2, 1), (1, 2, 2)),
         divs=((1, 1, 0), (1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 2, 2)),
     )
-    return _sum_terms(order, init, 1, ratio)
+    return ratio_sum(init, ratio, order, start=1, at=2)
 
 
 def _d_t0(order: int) -> QSeries:
@@ -611,17 +564,13 @@ def _d_paired_assembly(order: int) -> QSeries:
     )
 
 
-def _jacobi_sum(order: int) -> QSeries:
-    return theta1d(Theta1D((1, 1, 0), div=2, sign="alternating", weight=(2, 1)), order)
-
-
 def _d_inner_final(order: int) -> QSeries:
     # sum D'(n) q^n: the merged alternating form
     return (
         _lattice(order, _d_alt_sq, lambda r, n: -2 if n & 1 else 2)
         - theta1d(Theta1D((1, 1, 0), div=2, sign="alternating"), order).scale(_HALF)
         - theta1d(Theta1D((1, 1, 0)), order)
-        - _jacobi_sum(order).scale(_HALF)
+        - jacobi_theta(order).scale(_HALF)
     )
 
 
@@ -710,7 +659,7 @@ def _stage_c_eighths(order: int):
 
 
 def _stage_c_mapped(order: int):
-    inner = max(0, (order - 2) // 8)
+    inner = mapped_inner_order(order)
     top = 8 * inner + 2
     return _c_inner_assembly(inner).stretch(8, 2), _c_mapped_assembly(top)
 
@@ -804,16 +753,16 @@ def _stage_d_pair_up(order: int):
 
 def _stage_d_help_b2(order: int):
     lhs = _poch3(order) * _d_core_sum(order)
-    return lhs, _d_paired_assembly(order) - _jacobi_sum(order).scale(_HALF)
+    return lhs, _d_paired_assembly(order) - jacobi_theta(order).scale(_HALF)
 
 
 def _stage_d_alt_merge(order: int):
-    lhs = _d_paired_assembly(order) - _jacobi_sum(order).scale(_HALF)
+    lhs = _d_paired_assembly(order) - jacobi_theta(order).scale(_HALF)
     return lhs, _d_inner_final(order)
 
 
 def _stage_d_mapped(order: int):
-    inner = max(0, (order - 2) // 8)
+    inner = mapped_inner_order(order)
     top = 8 * inner + 2
     return _d_inner_final(inner).stretch(8, 2), rhs_theorem("D", top)
 

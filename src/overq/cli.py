@@ -2,9 +2,12 @@
 and oracle comparison.
 
 Exit codes are a stable contract: 0 success, 1 a verification compared
-unequal, 2 usage error (unknown id, malformed argument).  Data goes to
-stdout (or --out), diagnostics to stderr.  Coefficients serialize as
-exact decimal strings so arbitrary-precision values survive a round trip.
+unequal, 2 usage error (unknown id, malformed argument), 3 any other
+error, with its traceback on stderr.  Ids and arguments are validated
+before any series is built, so a fault raised inside a builder is never
+reported as a usage error.  Data goes to stdout (or --out), diagnostics to
+stderr.  Coefficients serialize as exact decimal strings so
+arbitrary-precision values survive a round trip.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import json
 import os
 import re
 import sys
-from typing import Optional, Sequence
+import traceback
+from typing import Any, Callable, Optional, Sequence
 
 from . import bailey as _bailey
-from .enumeration import enumerate_family, family, oracle_compare, signed_count
+from .enumeration import FAMILIES, enumerate_family, family, oracle_compare, signed_count
 from .identities import (
     CLASSICAL_IDS,
-    classical_sides,
+    classical,
     gen_family,
     rhs_theorem,
     verify_classical,
@@ -35,11 +39,16 @@ from .series import QSeries
 DEFAULT_ORDER = 120
 ORDER_ENV = "OVERQ_ORDER"
 
-_FAMILY_ORDER = ("F", "G", "A", "A2", "B", "C", "D")
-
-
 class UsageError(Exception):
     """Bad input that should exit 2."""
+
+
+def _known(lookup: Callable[[str], Any], key: str) -> Any:
+    """lookup(key), with an unknown key reported as a usage error."""
+    try:
+        return lookup(key)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
 
 
 def _resolve_order(value: Optional[int]) -> int:
@@ -58,15 +67,22 @@ def _resolve_order(value: Optional[int]) -> int:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    if text and not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if text and not text.endswith("\n"):
-                handle.write("\n")
+
+
+def _emit_reports(reports: list[VerificationReport], args: argparse.Namespace) -> int:
+    """Write the reports in the requested format; exit 1 if any failed."""
+    if args.format == "json":
+        _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
+    else:
+        _emit("\n".join(r.render() for r in reports), args.out)
+    return 0 if all(r.ok for r in reports) else 1
 
 
 # -- series id grammar -------------------------------------------------------
@@ -95,14 +111,14 @@ def _series_for(sid: str, order: int) -> QSeries:
     """
     head, _, rest = sid.partition(":")
     if head == "gen" and rest:
-        return gen_family(rest, order)
+        return gen_family(_known(family, rest), order)
     if head == "rhs" and rest:
-        return rhs_theorem(rest, order)
+        return rhs_theorem(_known(family, rest), order)
     if head == "classical" and rest:
         cid, _, side = rest.rpartition(":")
         if side not in ("lhs", "rhs") or not cid:
             raise UsageError(f"classical series id must end in :lhs or :rhs, got {sid!r}")
-        pairs = classical_sides(cid, order)
+        pairs = _known(classical, cid)(order)
         _, lhs, rhs = pairs[0]
         return lhs if side == "lhs" else rhs
     if head == "poch" and rest:
@@ -115,6 +131,11 @@ def _series_for(sid: str, order: int) -> QSeries:
             n = int(bits[2]) if len(bits) == 3 else None
         except ValueError:
             raise UsageError(f"non-integer base or length in {sid!r}") from None
+        if base < 1 or (n is not None and n < 0) or (n is None and a.e < 1):
+            raise UsageError(
+                f"poch needs base >= 1, length >= 0 and, when infinite, a positive "
+                f"exponent; got {sid!r}"
+            )
         if n is None:
             return poch_infinite(a, base, order)
         return poch_finite(a, base, n, order)
@@ -124,29 +145,24 @@ def _series_for(sid: str, order: int) -> QSeries:
 # -- verify ------------------------------------------------------------------
 
 
-def _lemma_case(name: str) -> Monomial:
-    for pair_name, a in _bailey.LEMMA_CASES:
-        if pair_name == name:
-            return a
-    raise UsageError(f"unknown Bailey pair {name!r}; know {sorted(_bailey.PAIRS)}")
-
-
 def _verify_reports(target: str, order: int) -> list[VerificationReport]:
     head, _, rest = target.partition(":")
     if head == "theorem" and rest:
-        return [verify_theorem(rest, order)]
+        return [verify_theorem(_known(family, rest), order)]
     if head == "classical" and rest:
+        _known(classical, rest)
         return [verify_classical(rest, order)]
     if head == "bailey" and rest:
-        return [_bailey.bailey_check(rest, n_max=40, order=order)]
+        return [_bailey.bailey_check(_known(_bailey.pair, rest), n_max=40, order=order)]
     if head == "lemma" and rest:
-        return [_bailey.verify_lemma(rest, _lemma_case(rest), order)]
+        p = _known(_bailey.pair, rest)
+        return [_bailey.verify_lemma(p, dict(_bailey.LEMMA_CASES)[p.name], order)]
     if target == "chain":
         reports = _bailey.chain_stage_reports(order)
         reports.append(_bailey.verify_chain(order))
         return reports
     if target == "all":
-        reports = [verify_theorem(fam, order) for fam in _FAMILY_ORDER]
+        reports = [verify_theorem(fam, order) for fam in FAMILIES]
         reports += [verify_classical(cid, order) for cid in CLASSICAL_IDS]
         for pair_name, a in _bailey.LEMMA_CASES:
             reports.append(_bailey.bailey_check(pair_name, n_max=40, order=order))
@@ -161,12 +177,7 @@ def _verify_reports(target: str, order: int) -> list[VerificationReport]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     order = _resolve_order(args.order)
-    reports = _verify_reports(args.target, order)
-    if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
-    else:
-        _emit("\n".join(r.render() for r in reports), args.out)
-    return 0 if all(r.ok for r in reports) else 1
+    return _emit_reports(_verify_reports(args.target, order), args)
 
 
 # -- coeffs ------------------------------------------------------------------
@@ -196,7 +207,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    spec = family(args.family)  # raises KeyError -> usage
+    spec = _known(family, args.family)
     if args.n < 1:
         raise UsageError("weight must be >= 1")
     if args.list:
@@ -223,13 +234,10 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
-    names = list(_FAMILY_ORDER) if args.family == "all" else [args.family]
-    reports = [oracle_compare(name, args.max_n, args.order) for name in names]
-    if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
-    else:
-        _emit("\n".join(r.render() for r in reports), args.out)
-    return 0 if all(r.ok for r in reports) else 1
+    if args.order is not None and args.order < args.max_n:
+        raise UsageError("--order must be >= --max-n")
+    names = list(FAMILIES) if args.family == "all" else [_known(family, args.family).name]
+    return _emit_reports([oracle_compare(name, args.max_n, args.order) for name in names], args)
 
 
 # -- parser ------------------------------------------------------------------
@@ -307,10 +315,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, KeyError, ValueError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"error: {detail}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

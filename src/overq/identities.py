@@ -2,8 +2,8 @@
 classical identities their derivations rest on.
 
 gen_family builds a family's generating series by summing over the smallest
-part s, advancing the summand incrementally: consecutive summands differ by
-a handful of binomial factors, so the whole sum costs O(order^2) instead of
+part s with the term-ratio kernel: consecutive summands differ by a handful
+of binomial factors, so the whole sum costs O(order^2) instead of
 rebuilding every Pochhammer product from scratch.  rhs_theorem builds the
 closed theta-side form of the same family.  The two-square families C and D
 state their identities on the q^(8n+2) exponent scale; rhs_theorem returns
@@ -21,17 +21,20 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from typing import Callable, Union
 
 from .enumeration import FamilySpec, distinct_parts_difference, family
 from .products import (
     Monomial,
     NegativeExponentFactor,
+    Ratio,
     Theta1D,
     Theta2D,
     phi32,
     poch_finite,
     poch_infinite,
+    ratio_sum,
     theta1d,
     theta2d,
 )
@@ -39,7 +42,6 @@ from .report import VerificationReport
 from .series import (
     Coeff,
     QSeries,
-    _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     one,
@@ -60,44 +62,39 @@ def gen_family(fam: Family, order: int) -> QSeries:
 
         q^(p*s) * prod (c*q^(s+d); q)_inf^m * (cf*q^(s+df); q)_s
 
-    per the family's factor table.  Summands are advanced in place: moving
-    s -> s+1 divides out one binomial per infinite-product factor and
-    re-balances the finite factor with two multiplies and one divide.
+    per the family's factor table.  Moving s -> s+1 divides out one
+    binomial per infinite-product factor and re-balances the finite factor
+    with two multiplies and one divide.
     """
     spec = _spec(fam)
     if order < 0:
         raise ValueError("order must be >= 0")
-    acc: list[Coeff] = [0] * (order + 1)
     cf, df = spec.fin_factor
-    if order >= spec.prefactor:
-        # summand at s=1, without its q^(p*s) prefactor
-        cur: list[Coeff] = [0] * (order + 1)
-        cur[0] = 1
-        for c, d, m in spec.inf_factors:
-            for _ in range(m):
-                ex = 1 + d
-                while ex <= order:
-                    _mul_binomial_inplace(cur, -c, ex)
-                    ex += 1
-        _mul_binomial_inplace(cur, -cf, 1 + df)
-        s = 1
-        while True:
-            _add_inplace(acc, cur, spec.prefactor * s)
-            if spec.prefactor * (s + 1) > order:
-                break
-            for c, d, m in spec.inf_factors:
-                for _ in range(m):
-                    _div_binomial_inplace(cur, -c, s + d)
-            _mul_binomial_inplace(cur, -cf, 2 * s + df)
-            _mul_binomial_inplace(cur, -cf, 2 * s + 1 + df)
-            _div_binomial_inplace(cur, -cf, s + df)
-            s += 1
-    return QSeries(acc, order)
+    # summand at s=1, without its q^(p*s) prefactor
+    cur: list[Coeff] = [0] * (order + 1)
+    cur[0] = 1
+    for c, d, m in spec.inf_factors:
+        for _ in range(m):
+            for ex in range(1 + d, order + 1):
+                _mul_binomial_inplace(cur, -c, ex)
+    _mul_binomial_inplace(cur, -cf, 1 + df)
+    ratio = Ratio(
+        (1, 0, spec.prefactor),
+        muls=((cf, 2, df), (cf, 2, df + 1)),
+        divs=tuple((c, 1, d) for c, d, m in spec.inf_factors for _ in range(m))
+        + ((cf, 1, df),),
+    )
+    return ratio_sum(QSeries(cur, order), ratio, order, start=1, at=spec.prefactor)
 
 
 def psi_theta(order: int) -> QSeries:
     """psi(q) = sum of q^(n(n+1)/2) over n >= 0, as a theta sum."""
     return theta1d(Theta1D((1, 1, 0), div=2), order)
+
+
+def jacobi_theta(order: int) -> QSeries:
+    """Jacobi's cube as a theta sum: (-1)^n (2n+1) q^(n(n+1)/2) over n >= 0."""
+    return theta1d(Theta1D((1, 1, 0), div=2, sign="alternating", weight=(2, 1)), order)
 
 
 def psi_product(order: int) -> QSeries:
@@ -192,16 +189,6 @@ def verify_theorem(fam: Family, order: int) -> VerificationReport:
 SidePairs = list[tuple[str, QSeries, QSeries]]
 
 
-def _shifted(cs: list, k: int) -> list:
-    """A copy of the coefficient list multiplied by q^k (length preserved)."""
-    n = len(cs)
-    if k <= 0:
-        return list(cs)
-    if k >= n:
-        return [0] * n
-    return [0] * k + cs[: n - k]
-
-
 def _pentagonal_bilateral_sum(order: int) -> QSeries:
     """Sum of (-1)^n q^(n(3n-1)/2) over all integers n."""
     nonneg = theta1d(Theta1D((3, -1, 0), div=2, sign="alternating"), order)
@@ -222,9 +209,8 @@ def _classical_pentagonal_unilateral(order: int) -> SidePairs:
 
 
 def _classical_jacobi(order: int) -> SidePairs:
-    lhs = theta1d(Theta1D((1, 1, 0), div=2, sign="alternating", weight=(2, 1)), order)
     p = poch_infinite(Monomial(1, 1), 1, order)
-    return [("cube-sum-vs-product", lhs, p * p * p)]
+    return [("cube-sum-vs-product", jacobi_theta(order), p * p * p)]
 
 
 def _classical_gauss(order: int) -> SidePairs:
@@ -246,17 +232,8 @@ def _classical_euler(order: int) -> SidePairs:
 def _classical_q_binomial(order: int) -> SidePairs:
     # instantiated at base q^2, a = q, z = q:
     #   sum q^n (q;q^2)_n / (q^2;q^2)_n  =  (q^2;q^2)_inf / (q;q^2)_inf
-    total: list[Coeff] = [0] * (order + 1)
-    term: list[Coeff] = [0] * (order + 1)
-    term[0] = 1
-    n = 0
-    while n <= order:
-        _add_inplace(total, term)
-        term = _shifted(term, 1)
-        _mul_binomial_inplace(term, -1, 2 * n + 1)
-        _div_binomial_inplace(term, -1, 2 * n + 2)
-        n += 1
-    return [("sum-vs-product", QSeries(total, order), psi_product(order))]
+    ratio = Ratio((1, 0, 1), muls=((1, 2, 1),), divs=((1, 2, 2),))
+    return [("sum-vs-product", ratio_sum(one(order), ratio, order), psi_product(order))]
 
 
 def fine_sides(a: Monomial, t: Monomial, order: int) -> tuple[QSeries, QSeries]:
@@ -275,53 +252,24 @@ def fine_sides(a: Monomial, t: Monomial, order: int) -> tuple[QSeries, QSeries]:
     if a.e + t.e < 0:
         raise NegativeExponentFactor(f"(-a*t)^n with a={a}, t={t} drops below q^0")
 
-    total: list[Coeff] = [0] * (order + 1)
-    term: list[Coeff] = [0] * (order + 1)
-    term[0] = 1
-    n = 0
-    while n * t.e <= order:
-        _add_inplace(total, term)
-        term = _shifted(term, t.e)
-        if t.c == -1:
-            for i in range(order + 1):
-                term[i] = -term[i]
-        if n == 0:
-            # ratio t_1/t_0 = (1 - a.c q^(a.e+2)) t / (1-q); the general-n
-            # formula below would pair a zero numerator with a zero divisor
-            # when a.e = -1
-            _mul_binomial_inplace(term, -a.c, a.e + 2)
-        else:
-            _mul_binomial_inplace(term, -a.c, a.e + 2 * n + 1)
-            _mul_binomial_inplace(term, -a.c, a.e + 2 * n + 2)
-            _div_binomial_inplace(term, -a.c, a.e + n + 1)
-        _div_binomial_inplace(term, -1, n + 1)
-        n += 1
-    lhs = QSeries(total, order)
+    # at n = 0 the divide (1 - a*q^(n+1)) cancels the multiply (1 - a*q^(2n+1));
+    # at a = 1/q both are the zero factor (1 - q^0)
+    left = Ratio(
+        (t.c, 0, t.e),
+        muls=((a.c, 2, a.e + 1), (a.c, 2, a.e + 2)),
+        divs=((a.c, 1, a.e + 1), (1, 1, 1)),
+    )
+    lhs = ratio_sum(one(order), left, order)
 
     diag = a.e + t.e  # extra exponent per index from (-a*t)^n
-    total = [0] * (order + 1)
-    term = [0] * (order + 1)
-    term[0] = 1
-    n = 0
-    while (3 * n * n + n) // 2 + n * diag <= order:
-        _add_inplace(total, term)
-        term = _shifted(term, 3 * n + 2 + diag)
-        if a.c * t.c == 1:
-            for i in range(order + 1):
-                term[i] = -term[i]
-        _mul_binomial_inplace(term, -t.c, t.e + n)
-        _div_binomial_inplace(term, -1, n + 1)
-        n += 1
-    rhs = poch_infinite(t, 1, order).invert() * QSeries(total, order)
+    right = Ratio((-a.c * t.c, 3, 2 + diag), muls=((t.c, 1, t.e),), divs=((1, 1, 1),))
+    rhs = poch_infinite(t, 1, order).invert() * ratio_sum(one(order), right, order)
     return lhs, rhs
 
 
-def _classical_fine(sigma: int) -> Callable[[int], SidePairs]:
-    def build(order: int) -> SidePairs:
-        lhs, rhs = fine_sides(Monomial(sigma, -1), Monomial(1, 1), order)
-        return [(f"a={'-' if sigma < 0 else ''}1/q,t=q", lhs, rhs)]
-
-    return build
+def _classical_fine(sigma: int, order: int) -> SidePairs:
+    lhs, rhs = fine_sides(Monomial(sigma, -1), Monomial(1, 1), order)
+    return [(f"a={'-' if sigma < 0 else ''}1/q,t=q", lhs, rhs)]
 
 
 def aw_sides(zsign: int, order: int) -> tuple[QSeries, QSeries]:
@@ -336,20 +284,15 @@ def aw_sides(zsign: int, order: int) -> tuple[QSeries, QSeries]:
     if zsign not in (1, -1):
         raise ValueError("z must be +1 or -1")
     tau = -zsign  # both upper products become (tau*q; q^2)_n
-    total: list[Coeff] = [0] * (order + 1)
     term: list[Coeff] = [0] * (order + 1)
     term[0] = 1
-    _div_binomial_inplace(term, 1, 1)
-    n = 0
-    while n <= order:
-        _add_inplace(total, term)
-        term = _shifted(term, 1)
-        _mul_binomial_inplace(term, -tau, 2 * n + 1)
-        _mul_binomial_inplace(term, -tau, 2 * n + 1)
-        _div_binomial_inplace(term, 1, 2 * n + 2)
-        _div_binomial_inplace(term, 1, 2 * n + 3)
-        n += 1
-    lhs = QSeries(total, order)
+    _div_binomial_inplace(term, 1, 1)  # the n = 0 term 1/(1+q)
+    ratio = Ratio(
+        (1, 0, 1),
+        muls=((tau, 2, 1), (tau, 2, 1)),
+        divs=((-1, 2, 2), (-1, 2, 3)),
+    )
+    lhs = ratio_sum(QSeries(term, order), ratio, order)
     if zsign == 1:
         rhs = theta1d(Theta1D((1, 1, 0), weight=(2, 1)), order)
     else:
@@ -357,12 +300,9 @@ def aw_sides(zsign: int, order: int) -> tuple[QSeries, QSeries]:
     return lhs, rhs
 
 
-def _classical_aw(zsign: int) -> Callable[[int], SidePairs]:
-    def build(order: int) -> SidePairs:
-        lhs, rhs = aw_sides(zsign, order)
-        return [(f"z={zsign:+d}", lhs, rhs)]
-
-    return build
+def _classical_aw(zsign: int, order: int) -> SidePairs:
+    lhs, rhs = aw_sides(zsign, order)
+    return [(f"z={zsign:+d}", lhs, rhs)]
 
 
 def _classical_gr_iii10(order: int) -> SidePairs:
@@ -470,10 +410,10 @@ CLASSICAL: dict[str, Callable[[int], SidePairs]] = {
     "gauss": _classical_gauss,
     "euler": _classical_euler,
     "q-binomial": _classical_q_binomial,
-    "fine-a": _classical_fine(1),
-    "fine-b": _classical_fine(-1),
-    "aw-plus": _classical_aw(1),
-    "aw-minus": _classical_aw(-1),
+    "fine-a": partial(_classical_fine, 1),
+    "fine-b": partial(_classical_fine, -1),
+    "aw-plus": partial(_classical_aw, 1),
+    "aw-minus": partial(_classical_aw, -1),
     "gr-iii10": _classical_gr_iii10,
     "gr-iii9": _classical_gr_iii9,
     "basic-facts": _classical_basic_facts,
@@ -483,13 +423,17 @@ CLASSICAL: dict[str, Callable[[int], SidePairs]] = {
 CLASSICAL_IDS = tuple(CLASSICAL)
 
 
-def classical_sides(cid: str, order: int) -> SidePairs:
-    """The labelled (lhs, rhs) pairs a classical id compares."""
+def classical(cid: str) -> Callable[[int], SidePairs]:
+    """The builder of a classical id's labelled (lhs, rhs) pairs."""
     try:
-        builder = CLASSICAL[cid]
+        return CLASSICAL[cid]
     except KeyError:
         raise KeyError(f"unknown classical id {cid!r}; know {sorted(CLASSICAL)}") from None
-    return builder(order)
+
+
+def classical_sides(cid: str, order: int) -> SidePairs:
+    """The labelled (lhs, rhs) pairs a classical id compares."""
+    return classical(cid)(order)
 
 
 def verify_classical(cid: str, order: int) -> VerificationReport:

@@ -1,4 +1,4 @@
-"""Pochhammer products, a basic hypergeometric sum, and theta series.
+"""Pochhammer products, the term-ratio summation kernel, and theta series.
 
 Product parameters are signed monomials c*q^e with c in {+1, -1}.  A
 parameter exponent may be negative (q^-1 is a legal parameter value) as
@@ -6,6 +6,11 @@ long as every factor the product actually realizes has a nonnegative
 exponent; violations raise rather than truncate.  Infinite products and
 sums are truncated at the requested series order, which is sound because
 every realized factor exponent grows without bound.
+
+Every q-hypergeometric sum over n in the package is an initial term plus a
+Ratio table: term(n+1)/term(n) is a signed power of q times binomial
+factors multiplied in or divided out.  ratio_sum sums such a table; phi32
+is the 3-phi-2 instance.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from typing import Callable, Iterable, Sequence
 
 from .series import (
     Coeff,
+    OrderExceededError,
     QSeries,
+    _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
-    _norm,
+    one,
 )
 
 
@@ -111,6 +118,81 @@ def poch_infinite(a: Monomial, base: int, order: int) -> QSeries:
     return QSeries(cs, order)
 
 
+@dataclass(frozen=True)
+class Ratio:
+    """The term ratio term(n+1)/term(n) of a sum over n:
+
+        sign * q^(slope*n + offset) * prod muls / prod divs
+
+    with shift = (sign, slope, offset), sign +1 or -1, and each factor
+    (c, slope, offset) standing for (1 - c*q^(slope*n + offset)).
+    """
+
+    shift: tuple[int, int, int]
+    muls: tuple[tuple[int, int, int], ...] = ()
+    divs: tuple[tuple[int, int, int], ...] = ()
+
+    def __mul__(self, other: "Ratio") -> "Ratio":
+        """The ratio of the termwise product of two sums."""
+        (s1, a1, b1), (s2, a2, b2) = self.shift, other.shift
+        return Ratio((s1 * s2, a1 + a2, b1 + b2), self.muls + other.muls, self.divs + other.divs)
+
+    def advance(self, term: list, n: int, at: int, order: int) -> int:
+        """Turn term = term(n)/q^at into term(n+1)/q^at' in place and return
+        at'.  The list keeps only the order + 1 - at' coefficients that can
+        still reach the order.  A multiply and a divide that realize the same
+        factor at this n cancel before either is applied."""
+        sign, slope, offset = self.shift
+        at += slope * n + offset
+        del term[max(0, order + 1 - at):]
+        if sign == -1:
+            term[:] = [-v for v in term]
+        muls = [(c, a * n + b) for c, a, b in self.muls]
+        divs = []
+        for c, a, b in self.divs:
+            f = (c, a * n + b)
+            if f in muls:
+                muls.remove(f)
+            else:
+                divs.append(f)
+        for c, e in muls + divs:
+            if e < 0:
+                raise NegativeExponentFactor(f"factor (1 - {c}*q^{e}) at n={n}")
+        for c, e in muls:
+            if e < len(term):
+                _mul_binomial_inplace(term, -c, e)
+        for c, e in divs:
+            if e == 0 and c == 1:
+                raise ZeroDenominator(f"divisor (1 - q^0) at n={n}")
+            if e < len(term):
+                _div_binomial_inplace(term, -c, e)
+        return at
+
+
+def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int = 0) -> QSeries:
+    """Sum over n >= start of term(n), truncated at the order, where
+    term(start) = q^at * init and term(n+1) = term(n) * ratio at n.
+
+    init needs only the coefficients that can reach the order from q^at.
+    Every step must raise the term's leading exponent at, so the sum stops
+    once at passes the order."""
+    if init.order < order - at:
+        raise OrderExceededError(
+            f"initial term of order {init.order} at q^{at} cannot reach q^{order}"
+        )
+    total: list[Coeff] = [0] * (order + 1)
+    term = list(init.coeffs[: max(0, order + 1 - at)])
+    _, slope, offset = ratio.shift
+    n = start
+    while at <= order:
+        _add_inplace(total, term, at)
+        if slope * n + offset < 1:
+            raise NonterminatingSum(f"step n={n} does not raise the term degree")
+        at = ratio.advance(term, n, at, order)
+        n += 1
+    return QSeries(total, order)
+
+
 def phi32(
     upper: Sequence[Monomial],
     lower: Sequence[Monomial],
@@ -128,40 +210,12 @@ def phi32(
         raise ValueError("phi32 takes three upper and two lower parameters")
     if base < 1:
         raise ValueError("base must be >= 1")
-    if z.e < 1:
-        raise NonterminatingSum(f"argument {z} does not raise the term degree")
-    total: list[Coeff] = [0] * (order + 1)
-    term: list[Coeff] = [0] * (order + 1)
-    term[0] = 1
-    n = 0
-    while n * z.e <= order:
-        for i in range(order + 1):
-            total[i] += term[i]
-        # advance term n -> n+1: append the j = n factor of each Pochhammer
-        for p in upper:
-            ex = p.e + n * base
-            if ex < 0:
-                raise NegativeExponentFactor(f"upper parameter {p} at n={n}")
-            if ex <= order:
-                _mul_binomial_inplace(term, -p.c, ex)
-        for p in lower:
-            ex = p.e + n * base
-            if ex < 0:
-                raise NegativeExponentFactor(f"lower parameter {p} at n={n}")
-            if ex == 0 and p.c == 1:
-                raise ZeroDenominator(f"lower parameter {p} realizes the factor 0")
-            if ex <= order:
-                _div_binomial_inplace(term, -p.c, ex)
-        _div_binomial_inplace(term, -1, (n + 1) * base)  # the (Q;Q)_n factor
-        # z^n contributes sign and shift
-        n += 1
-        if z.c == 1:
-            term = [0] * min(z.e, order + 1) + term[: max(0, order + 1 - z.e)]
-        else:
-            term = [0] * min(z.e, order + 1) + [-c for c in term[: max(0, order + 1 - z.e)]]
-        if not any(term):
-            break
-    return QSeries(total, order)
+    ratio = Ratio(
+        (z.c, 0, z.e),
+        muls=tuple((p.c, base, p.e) for p in upper),
+        divs=tuple((p.c, base, p.e) for p in lower) + ((1, base, base),),
+    )
+    return ratio_sum(one(order), ratio, order)
 
 
 _SIGN_RULES = {
@@ -292,7 +346,7 @@ def lattice_sum(
                 if e < b:
                     raise ValueError("emit produced an exponent below its bound")
                 if e <= order:
-                    cs[e] = _norm(cs[e] + c)
+                    cs[e] += c
             n += 1
         r += 1
     return QSeries(cs, order)

@@ -261,7 +261,8 @@ def from_coeffs(coeffs: Iterable[Coeff], order: Optional[int] = None) -> QSeries
 #
 # Builders elsewhere in the package run long chains of binomial updates on a
 # plain list and wrap the result in a QSeries once at the end.  The factor is
-# (1 + c*q^e) in both kernels.
+# (1 + c*q^e) in both kernels.  Coefficients are not normalized here: a whole
+# Fraction may linger on the list until the QSeries wrap collapses it.
 
 
 def _mul_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
@@ -270,12 +271,12 @@ def _mul_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
     if e == 0:
         s = 1 + c
         for i in range(len(cs)):
-            cs[i] = _norm(cs[i] * s)
+            cs[i] *= s
         return
     for i in range(len(cs) - 1, e - 1, -1):
         lo = cs[i - e]
         if lo:
-            cs[i] = _norm(cs[i] + c * lo)
+            cs[i] += c * lo
 
 
 def _div_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
@@ -287,12 +288,12 @@ def _div_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
             raise ZeroConstantTermError("division by the zero constant 1 + (-1)")
         inv = _norm(Fraction(1, 1) / s)
         for i in range(len(cs)):
-            cs[i] = _norm(cs[i] * inv)
+            cs[i] *= inv
         return
     for i in range(e, len(cs)):
         lo = cs[i - e]
         if lo:
-            cs[i] = _norm(cs[i] - c * lo)
+            cs[i] -= c * lo
 
 
 def _add_inplace(acc: list, cs: Sequence[Coeff], e: int = 0, scalar: Coeff = 1) -> None:

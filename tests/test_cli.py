@@ -188,3 +188,21 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["coeffs"][0] == [1, "1"]
+
+
+@pytest.mark.parametrize(
+    "builder, argv",
+    [
+        ("verify_theorem", ("verify", "--target", "theorem:B", "--order", "5")),
+        ("gen_family", ("coeffs", "--series", "gen:A", "--order", "5")),
+    ],
+)
+def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch, builder, argv):
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside a builder")
+
+    monkeypatch.setattr(cli, builder, broken)
+    code, _, err = run(capsys, *argv)
+    assert code != 2
+    assert code == 3
+    assert "Traceback" in err and "fault inside a builder" in err
