@@ -12,9 +12,9 @@ from overq import (
     Monomial,
     bailey_check,
     chain_stage_reports,
+    chain_summary,
     lemma_sides,
     pair,
-    verify_chain,
 )
 
 ORDER = 80
@@ -42,4 +42,4 @@ print(f"\n{len(reports)} chain stages at order {ORDER}:")
 for report in reports:
     print(f"   {'ok ' if report.ok else 'FAIL'} {report.name}")
 
-print("\naggregate:", verify_chain(ORDER).note)
+print("\naggregate:", chain_summary(reports, ORDER).note)

@@ -28,6 +28,12 @@ slip is caught at the exact step instead of only end to end.  Consecutive
 sum-over-n stages share a ratio table only when the terms are literally
 equal; every stage's initial term and every lattice exponent formula is
 coded independently.
+
+Neighbouring stages share sides: stage k's right side is often stage
+k+1's left side, and several stages reuse one product or one lemma side.
+Those builders are @shared, and chain_stage_reports runs the stages in one
+sharing scope, so each is built once per verification.  A stage still
+builds its left and right sides through separately coded builders.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .products import (
     poch_finite,
     poch_infinite,
     ratio_sum,
+    shared,
+    sharing,
     theta1d,
     theta2d,
 )
@@ -195,6 +203,7 @@ def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
     )
 
 
+@shared
 def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]:
     """Both sides of the conjugate Bailey lemma for any monomial a whose
     square is the pair's relative parameter."""
@@ -274,6 +283,7 @@ _Q2 = Monomial(1, 2)
 _NEG_Q = Monomial(-1, 1)
 
 
+@shared
 def _poch3(order: int) -> QSeries:
     p = poch_infinite(_Q, 1, order)
     return p * p * p
@@ -293,34 +303,40 @@ _C_LADDER2_RATIO = Ratio(
 )
 
 
+@shared
 def _c_sum_triple(order: int) -> QSeries:
     # sum q^n (-q;q)_n (q^3;q^2)_n / ((q^2;q)_n (q;q)_n (q^2;q)_n)
     return ratio_sum(one(order), _C_LADDER_RATIO, order)
 
 
+@shared
 def _c_prefix(order: int) -> QSeries:
     p2 = poch_infinite(_Q2, 1, order)
     return poch_infinite(_Q, 1, order) * p2 * p2
 
 
+@shared
 def _c_ladder_tails(order: int) -> QSeries:
     # sum q^n (-q;q)_n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2
     init = _c_prefix(order).mul_binomial(-1, 1)
     return ratio_sum(init, _C_LADDER_RATIO, order)
 
 
+@shared
 def _c_ladder_overline(order: int) -> QSeries:
     # sum q^n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / (-q^(n+1);q)_inf
     init = _c_prefix(order).mul_binomial(-1, 1) * poch_infinite(_NEG_Q, 1, order).invert()
     return ratio_sum(init, _C_LADDER_RATIO, order)
 
 
+@shared
 def _c_ladder_odd_tail(order: int) -> QSeries:
     # sum q^n (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / ((-q^(n+1);q)_inf (q^(2n+3);q^2)_inf)
     den = poch_infinite(_NEG_Q, 1, order) * poch_infinite(Monomial(1, 3), 2, order)
     return ratio_sum(_c_prefix(order) * den.invert(), _C_LADDER_RATIO, order)
 
 
+@shared
 def _c_ladder_squares(order: int) -> QSeries:
     # sum q^n (q^(n+1);q)_inf^2 (q^(n+2);q)_inf^2 / ((q^(2n+2);q^2)_inf (q^(2n+3);q^2)_inf)
     p1 = poch_infinite(_Q, 1, order)
@@ -329,6 +345,7 @@ def _c_ladder_squares(order: int) -> QSeries:
     return ratio_sum(p1 * p1 * p2 * p2 * den.invert(), _C_LADDER2_RATIO, order)
 
 
+@shared
 def _c_ladder_merged(order: int) -> QSeries:
     # sum q^n (q^(n+1);q)_inf^2 (q^(n+2);q)_inf^2 / (q^(2n+2);q)_inf
     p1 = poch_infinite(_Q, 1, order)
@@ -337,6 +354,7 @@ def _c_ladder_merged(order: int) -> QSeries:
     return ratio_sum(init, _C_LADDER2_RATIO, order)
 
 
+@shared
 def _c_ladder_finite(order: int) -> QSeries:
     # sum q^n (q^(n+1);q)_inf (q^(n+1);q)_(n+1) (q^(n+2);q)_inf^2
     p2 = poch_infinite(_Q2, 1, order)
@@ -428,6 +446,7 @@ def _c_mapped_assembly(order: int) -> QSeries:
 # -- chain of the D two-square identity --------------------------------------
 
 
+@shared
 def _d_core_sum(order: int) -> QSeries:
     # S = sum_{n>=1} q^(2n) (-q;q)_(n-1) (q;q^2)_n / (q;q)_n^3
     init = one(order).div_binomial(-1, 1).div_binomial(-1, 1)
@@ -439,6 +458,7 @@ def _d_core_sum(order: int) -> QSeries:
     return ratio_sum(init, ratio, order, start=1, at=2)
 
 
+@shared
 def _d_ladder_middle(order: int) -> QSeries:
     # sum q^(2n) (-q;q)_(n-1) (q;q)_(2n) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
@@ -451,6 +471,7 @@ def _d_ladder_middle(order: int) -> QSeries:
     return ratio_sum(init, ratio, order, start=1, at=2)
 
 
+@shared
 def _d_ladder_even(order: int) -> QSeries:
     # sum q^(2n) (q^2;q^2)_(n-1) (q^n;q)_(n+1) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
@@ -580,12 +601,12 @@ StageBuilder = Callable[[int], tuple[QSeries, QSeries]]
 
 
 def _stage_c_lemma_lhs(order: int):
-    lhs, _ = lemma_sides("lovejoy-q2", _NEG_Q, order)
+    lhs, _ = lemma_sides(PAIRS["lovejoy-q2"], _NEG_Q, order)
     return lhs, _c_prefix(order) * _c_sum_triple(order)
 
 
 def _stage_c_lemma_rhs(order: int):
-    _, rhs = lemma_sides("lovejoy-q2", _NEG_Q, order)
+    _, rhs = lemma_sides(PAIRS["lovejoy-q2"], _NEG_Q, order)
     return rhs.mul_binomial(-1, 1), _c_bpd1_lattice(order)
 
 
@@ -695,13 +716,13 @@ def _stage_c_assembled(order: int):
 
 
 def _stage_d_lemma_lhs(order: int):
-    lhs, _ = lemma_sides("slater-h1", Monomial(-1, 0), order)
+    lhs, _ = lemma_sides(PAIRS["slater-h1"], Monomial(-1, 0), order)
     p3 = _poch3(order)
     return lhs, p3 + (p3 * _d_core_sum(order)).scale(2)
 
 
 def _stage_d_lemma_rhs(order: int):
-    _, rhs = lemma_sides("slater-h1", Monomial(-1, 0), order)
+    _, rhs = lemma_sides(PAIRS["slater-h1"], Monomial(-1, 0), order)
     return rhs, _d_t0(order) + _d_v_from(order, 1).scale(2)
 
 
@@ -820,29 +841,33 @@ CHAIN_STAGE_IDS = tuple(name for name, _ in CHAIN_STAGES)
 
 
 def chain_stage_reports(order: int) -> list[VerificationReport]:
-    """One report per displayed equality in the two derivation chains."""
+    """One report per displayed equality in the two derivation chains.
+
+    The stages run in one sharing scope, so a side that one stage shares
+    with its neighbour is built once."""
     reports = []
-    for name, builder in CHAIN_STAGES:
-        start = time.perf_counter()
-        lhs, rhs = builder(order)
-        through = min(order, lhs.order, rhs.order)
-        mismatch = lhs.first_mismatch(rhs, through)
-        reports.append(
-            VerificationReport(
-                name=f"chain:{name}",
-                order=through,
-                ok=mismatch is None,
-                mismatch=mismatch,
-                elapsed=time.perf_counter() - start,
+    with sharing():
+        for name, builder in CHAIN_STAGES:
+            start = time.perf_counter()
+            lhs, rhs = builder(order)
+            through = min(order, lhs.order, rhs.order)
+            mismatch = lhs.first_mismatch(rhs, through)
+            reports.append(
+                VerificationReport(
+                    name=f"chain:{name}",
+                    order=through,
+                    ok=mismatch is None,
+                    mismatch=mismatch,
+                    elapsed=time.perf_counter() - start,
+                )
             )
-        )
     return reports
 
 
-def verify_chain(order: int) -> VerificationReport:
-    """Aggregate over all chain stages; the note names the first failure."""
-    start = time.perf_counter()
-    reports = chain_stage_reports(order)
+def chain_summary(reports: list[VerificationReport], order: int) -> VerificationReport:
+    """Aggregate over chain stage reports; the note names the first failure
+    and the elapsed time is the stages' total."""
+    elapsed = sum(r.elapsed for r in reports)
     bad = [r for r in reports if not r.ok]
     if bad:
         return VerificationReport(
@@ -851,12 +876,17 @@ def verify_chain(order: int) -> VerificationReport:
             ok=False,
             mismatch=bad[0].mismatch,
             note=f"{len(bad)} of {len(reports)} stages fail, first {bad[0].name}",
-            elapsed=time.perf_counter() - start,
+            elapsed=elapsed,
         )
     return VerificationReport(
         name="chain",
         order=order,
         ok=True,
         note=f"all {len(reports)} stages hold",
-        elapsed=time.perf_counter() - start,
+        elapsed=elapsed,
     )
+
+
+def verify_chain(order: int) -> VerificationReport:
+    """Aggregate over all chain stages; the note names the first failure."""
+    return chain_summary(chain_stage_reports(order), order)

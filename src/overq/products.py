@@ -11,12 +11,21 @@ Every q-hypergeometric sum over n in the package is an initial term plus a
 Ratio table: term(n+1)/term(n) is a signed power of q times binomial
 factors multiplied in or divided out.  ratio_sum sums such a table; phi32
 is the 3-phi-2 instance.
+
+A builder marked @shared runs once per argument set inside a sharing()
+scope and hands every later caller in the scope that same immutable
+result; outside any scope it runs on every call.  The memo only ever
+returns a builder's own output, so sharing never puts one side of an
+identity in place of the other.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .series import (
     Coeff,
@@ -27,6 +36,46 @@ from .series import (
     _mul_binomial_inplace,
     one,
 )
+
+
+#: the open sharing scope's memo, keyed by (builder, positional arguments)
+_MEMO: ContextVar[Optional[dict]] = ContextVar("overq_memo", default=None)
+
+
+@contextmanager
+def sharing() -> Iterator[None]:
+    """Scope in which each @shared builder runs once per argument set.
+
+    A nested scope reuses the outer memo; the outermost scope releases it
+    on exit."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def shared(builder: Callable) -> Callable:
+    """Inside a sharing() scope, return builder's own first result for a
+    repeated set of positional arguments; outside any scope, just call it.
+
+    Only for pure builders with hashable arguments and immutable results.
+    A call that raises stores nothing."""
+
+    @functools.wraps(builder)
+    def run(*args):
+        memo = _MEMO.get()
+        if memo is None:
+            return builder(*args)
+        key = (builder, args)
+        if key not in memo:
+            memo[key] = builder(*args)
+        return memo[key]
+
+    return run
 
 
 class NegativeExponentFactor(ValueError):
@@ -100,6 +149,7 @@ def poch_finite(a: Monomial, base: int, n: int, order: int) -> QSeries:
     return QSeries(cs, order)
 
 
+@shared
 def poch_infinite(a: Monomial, base: int, order: int) -> QSeries:
     """(a; q^base)_inf truncated at the order; requires e >= 1 so the
     factor exponents eventually exceed any order."""

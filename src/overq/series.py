@@ -10,6 +10,12 @@ Binary operations return a series whose order is the minimum of the two
 operand orders: a truncated input cannot pretend to more precision than it
 has.  Nothing here extends a series silently.  Equality is only defined up
 to an explicit order; use equal_up_to / first_mismatch.
+
+The product of two integer series is one big-integer multiply by Kronecker
+substitution (_kronecker_mul), with a slot width proven wide enough to keep
+every coefficient exact; a product with a Fraction coefficient runs the
+schoolbook double loop (_schoolbook_mul), which the tests also use as the
+reference for the fast path.
 """
 
 from __future__ import annotations
@@ -133,19 +139,10 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            # iterate the sparser operand on the outside
-            if sum(1 for c in a[: n + 1] if c) > sum(1 for c in b[: n + 1] if c):
-                a, b = b, a
-            out = [0] * (n + 1)
-            for i in range(n + 1):
-                ai = a[i]
-                if ai:
-                    for j in range(n + 1 - i):
-                        bj = b[j]
-                        if bj:
-                            out[i + j] += ai * bj
-            return QSeries(out, n)
+            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+            if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+                return QSeries(_kronecker_mul(a, b, n), n)
+            return QSeries(_schoolbook_mul(a, b, n), n)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -255,6 +252,63 @@ def monomial(c: Coeff, e: int, order: int) -> QSeries:
 
 def from_coeffs(coeffs: Iterable[Coeff], order: Optional[int] = None) -> QSeries:
     return QSeries(list(coeffs), order)
+
+
+# -- dense products --------------------------------------------------------
+
+
+def _schoolbook_mul(a: Sequence[Coeff], b: Sequence[Coeff], n: int) -> list:
+    """Coefficients q^0 .. q^n of a*b, for a, b of n + 1 coefficients each,
+    by the quadratic double loop; the path for rational input and the
+    reference the fast product is tested against."""
+    # iterate the sparser operand on the outside
+    if sum(1 for c in a if c) > sum(1 for c in b if c):
+        a, b = b, a
+    out: list = [0] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if ai:
+            for j in range(n + 1 - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
+    """Coefficients q^0 .. q^n of a*b for integer a, b of n + 1 coefficients
+    each, by Kronecker substitution: evaluate both at q = 2^w, multiply the
+    two big integers once, and read the product's coefficients back out of
+    its w-bit slots.
+
+    The slot width is w = bits(max|a|) + bits(max|b|) + bits(n+1) + 1,
+    rounded up to whole bytes (which only widens it).  Every product
+    coefficient is a sum of at most n + 1 terms a_i*b_j, so its magnitude is
+    below 2^bits(n+1) * 2^bits(max|a|) * 2^bits(max|b|) <= 2^(w-1); the
+    inputs are below that bound too.  Adding the bias h = 2^(w-1) to every
+    slot therefore puts each one in [0, 2^w): no slot borrows from or
+    carries into its neighbour, and subtracting h again recovers every
+    coefficient exactly.  The slots above q^n are dropped, which cannot
+    disturb the ones below.
+    """
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + (n + 1).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    h = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
+
+    def pack(cs: Sequence[int]) -> int:
+        slots = b"".join([(c + h).to_bytes(width, "little") for c in cs])
+        return int.from_bytes(slots, "little") - bias
+
+    size = width * (n + 1)
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
+    data = low.to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + width], "little") - h for i in range(0, size, width)]
 
 
 # -- in-place kernels -------------------------------------------------------

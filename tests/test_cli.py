@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import overq.bailey as bailey
 import overq.cli as cli
 from overq.report import VerificationReport
 
@@ -206,3 +207,41 @@ def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch, builder, argv)
     assert code != 2
     assert code == 3
     assert "Traceback" in err and "fault inside a builder" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enum", "--family", "C", "--n", str(cli.MAX_WEIGHT + 1), "--counts"),
+        ("enum", "--family", "C", "--n", str(cli.MAX_WEIGHT + 1), "--list"),
+        ("oracle", "--family", "C", "--max-n", str(cli.MAX_WEIGHT + 1)),
+    ],
+)
+def test_weight_cap_refuses_before_enumerating(capsys, monkeypatch, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError("enumeration started above the weight cap")
+
+    for name in ("enumerate_family", "signed_count", "oracle_compare"):
+        monkeypatch.setattr(cli, name, refused)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"1 .. {cli.MAX_WEIGHT}" in err
+
+
+def test_verify_chain_builds_each_stage_once(capsys, monkeypatch):
+    calls = {}
+
+    def counted(name, builder):
+        def run_stage(order):
+            calls[name] = calls.get(name, 0) + 1
+            return builder(order)
+
+        return run_stage
+
+    stages = tuple((name, counted(name, builder)) for name, builder in bailey.CHAIN_STAGES)
+    monkeypatch.setattr(bailey, "CHAIN_STAGES", stages)
+    code, out, _ = run(capsys, "verify", "--target", "chain", "--order", "20", "--format", "json")
+    assert code == 0
+    assert calls == {name: 1 for name in bailey.CHAIN_STAGE_IDS}
+    reports = json.loads(out)
+    assert [r["name"] for r in reports] == [f"chain:{n}" for n in bailey.CHAIN_STAGE_IDS] + ["chain"]

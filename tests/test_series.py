@@ -9,12 +9,13 @@ from overq.series import (
     OrderExceededError,
     QSeries,
     ZeroConstantTermError,
+    _schoolbook_mul,
     from_coeffs,
     monomial,
     one,
     zero,
 )
-from overq.products import Monomial, poch_infinite
+from overq.products import Monomial, Theta1D, poch_infinite, theta1d
 
 ORDER = 40
 SWEEPS = 12
@@ -226,3 +227,74 @@ def test_binomial_shortcuts_match_mul():
         binom = monomial(c, e, ORDER) + one(ORDER)
         assert s.mul_binomial(c, e).equal_up_to(s * binom, ORDER)
         assert s.div_binomial(c, e).mul_binomial(c, e).equal_up_to(s, ORDER)
+
+
+# -- the Kronecker product against the schoolbook reference -------------------
+
+KRONECKER_ORDERS = (0, 1, 7, 60, 400)
+
+
+def _reference_product(s, t):
+    n = min(s.order, t.order)
+    return _schoolbook_mul(s.coeffs[: n + 1], t.coeffs[: n + 1], n)
+
+
+def _random_ints(rng, order, bound, density=1.0):
+    return QSeries(
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(order + 1)],
+        order,
+    )
+
+
+@pytest.mark.parametrize("order", KRONECKER_ORDERS)
+def test_kronecker_random_sweep(order):
+    rng = random.Random(7919 + order)
+    for bound in (1, 9, 2**65, 2**201):  # most draws above 2^64 or 2^200
+        for _ in range(3):
+            density = rng.choice((1.0, 0.3, 0.05))
+            s = _random_ints(rng, order, bound, density)
+            t = _random_ints(rng, order, rng.choice((1, bound)))
+            product = s * t
+            assert product.order == order
+            assert list(product.coeffs) == _reference_product(s, t)
+            assert product.is_integral()
+
+
+@pytest.mark.parametrize("order", KRONECKER_ORDERS)
+def test_kronecker_extreme_magnitudes(order):
+    # every coefficient at the bound, so each product slot is at its largest
+    for m in (1, 2**64 + 1, 2**200 + 1):
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            s = QSeries([sa * m] * (order + 1), order)
+            t = QSeries([sb * m] * (order + 1), order)
+            assert list((s * t).coeffs) == _reference_product(s, t)
+
+
+@pytest.mark.parametrize("order", KRONECKER_ORDERS)
+def test_kronecker_sparse_dense_unequal_and_zero(order):
+    theta = theta1d(Theta1D((1, 1, 0), div=2), order)  # sparse, all ones
+    pent = poch_infinite(Monomial(1, 1), 1, order + 5)  # sparse signs, longer
+    dense = poch_infinite(Monomial(1, 1), 2, order)  # (q;q^2)_inf, dense signs
+    cube = dense * dense * dense
+    for s, t in ((theta, theta), (theta, dense), (pent, cube), (cube, cube), (dense, pent)):
+        product = s * t
+        assert product.order == min(s.order, t.order)
+        assert list(product.coeffs) == _reference_product(s, t)
+    assert (zero(order) * cube).coeffs == (0,) * (order + 1)
+    assert (cube * zero(order + 3)).coeffs == (0,) * (order + 1)
+
+
+def test_fraction_operand_product_unchanged():
+    rng = random.Random(4099)
+    for order in (0, 1, 7, 60):
+        s = _random_series(rng, order)
+        t = QSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(order + 1)], order)
+        for x, y in ((s, t), (t, s), (t, t)):
+            product = x * y
+            expected = [
+                sum(x.coeffs[i] * y.coeffs[k - i] for i in range(k + 1)) for k in range(order + 1)
+            ]
+            assert list(product.coeffs) == expected
+            assert [type(c) for c in product.coeffs] == [
+                int if Fraction(c).denominator == 1 else Fraction for c in expected
+            ]
