@@ -330,6 +330,12 @@ def _c_ladder_overline(order: int) -> QSeries:
 
 
 @shared
+def _c_ladder_euler_swapped(order: int) -> QSeries:
+    # the overline ladder times 1/(q;q^2)_inf, Euler's form of (-q;q)_inf
+    return poch_infinite(_Q, 2, order).invert() * _c_ladder_overline(order)
+
+
+@shared
 def _c_ladder_odd_tail(order: int) -> QSeries:
     # sum q^n (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / ((-q^(n+1);q)_inf (q^(2n+3);q^2)_inf)
     den = poch_infinite(_NEG_Q, 1, order) * poch_infinite(Monomial(1, 3), 2, order)
@@ -627,13 +633,11 @@ def _stage_c_overline(order: int):
 
 def _stage_c_euler_swap(order: int):
     lhs = poch_infinite(_NEG_Q, 1, order) * _c_ladder_overline(order)
-    rhs = poch_infinite(_Q, 2, order).invert() * _c_ladder_overline(order)
-    return lhs, rhs
+    return lhs, _c_ladder_euler_swapped(order)
 
 
 def _stage_c_odd_tail(order: int):
-    lhs = poch_infinite(_Q, 2, order).invert() * _c_ladder_overline(order)
-    return lhs, _c_ladder_odd_tail(order)
+    return _c_ladder_euler_swapped(order), _c_ladder_odd_tail(order)
 
 
 def _stage_c_squares(order: int):

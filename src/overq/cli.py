@@ -44,9 +44,11 @@ from .series import QSeries
 DEFAULT_ORDER = 120
 ORDER_ENV = "OVERQ_ORDER"
 
-#: the largest weight `enum --n` and `oracle --max-n` accept.  Enumeration
-#: cost grows about 4.7x per 5 more weight: at weight 30, counting family C
-#: takes about 5 s and listing it 9 s and 180 MB.
+#: the largest weight `enum --n` and `oracle --max-n` accept.  The number
+#: of objects grows about 4x per 5 more weight: family C has 165,843 at
+#: weight 30.  Counting them builds no object and takes about 0.3 s, and
+#: `oracle` to weight 30 about 1 s; listing them builds every object and
+#: takes about 7 s and 180 MB.
 MAX_WEIGHT = 30
 
 class UsageError(Exception):

@@ -1,11 +1,15 @@
 """Brute-force enumeration of the constrained overpartition families.
 
-This module is the combinatorial oracle: it builds the actual objects
-(overpartitions and overpartition pairs with a marked smallest part) by
-recursive descent over the smallest part, counts them by a parity
-statistic, and never touches the series machinery.  Agreement between
-these counts and the generating-series coefficients is checked in
-oracle_compare and throughout the test suite.
+This module is the combinatorial oracle: it visits every object
+(overpartitions and overpartition pairs with a marked smallest part) and
+never touches the series machinery.  Each family is a window table: for
+every smallest part s, the distinct subsets of each window are listed once
+by sum, and one walk runs over the sum splits whose rows are non-empty and
+visits every combination of one subset per window.  enumerate_family builds
+the objects from those subsets; signed_count reads the parity statistic
+from their sizes and builds nothing.  Agreement between these counts and
+the generating-series coefficients is checked in oracle_compare and
+throughout the test suite.
 
 Every family here is a distinct-parts family: within one component a size
 appears at most once overlined and at most once plain.  Objects are
@@ -15,9 +19,10 @@ plain at equal size).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True, order=True)
@@ -112,73 +117,24 @@ def distinct_subsets(lo: int, hi: Optional[int], total: int) -> Iterator[tuple[i
             yield (first,) + rest
 
 
-def _split(ranges: Sequence[tuple[int, Optional[int]]], total: int) -> Iterator[tuple]:
-    """All ways to draw one distinct subset per range with combined sum total."""
-    if not ranges:
-        if total == 0:
-            yield ()
-        return
-    lo, hi = ranges[0]
-    rest = ranges[1:]
-    for t in range(total + 1):
-        for first in distinct_subsets(lo, hi, t):
-            for others in _split(rest, total - t):
-                yield (first,) + others
-
-
 # -- the seven families -----------------------------------------------------
-#
-# Each enumerator descends over the smallest part s.  The marked core (s
-# overlined, twice for the double-core family) fixes s as the overall
-# smallest part; the remaining weight is split across the allowed groups:
-# extra overlined parts above s, plain parts of each component in their
-# window.  The windows mirror the generating factors exactly.
 
-
-def _enum_fg(n: int) -> Iterator[Overpartition]:
-    for s in range(1, n + 1):
-        rem = n - s
-        for over, plain in _split([(s + 1, None), (s, 2 * s - 1)], rem):
-            yield Overpartition.of(over=(s,) + over, plain=plain)
-
-
-def _enum_pairs(
-    n: int,
-    double_core: bool,
-    v1_range: Callable[[int], tuple[int, Optional[int]]],
-    v2_range: Callable[[int], tuple[int, Optional[int]]],
-) -> Iterator[OverpartitionPair]:
-    s = 1
-    while (2 * s if double_core else s) <= n:
-        rem = n - (2 * s if double_core else s)
-        groups = [(s + 1, None), v1_range(s), (s + 1, None), v2_range(s)]
-        for o1, v1, o2, v2 in _split(groups, rem):
-            lam1 = Overpartition.of(over=(s,) + o1, plain=v1)
-            lam2 = Overpartition.of(over=((s,) + o2) if double_core else o2, plain=v2)
-            yield OverpartitionPair(lam1, lam2)
-        s += 1
-
-
-def _enum_a(n: int) -> Iterator[OverpartitionPair]:
-    return _enum_pairs(n, False, lambda s: (s + 1, None), lambda s: (s, 2 * s - 1))
-
-
-def _enum_b(n: int) -> Iterator[OverpartitionPair]:
-    return _enum_pairs(n, False, lambda s: (s + 1, None), lambda s: (s + 1, 2 * s))
-
-
-def _enum_c(n: int) -> Iterator[OverpartitionPair]:
-    return _enum_pairs(n, False, lambda s: (s, None), lambda s: (s, 2 * s - 1))
-
-
-def _enum_d(n: int) -> Iterator[OverpartitionPair]:
-    return _enum_pairs(n, True, lambda s: (s + 1, None), lambda s: (s, 2 * s - 1))
+Window = tuple[int, Optional[int]]
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Everything one family needs: how to enumerate its objects, how to
-    count them, and the factor table its generating series is built from.
+    """Everything one family needs: its window table for enumeration, how to
+    count its objects, and the factor table its generating series is built
+    from.
+
+    A weight-n object has a smallest part s, overlined once as a core in
+    each of the first `cores` components.  Each component then draws one
+    distinct subset of overlined sizes and one of plain sizes from its
+    (overlined window, plain window) in `windows`.  A window (a, b) holds
+    the sizes s+a .. 2s+b, with no upper end when b is None.  The windows
+    mirror the generating factors but are written out by hand, so the
+    oracle stays independent of the series side.
 
     The series summand over smallest part s is
 
@@ -188,23 +144,29 @@ class FamilySpec:
     """
 
     name: str
-    pair: bool
     statistic: str  # total-parts | overlined-parts | plain-parts
     odd_positive: bool  # signed difference is odd-even when True, even-odd otherwise
     prefactor: int
     inf_factors: tuple[tuple[int, int, int], ...]
     fin_factor: tuple[int, int]
-    enumerate: Callable[[int], Iterator[FamilyObject]]
+    cores: int
+    windows: tuple[tuple[Window, Window], ...]
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "F": FamilySpec("F", False, "total-parts", True, 1, ((1, 1, 1),), (1, 0), _enum_fg),
-    "G": FamilySpec("G", False, "overlined-parts", True, 1, ((1, 1, 1),), (-1, 0), _enum_fg),
-    "A": FamilySpec("A", True, "total-parts", True, 1, ((1, 1, 3),), (1, 0), _enum_a),
-    "A2": FamilySpec("A2", True, "plain-parts", False, 1, ((-1, 1, 2), (1, 1, 1)), (1, 0), _enum_a),
-    "B": FamilySpec("B", True, "plain-parts", False, 1, ((-1, 1, 2), (1, 1, 1)), (1, 1), _enum_b),
-    "C": FamilySpec("C", True, "total-parts", True, 1, ((1, 1, 2), (1, 0, 1)), (1, 0), _enum_c),
-    "D": FamilySpec("D", True, "total-parts", False, 2, ((1, 1, 3),), (1, 0), _enum_d),
+    "F": FamilySpec("F", "total-parts", True, 1, ((1, 1, 1),), (1, 0), 1, (((1, None), (0, -1)),)),
+    "G": FamilySpec("G", "overlined-parts", True, 1, ((1, 1, 1),), (-1, 0),
+                    1, (((1, None), (0, -1)),)),
+    "A": FamilySpec("A", "total-parts", True, 1, ((1, 1, 3),), (1, 0),
+                    1, (((1, None), (1, None)), ((1, None), (0, -1)))),
+    "A2": FamilySpec("A2", "plain-parts", False, 1, ((-1, 1, 2), (1, 1, 1)), (1, 0),
+                     1, (((1, None), (1, None)), ((1, None), (0, -1)))),
+    "B": FamilySpec("B", "plain-parts", False, 1, ((-1, 1, 2), (1, 1, 1)), (1, 1),
+                    1, (((1, None), (1, None)), ((1, None), (1, 0)))),
+    "C": FamilySpec("C", "total-parts", True, 1, ((1, 1, 2), (1, 0, 1)), (1, 0),
+                    1, (((1, None), (0, None)), ((1, None), (0, -1)))),
+    "D": FamilySpec("D", "total-parts", False, 2, ((1, 1, 3),), (1, 0),
+                    2, (((1, None), (1, None)), ((1, None), (0, -1)))),
 }
 
 _ALIASES = {"A''": "A2", "A′′": "A2"}
@@ -222,36 +184,72 @@ def family(name: str) -> FamilySpec:
         raise KeyError(f"unknown family {name!r}; know {sorted(FAMILIES)}") from None
 
 
+def _walk(spec: FamilySpec, n: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Every weight-n object of the family exactly once, as (s, subsets) with
+    one distinct subset per window, windows in table order."""
+    for s in range(1, n // spec.cores + 1):
+        rest = n - spec.cores * s
+        bounds = [(s + a, None if b is None else 2 * s + b) for c in spec.windows for a, b in c]
+        # by_sum[lo, hi][t]: the distinct subsets of lo..hi with sum t; equal windows share it
+        by_sum = {w: [list(distinct_subsets(*w, t)) for t in range(rest + 1)] for w in set(bounds)}
+        rows = [by_sum[w] for w in bounds]
+        for split in _splits(rows, rest):
+            # a list, not a generator: unpacking a generator builds an oversized tuple and
+            # shrinks it, and the shrunk tuples pile up on a free list (about 0.25 MB)
+            for subsets in itertools.product(*[row[t] for row, t in zip(rows, split)]):
+                yield s, subsets
+
+
+def _splits(rows: list[list[list]], total: int) -> Iterator[tuple[int, ...]]:
+    """Sums (t_1, .., t_k) adding up to total with every rows[i][t_i] non-empty."""
+    if len(rows) == 1:
+        if rows[0][total]:
+            yield (total,)
+        return
+    for t in range(total + 1):
+        if rows[0][t]:
+            for rest in _splits(rows[1:], total - t):
+                yield (t,) + rest
+
+
 def enumerate_family(name: str, n: int) -> list[FamilyObject]:
     """All weight-n objects of the family, canonically ordered, no duplicates."""
     if n < 0:
         raise ValueError("weight must be >= 0")
-    objs = list(family(name).enumerate(n))
+    spec = family(name)
+    objs = []
+    for s, subsets in _walk(spec, n):
+        parts = [
+            Overpartition.of(((s,) if i < spec.cores else ()) + subsets[2 * i], subsets[2 * i + 1])
+            for i in range(len(spec.windows))
+        ]
+        objs.append(OverpartitionPair(*parts) if len(parts) == 2 else parts[0])
     if len(set(objs)) != len(objs):
         raise AssertionError(f"family {name} produced duplicate objects at n={n}")
     objs.sort()
     return objs
 
 
-def _statistic_value(obj: FamilyObject, statistic: str) -> int:
-    if statistic == "total-parts":
-        return obj.total_parts
-    if statistic == "overlined-parts":
-        return obj.overlined_parts
-    if statistic == "plain-parts":
-        return obj.plain_parts
-    raise ValueError(f"unknown statistic {statistic!r}")
+#: statistic -> (overlined parts counted, plain parts counted); the cores
+#: are overlined parts.
+_COUNTED = {
+    "total-parts": (True, True),
+    "overlined-parts": (True, False),
+    "plain-parts": (False, True),
+}
 
 
 def signed_count(name: str, n: int) -> tuple[int, int, int]:
-    """(even count, odd count, signed difference) for the family statistic."""
+    """(even count, odd count, signed difference) for the family statistic,
+    read from the subset sizes of each walked object."""
     spec = family(name)
-    even = odd = 0
-    for obj in spec.enumerate(n):
-        if _statistic_value(obj, spec.statistic) & 1:
-            odd += 1
-        else:
-            even += 1
+    over, plain = _COUNTED[spec.statistic]
+    mask = (over, plain) * len(spec.windows)
+    base = spec.cores if over else 0
+    tally = [0, 0]
+    for _, subsets in _walk(spec, n):
+        tally[(base + sum(map(len, itertools.compress(subsets, mask)))) & 1] += 1
+    even, odd = tally
     signed = (odd - even) if spec.odd_positive else (even - odd)
     return (even, odd, signed)
 

@@ -58,6 +58,80 @@ def test_enumeration_is_canonical():
     assert len(set(a)) == len(a)
 
 
+def _distinct(total, below):
+    """Strictly decreasing tuples of positive integers below `below` summing
+    to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, below - 1), 0, -1):
+        for rest in _distinct(total - first, first):
+            yield (first,) + rest
+
+
+def _components(weight):
+    """Every (overlined set, plain set) of the given weight, each distinct."""
+    for k in range(weight + 1):
+        for over in _distinct(k, k + 1):
+            for plain in _distinct(weight - k, weight - k + 1):
+                yield over, plain
+
+
+def _within(parts, lo, hi=None):
+    return all(lo <= p and (hi is None or p <= hi) for p in parts)
+
+
+def _member(name, comps):
+    """Family membership written per object: the smallest part s is
+    overlined in the first component, and the plain parts lie in the
+    family's ranges."""
+    parts = [p for over, plain in comps for p in over + plain]
+    if not parts or min(parts) not in comps[0][0]:
+        return False
+    s = min(parts)
+    if name in ("F", "G"):
+        ((_, plain),) = comps
+        return _within(plain, s, 2 * s - 1)
+    (_, plain1), (over2, plain2) = comps
+    second_core = s in over2
+    if name == "B":
+        return not second_core and _within(plain1, s + 1) and _within(plain2, s + 1, 2 * s)
+    if name == "C":
+        return not second_core and _within(plain2, s, 2 * s - 1)
+    # A and A2 share their objects; D also marks s overlined in the second component
+    return second_core == (name == "D") and _within(plain1, s + 1) and _within(plain2, s, 2 * s - 1)
+
+
+def _brute_force(name, n):
+    if name in ("F", "G"):
+        candidates = ((c,) for c in _components(n))
+    else:
+        candidates = (
+            (first, second)
+            for w in range(n + 1)
+            for first in _components(w)
+            for second in _components(n - w)
+        )
+    found = set()
+    for comps in candidates:
+        if _member(name, comps):
+            objs = [Overpartition.of(over, plain) for over, plain in comps]
+            found.add(_pair(*objs) if len(objs) == 2 else objs[0])
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_window_table_matches_brute_force(name):
+    for n in range(11):
+        assert set(enumerate_family(name, n)) == _brute_force(name, n), (name, n)
+
+
+def test_object_totals_to_weight_22():
+    totals = {name: sum(sum(signed_count(name, n)[:2]) for n in range(1, 23)) for name in FAMILIES}
+    want = {"F": 1236, "G": 1236, "A": 37481, "A2": 37481, "B": 32564, "C": 62010, "D": 24529}
+    assert totals == want
+
+
 def test_signed_count_fixtures():
     assert signed_count("A", 3) == (3, 1, -2)
     assert signed_count("A2", 3) == (3, 1, 2)
