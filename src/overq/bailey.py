@@ -38,7 +38,6 @@ builds its left and right sides through separately coded builders.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -60,7 +59,7 @@ from .products import (
     theta1d,
     theta2d,
 )
-from .report import VerificationReport
+from .report import SidePair, VerificationReport, check, one_pair
 from .series import (
     Coeff,
     QSeries,
@@ -159,14 +158,19 @@ def pair(name: PairLike) -> BaileyPair:
 
 
 def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
-    """Verify the defining relation for every n <= n_max at the order.
+    """Verify the defining relation for every n <= n_max at the order."""
+    p = pair(p)
+    note = f"defining relation holds for n <= {n_max}"
+    return check(f"bailey:{p.name}", order, _relation_pairs(p, n_max, order), note)
+
+
+def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]:
+    """(label, relation sum, beta_n) for n = 0 .. n_max, one n at a time.
 
     The relation sum is built with a running product: 1/((q;q)_n (aq;q)_n)
     advances by two binomial divides per n, and within each n the r-th
     denominator follows from the previous by one multiply and one divide.
     """
-    p = pair(p)
-    start = time.perf_counter()
     a = p.relative
     p0: list[Coeff] = [0] * (order + 1)  # 1 / ((q;q)_n (aq;q)_n)
     p0[0] = 1
@@ -184,23 +188,7 @@ def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
             for e, c in enumerate(alpha_r.coeffs):
                 if c:
                     _add_inplace(acc, den, e, c)
-        mismatch = QSeries(acc, order).first_mismatch(beta, order)
-        if mismatch is not None:
-            return VerificationReport(
-                name=f"bailey:{p.name}",
-                order=order,
-                ok=False,
-                mismatch=mismatch,
-                note=f"defining relation fails at n={n}",
-                elapsed=time.perf_counter() - start,
-            )
-    return VerificationReport(
-        name=f"bailey:{p.name}",
-        order=order,
-        ok=True,
-        note=f"defining relation holds for n <= {n_max}",
-        elapsed=time.perf_counter() - start,
-    )
+        yield f"defining relation fails at n={n}", QSeries(acc, order), beta
 
 
 @shared
@@ -248,16 +236,7 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]
 
 def verify_lemma(p: PairLike, a: Monomial, order: int) -> VerificationReport:
     p = pair(p)
-    start = time.perf_counter()
-    lhs, rhs = lemma_sides(p, a, order)
-    mismatch = lhs.first_mismatch(rhs, order)
-    return VerificationReport(
-        name=f"lemma:{p.name}:a={a}",
-        order=order,
-        ok=mismatch is None,
-        mismatch=mismatch,
-        elapsed=time.perf_counter() - start,
-    )
+    return check(f"lemma:{p.name}:a={a}", order, one_pair("", lemma_sides, p, a, order))
 
 
 # -- derivation chains -------------------------------------------------------
@@ -316,6 +295,12 @@ def _c_prefix(order: int) -> QSeries:
 
 
 @shared
+def _c_explicit_sum(order: int) -> QSeries:
+    # (q;q)_inf (q^2;q)_inf^2 times the triple-ratio sum
+    return _c_prefix(order) * _c_sum_triple(order)
+
+
+@shared
 def _c_ladder_tails(order: int) -> QSeries:
     # sum q^n (-q;q)_n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2
     init = _c_prefix(order).mul_binomial(-1, 1)
@@ -327,6 +312,12 @@ def _c_ladder_overline(order: int) -> QSeries:
     # sum q^n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / (-q^(n+1);q)_inf
     init = _c_prefix(order).mul_binomial(-1, 1) * poch_infinite(_NEG_Q, 1, order).invert()
     return ratio_sum(init, _C_LADDER_RATIO, order)
+
+
+@shared
+def _c_ladder_pulled_out(order: int) -> QSeries:
+    # (-q;q)_inf times the overline ladder
+    return poch_infinite(_NEG_Q, 1, order) * _c_ladder_overline(order)
 
 
 @shared
@@ -465,6 +456,12 @@ def _d_core_sum(order: int) -> QSeries:
 
 
 @shared
+def _d_core_product(order: int) -> QSeries:
+    # (q;q)_inf^3 * S
+    return _poch3(order) * _d_core_sum(order)
+
+
+@shared
 def _d_ladder_middle(order: int) -> QSeries:
     # sum q^(2n) (-q;q)_(n-1) (q;q)_(2n) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
@@ -568,6 +565,19 @@ def _d_alt_sq(r: int, n: int) -> int:
 _HALF = Fraction(1, 2)
 
 
+@shared
+def _d_grouped_sums(order: int) -> QSeries:
+    # -1/2 sum q^(2n^2+n) - 1/2 sum q^(2n^2+3n+1) - 2 sum q^B
+    #   + sum q^(A+r) + sum q^(A+2n+r+1), with integer exponents
+    return (
+        -theta1d(Theta1D((2, 1, 0)), order).scale(_HALF)
+        - theta1d(Theta1D((2, 3, 1)), order).scale(_HALF)
+        - _lattice(order, _d_b).scale(2)
+        + _lattice(order, _d_a2)
+        + _lattice(order, _d_a3)
+    )
+
+
 def _d_grouped_assembly(order: int) -> QSeries:
     # -1/2 sum q^(2n^2+n) - 1/2 sum q^(2n^2+3n+1) - 2 sum q^B
     #   + sum q^(A+r) + sum q^(A+2n+r+1), with eighth-square exponents
@@ -591,6 +601,12 @@ def _d_paired_assembly(order: int) -> QSeries:
     )
 
 
+@shared
+def _d_jacobi_swapped(order: int) -> QSeries:
+    # the paired form less half of Jacobi's cube sum
+    return _d_paired_assembly(order) - jacobi_theta(order).scale(_HALF)
+
+
 def _d_inner_final(order: int) -> QSeries:
     # sum D'(n) q^n: the merged alternating form
     return (
@@ -608,7 +624,7 @@ StageBuilder = Callable[[int], tuple[QSeries, QSeries]]
 
 def _stage_c_lemma_lhs(order: int):
     lhs, _ = lemma_sides(PAIRS["lovejoy-q2"], _NEG_Q, order)
-    return lhs, _c_prefix(order) * _c_sum_triple(order)
+    return lhs, _c_explicit_sum(order)
 
 
 def _stage_c_lemma_rhs(order: int):
@@ -617,23 +633,21 @@ def _stage_c_lemma_rhs(order: int):
 
 
 def _stage_c_specialized(order: int):
-    lhs = (_c_prefix(order) * _c_sum_triple(order)).mul_binomial(-1, 1)
+    lhs = _c_explicit_sum(order).mul_binomial(-1, 1)
     return lhs, _c_bpd1_lattice(order)
 
 
 def _stage_c_tails(order: int):
-    lhs = (_c_prefix(order) * _c_sum_triple(order)).mul_binomial(-1, 1)
+    lhs = _c_explicit_sum(order).mul_binomial(-1, 1)
     return lhs, _c_ladder_tails(order)
 
 
 def _stage_c_overline(order: int):
-    rhs = poch_infinite(_NEG_Q, 1, order) * _c_ladder_overline(order)
-    return _c_ladder_tails(order), rhs
+    return _c_ladder_tails(order), _c_ladder_pulled_out(order)
 
 
 def _stage_c_euler_swap(order: int):
-    lhs = poch_infinite(_NEG_Q, 1, order) * _c_ladder_overline(order)
-    return lhs, _c_ladder_euler_swapped(order)
+    return _c_ladder_pulled_out(order), _c_ladder_euler_swapped(order)
 
 
 def _stage_c_odd_tail(order: int):
@@ -721,8 +735,7 @@ def _stage_c_assembled(order: int):
 
 def _stage_d_lemma_lhs(order: int):
     lhs, _ = lemma_sides(PAIRS["slater-h1"], Monomial(-1, 0), order)
-    p3 = _poch3(order)
-    return lhs, p3 + (p3 * _d_core_sum(order)).scale(2)
+    return lhs, _poch3(order) + _d_core_product(order).scale(2)
 
 
 def _stage_d_lemma_rhs(order: int):
@@ -731,8 +744,7 @@ def _stage_d_lemma_rhs(order: int):
 
 
 def _stage_d_half(order: int):
-    p3 = _poch3(order)
-    lhs = p3.scale(_HALF) + p3 * _d_core_sum(order)
+    lhs = _poch3(order).scale(_HALF) + _d_core_product(order)
     return lhs, _d_t0(order).scale(_HALF) + _d_v_from(order, 1)
 
 
@@ -750,26 +762,11 @@ def _stage_d_diagonal(order: int):
 
 
 def _stage_d_regroup(order: int):
-    lhs = _d_t0(order).scale(_HALF) + _d_v_from(order, 0)
-    rhs = (
-        -theta1d(Theta1D((2, 1, 0)), order).scale(_HALF)
-        - theta1d(Theta1D((2, 3, 1)), order).scale(_HALF)
-        - _lattice(order, _d_b).scale(2)
-        + _lattice(order, _d_a2)
-        + _lattice(order, _d_a3)
-    )
-    return lhs, rhs
+    return _d_t0(order).scale(_HALF) + _d_v_from(order, 0), _d_grouped_sums(order)
 
 
 def _stage_d_eighths(order: int):
-    lhs = (
-        -theta1d(Theta1D((2, 1, 0)), order).scale(_HALF)
-        - theta1d(Theta1D((2, 3, 1)), order).scale(_HALF)
-        - _lattice(order, _d_b).scale(2)
-        + _lattice(order, _d_a2)
-        + _lattice(order, _d_a3)
-    )
-    return lhs, _d_grouped_assembly(order)
+    return _d_grouped_sums(order), _d_grouped_assembly(order)
 
 
 def _stage_d_pair_up(order: int):
@@ -777,13 +774,11 @@ def _stage_d_pair_up(order: int):
 
 
 def _stage_d_help_b2(order: int):
-    lhs = _poch3(order) * _d_core_sum(order)
-    return lhs, _d_paired_assembly(order) - jacobi_theta(order).scale(_HALF)
+    return _d_core_product(order), _d_jacobi_swapped(order)
 
 
 def _stage_d_alt_merge(order: int):
-    lhs = _d_paired_assembly(order) - jacobi_theta(order).scale(_HALF)
-    return lhs, _d_inner_final(order)
+    return _d_jacobi_swapped(order), _d_inner_final(order)
 
 
 def _stage_d_mapped(order: int):
@@ -793,7 +788,7 @@ def _stage_d_mapped(order: int):
 
 
 def _stage_d_ladder_1(order: int):
-    return _poch3(order) * _d_core_sum(order), _d_ladder_middle(order)
+    return _d_core_product(order), _d_ladder_middle(order)
 
 
 def _stage_d_ladder_2(order: int):
@@ -849,46 +844,23 @@ def chain_stage_reports(order: int) -> list[VerificationReport]:
 
     The stages run in one sharing scope, so a side that one stage shares
     with its neighbour is built once."""
-    reports = []
     with sharing():
-        for name, builder in CHAIN_STAGES:
-            start = time.perf_counter()
-            lhs, rhs = builder(order)
-            through = min(order, lhs.order, rhs.order)
-            mismatch = lhs.first_mismatch(rhs, through)
-            reports.append(
-                VerificationReport(
-                    name=f"chain:{name}",
-                    order=through,
-                    ok=mismatch is None,
-                    mismatch=mismatch,
-                    elapsed=time.perf_counter() - start,
-                )
-            )
-    return reports
+        return [
+            check(f"chain:{name}", order, one_pair("", build, order))
+            for name, build in CHAIN_STAGES
+        ]
 
 
 def chain_summary(reports: list[VerificationReport], order: int) -> VerificationReport:
     """Aggregate over chain stage reports; the note names the first failure
     and the elapsed time is the stages' total."""
-    elapsed = sum(r.elapsed for r in reports)
     bad = [r for r in reports if not r.ok]
+    mismatch, note = None, f"all {len(reports)} stages hold"
     if bad:
-        return VerificationReport(
-            name="chain",
-            order=order,
-            ok=False,
-            mismatch=bad[0].mismatch,
-            note=f"{len(bad)} of {len(reports)} stages fail, first {bad[0].name}",
-            elapsed=elapsed,
-        )
-    return VerificationReport(
-        name="chain",
-        order=order,
-        ok=True,
-        note=f"all {len(reports)} stages hold",
-        elapsed=elapsed,
-    )
+        mismatch = bad[0].mismatch
+        note = f"{len(bad)} of {len(reports)} stages fail, first {bad[0].name}"
+    elapsed = sum(r.elapsed for r in reports)
+    return VerificationReport("chain", order, not bad, mismatch, note, elapsed)
 
 
 def verify_chain(order: int) -> VerificationReport:

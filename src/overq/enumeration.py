@@ -305,33 +305,19 @@ def is_sum_two_triangular(n: int) -> bool:
 
 
 def oracle_compare(name: str, max_n: int, order: Optional[int] = None):
-    """Check signed_count against the generating-series coefficient for
-    every weight 1 .. max_n.  Returns a VerificationReport."""
-    import time
-
+    """Check the series of signed counts through weight max_n against the
+    generating series.  Returns a VerificationReport."""
     from .identities import gen_family
-    from .report import VerificationReport
+    from .report import check, one_pair
+    from .series import QSeries
 
-    t0 = time.perf_counter()
     order = max_n if order is None else order
     if order < max_n:
         raise ValueError("series order must cover max_n")
-    series = gen_family(name, order)
-    for n in range(1, max_n + 1):
-        signed = signed_count(name, n)[2]
-        c = series.coeff(n)
-        if signed != c:
-            return VerificationReport(
-                name=f"oracle:{family(name).name}",
-                order=max_n,
-                ok=False,
-                mismatch=(n, signed, c),
-                note="enumeration vs series coefficient",
-                elapsed=time.perf_counter() - t0,
-            )
-    return VerificationReport(
-        name=f"oracle:{family(name).name}",
-        order=max_n,
-        ok=True,
-        elapsed=time.perf_counter() - t0,
-    )
+
+    def sides():
+        counts = QSeries([signed_count(name, n)[2] for n in range(max_n + 1)], max_n)
+        return counts, gen_family(name, order)
+
+    label = "enumeration vs series coefficient"
+    return check(f"oracle:{family(name).name}", max_n, one_pair(label, sides))

@@ -20,7 +20,6 @@ Pochhammer splitting laws and the Legendre signed count by enumeration.
 from __future__ import annotations
 
 import random
-import time
 from functools import partial
 from typing import Callable, Union
 
@@ -38,7 +37,7 @@ from .products import (
     theta1d,
     theta2d,
 )
-from .report import VerificationReport
+from .report import SidePair, VerificationReport, check, deferred, one_pair
 from .series import (
     Coeff,
     QSeries,
@@ -157,27 +156,16 @@ def verify_theorem(fam: Family, order: int) -> VerificationReport:
     where 8*inner+2 <= order.
     """
     spec = _spec(fam)
-    start = time.perf_counter()
-    if spec.name in MAPPED_FAMILIES:
-        inner = mapped_inner_order(order)
-        top = 8 * inner + 2
-        lhs = gen_family(spec, inner).stretch(8, 2)
-        rhs = rhs_theorem(spec, top)
-        note = f"coefficients n <= {inner} at exponents 8n+2"
-    else:
-        top = order
-        lhs = gen_family(spec, top)
-        rhs = rhs_theorem(spec, top)
-        note = ""
-    mismatch = lhs.first_mismatch(rhs, top)
-    return VerificationReport(
-        name=f"theorem:{spec.name}",
-        order=top,
-        ok=mismatch is None,
-        mismatch=mismatch,
-        note=note,
-        elapsed=time.perf_counter() - start,
-    )
+    mapped = spec.name in MAPPED_FAMILIES
+    inner = mapped_inner_order(order)
+    top = 8 * inner + 2 if mapped else order
+    note = f"coefficients n <= {inner} at exponents 8n+2" if mapped else ""
+
+    def sides():
+        lhs = gen_family(spec, inner).stretch(8, 2) if mapped else gen_family(spec, order)
+        return lhs, rhs_theorem(spec, top)
+
+    return check(f"theorem:{spec.name}", top, one_pair(note, sides), note)
 
 
 # -- classical identities ----------------------------------------------------
@@ -186,7 +174,7 @@ def verify_theorem(fam: Family, order: int) -> VerificationReport:
 # requested order unless the pair is capped (legendre).  verify_classical
 # compares every pair and reports the first mismatching one.
 
-SidePairs = list[tuple[str, QSeries, QSeries]]
+SidePairs = list[SidePair]
 
 
 def _pentagonal_bilateral_sum(order: int) -> QSeries:
@@ -438,27 +426,4 @@ def classical_sides(cid: str, order: int) -> SidePairs:
 
 def verify_classical(cid: str, order: int) -> VerificationReport:
     """Build and compare every side pair of one classical identity."""
-    start = time.perf_counter()
-    pairs = classical_sides(cid, order)
-    checked_order = order
-    for label, lhs, rhs in pairs:
-        through = min(order, lhs.order, rhs.order)
-        checked_order = min(checked_order, through)
-        mismatch = lhs.first_mismatch(rhs, through)
-        if mismatch is not None:
-            return VerificationReport(
-                name=f"classical:{cid}",
-                order=through,
-                ok=False,
-                mismatch=mismatch,
-                note=label,
-                elapsed=time.perf_counter() - start,
-            )
-    note = f"{len(pairs)} comparisons" if len(pairs) > 1 else ""
-    return VerificationReport(
-        name=f"classical:{cid}",
-        order=checked_order,
-        ok=True,
-        note=note,
-        elapsed=time.perf_counter() - start,
-    )
+    return check(f"classical:{cid}", order, deferred(classical_sides, cid, order))

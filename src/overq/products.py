@@ -113,14 +113,8 @@ class Monomial:
         """Multiply by q^k."""
         return Monomial(self.c, self.e + k)
 
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.c * other.c, self.e + other.e)
-
     def squared(self) -> "Monomial":
         return Monomial(1, 2 * self.e)
-
-    def negated(self) -> "Monomial":
-        return Monomial(-self.c, self.e)
 
     def __repr__(self) -> str:
         s = "" if self.c == 1 else "-"

@@ -1,18 +1,30 @@
-"""Result record shared by every verification entry point."""
+"""Result record shared by every verification entry point, and check, the
+one comparison path that fills it in.
+
+Every verifier is a producer of labelled side pairs (label, lhs, rhs);
+check builds them as it goes, compares them and times the whole.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Optional
+
+from .series import QSeries
+
+SidePair = tuple[str, QSeries, QSeries]
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one coefficientwise comparison.
 
-    mismatch, when present, is (exponent, left value, right value) for the
-    first disagreeing coefficient; for indexed checks (Bailey relation,
-    oracle sweeps) the first slot is the offending index instead.
+    order is the highest exponent compared.  mismatch, when present, is
+    (exponent, left value, right value) for the first disagreeing
+    coefficient; mismatch[0] is always an exponent (the Bailey relation
+    names its index n in the note).  On a failure the note is the failing
+    pair's label.
     """
 
     name: str
@@ -45,3 +57,40 @@ class VerificationReport:
             out["note"] = self.note
         out["elapsed"] = round(self.elapsed, 3)
         return out
+
+
+def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> VerificationReport:
+    """Compare each labelled pair through min(order, lhs.order, rhs.order),
+    stopping at the first that differs.
+
+    pairs may be a lazy generator: it is not advanced past a failing pair,
+    and the elapsed time covers building the sides as well as comparing
+    them.  A failure reports the pair's label as the note and the pair's
+    order; a pass reports the smallest order compared and the note, which
+    defaults to "k comparisons" when more than one pair was compared.
+    """
+    start = time.perf_counter()
+    compared, count = order, 0
+    for label, lhs, rhs in pairs:
+        through = min(order, lhs.order, rhs.order)
+        mismatch = lhs.first_mismatch(rhs, through)
+        if mismatch is not None:
+            return VerificationReport(
+                name, through, False, mismatch, label, time.perf_counter() - start
+            )
+        compared, count = min(compared, through), count + 1
+    if not note and count > 1:
+        note = f"{count} comparisons"
+    return VerificationReport(name, compared, True, None, note, time.perf_counter() - start)
+
+
+def deferred(build: Callable[..., Iterable[SidePair]], *args: Any) -> Iterator[SidePair]:
+    """The pairs build(*args) returns, built when check asks for the first."""
+    yield from build(*args)
+
+
+def one_pair(
+    label: str, build: Callable[..., tuple[QSeries, QSeries]], *args: Any
+) -> Iterator[SidePair]:
+    """The single pair (label, *build(*args)), built when check asks for it."""
+    yield (label, *build(*args))

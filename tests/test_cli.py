@@ -245,3 +245,26 @@ def test_verify_chain_builds_each_stage_once(capsys, monkeypatch):
     assert calls == {name: 1 for name in bailey.CHAIN_STAGE_IDS}
     reports = json.loads(out)
     assert [r["name"] for r in reports] == [f"chain:{n}" for n in bailey.CHAIN_STAGE_IDS] + ["chain"]
+
+
+def test_verify_all(capsys):
+    code, out, _ = run(capsys, "verify", "--target", "all", "--order", "30", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert all(r["ok"] for r in reports)
+    assert [r["name"] for r in reports] == [
+        *(f"theorem:{f}" for f in ("F", "G", "A", "A2", "B", "C", "D")),
+        *(
+            f"classical:{cid}"
+            for cid in (
+                "pentagonal-bilateral", "pentagonal-unilateral", "jacobi", "gauss",
+                "euler", "q-binomial", "fine-a", "fine-b", "aw-plus", "aw-minus",
+                "gr-iii10", "gr-iii9", "basic-facts", "legendre",
+            )
+        ),
+        "bailey:lovejoy-q2",
+        "lemma:lovejoy-q2:a=-q^1",
+        "bailey:slater-h1",
+        "lemma:slater-h1:a=-q^0",
+        "chain",
+    ]

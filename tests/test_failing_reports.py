@@ -1,0 +1,97 @@
+"""Failing reports from every verifier kind.
+
+Each test corrupts one builder by flipping a single coefficient and pins
+the report's (name, order, ok, mismatch, note): the mismatch exponent, the
+pair label in the note and the order a failure reports.
+"""
+
+import dataclasses
+
+import overq.bailey as bailey
+import overq.identities as identities
+from overq.enumeration import oracle_compare
+from overq.series import QSeries
+
+
+def flip(series, at):
+    """series with coefficient `at` (if within its order) raised by one."""
+    if at > series.order:
+        return series
+    cs = list(series.coeffs)
+    cs[at] += 1
+    return QSeries(cs, series.order)
+
+
+def flipped(build, at, when=lambda *args: True):
+    """build with its result flipped at `at` for the calls whose arguments
+    satisfy `when`."""
+    return lambda *args: flip(build(*args), at) if when(*args) else build(*args)
+
+
+def fields(report):
+    return report.name, report.order, report.ok, report.mismatch, report.note
+
+
+def test_direct_theorem(monkeypatch):
+    monkeypatch.setattr(identities, "rhs_theorem", flipped(identities.rhs_theorem, 6))
+    report = identities.verify_theorem("A", 20)
+    assert fields(report) == ("theorem:A", 20, False, (6, 3, 4), "")
+
+
+def test_mapped_theorem(monkeypatch):
+    monkeypatch.setattr(identities, "gen_family", flipped(identities.gen_family, 2))
+    report = identities.verify_theorem("C", 45)
+    assert fields(report) == (
+        "theorem:C", 42, False, (18, 0, -1), "coefficients n <= 5 at exponents 8n+2"
+    )
+
+
+def test_classical_second_pair(monkeypatch):
+    # only (-q;q)_inf is corrupted, so gauss's first pair holds and its second fails
+    neg_q = identities.Monomial(-1, 1)
+    corrupt = flipped(identities.poch_infinite, 3, lambda a, base, order: a == neg_q)
+    monkeypatch.setattr(identities, "poch_infinite", corrupt)
+    report = identities.verify_classical("gauss", 30)
+    assert fields(report) == ("classical:gauss", 30, False, (3, 1, 3), "sum-vs-squared-product")
+
+
+def test_bailey_relation_at_n(monkeypatch):
+    p = bailey.PAIRS["slater-h1"]
+    alpha = flipped(p.alpha, 13, lambda n, order: n == 3)
+    monkeypatch.setitem(bailey.PAIRS, "slater-h1", dataclasses.replace(p, alpha=alpha))
+    report = bailey.bailey_check("slater-h1", n_max=10, order=30)
+    assert fields(report) == (
+        "bailey:slater-h1", 30, False, (13, 222, 221), "defining relation fails at n=3"
+    )
+
+
+def test_lemma(monkeypatch):
+    original = bailey.lemma_sides
+
+    def lemma_sides(p, a, order):
+        lhs, rhs = original(p, a, order)
+        return lhs, flip(rhs, 5)
+
+    monkeypatch.setattr(bailey, "lemma_sides", lemma_sides)
+    report = bailey.verify_lemma("lovejoy-q2", bailey.Monomial(-1, 1), 20)
+    assert fields(report) == ("lemma:lovejoy-q2:a=-q^1", 20, False, (5, 1, 2), "")
+
+
+def test_chain_stage_and_summary(monkeypatch):
+    monkeypatch.setattr(bailey, "_c_ladder_squares", flipped(bailey._c_ladder_squares, 4))
+    reports = {r.name: r for r in bailey.chain_stage_reports(30)}
+    assert fields(reports["chain:C:difference-of-squares"]) == (
+        "chain:C:difference-of-squares", 30, False, (4, 0, 1), ""
+    )
+    assert fields(bailey.chain_summary(list(reports.values()), 30)) == (
+        "chain", 30, False, (4, 0, 1),
+        "2 of 34 stages fail, first chain:C:difference-of-squares",
+    )
+
+
+def test_oracle(monkeypatch):
+    monkeypatch.setattr(identities, "gen_family", flipped(identities.gen_family, 4))
+    report = oracle_compare("B", 10)
+    assert fields(report) == (
+        "oracle:B", 10, False, (4, 2, 3), "enumeration vs series coefficient"
+    )
