@@ -15,8 +15,9 @@ builds both sides of the conjugate Bailey lemma: for a pair relative to a^2,
     = (1-a) * sum_{r,n} (1 + a q^(r+2n+1)) / (1 - a q^r)
         * a^(2n) q^(2n^2+2nr+n+r) * alpha_r.
 
-At a = -1 the r = 0 denominator is the constant 2, so the right side runs
-through rational intermediates; the (1-a) normalization cancels them.
+At r = 0 the denominator (1 - a q^r) is the normalization (1 - a) itself,
+so the two cancel, and every r >= 1 term takes (1 - a) with its divide.
+The right side is therefore integral, even at a = -1, where (1 - a) is 2.
 
 The lemma's left side sums the weight's ratio table chained with the
 pair's, through the same kernel (products.ratio_sum) as every other sum
@@ -24,10 +25,11 @@ over n.
 
 verify_chain replays the two derivations that turn the lemma into the
 two-square identities, one displayed equality per stage, so a transcription
-slip is caught at the exact step instead of only end to end.  Consecutive
-sum-over-n stages share a ratio table only when the terms are literally
-equal; every stage's initial term and every lattice exponent formula is
-coded independently.
+slip is caught at the exact step instead of only end to end.  The seven D
+displays that carry halves are checked with both sides doubled, so every
+side is integral.  Consecutive sum-over-n stages share a ratio table only
+when the terms are literally equal; every stage's initial term and every
+lattice exponent formula is coded independently.
 
 Neighbouring stages share sides: stage k's right side is often stage
 k+1's left side, and several stages reuse one product or one lemma side.
@@ -39,7 +41,6 @@ builds its left and right sides through separately coded builders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Union
 
@@ -218,7 +219,9 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]
         alpha_r = p.alpha(r, order)
         if not alpha_r.is_zero():
             dr = list(alpha_r.coeffs)
-            _div_binomial_inplace(dr, -a.c, a.e + r)  # / (1 - a q^r)
+            if r:  # at r = 0, (1 - a q^r) cancels the normalization (1 - a)
+                _mul_binomial_inplace(dr, -a.c, a.e)
+                _div_binomial_inplace(dr, -a.c, a.e + r)
             n = 0
             while True:
                 e = 2 * n * n + 2 * n * r + n + r + 2 * n * a.e  # with a^(2n)
@@ -230,8 +233,7 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]
                     _add_inplace(acc, dr, hi, a.c)
                 n += 1
         r += 1
-    rhs = QSeries(acc, order).mul_binomial(-a.c, a.e)  # the (1 - a) normalization
-    return lhs, rhs
+    return lhs, QSeries(acc, order)
 
 
 def verify_lemma(p: PairLike, a: Monomial, order: int) -> VerificationReport:
@@ -359,6 +361,7 @@ def _c_ladder_finite(order: int) -> QSeries:
     return ratio_sum(init, _C_LADDER2_RATIO, order)
 
 
+@shared
 def _c_bpd1_lattice(order: int) -> QSeries:
     # sum over r,n of q^E (1 - q^(r+1)) (1 - q^(2n+r+2)), E = 2n^2+2nr+r^2+3n+2r
     def base(r: int, n: int) -> int:
@@ -487,6 +490,7 @@ def _d_ladder_even(order: int) -> QSeries:
     return ratio_sum(init, ratio, order, start=1, at=2)
 
 
+@shared
 def _d_t0(order: int) -> QSeries:
     # sum (1 - q^(2n+1)) q^(2n^2+n)
     return theta1d(Theta1D((2, 1, 0)), order) - theta1d(Theta1D((2, 3, 1)), order)
@@ -507,6 +511,7 @@ def _d_four_terms(r: int, n: int):
     )
 
 
+@shared
 def _d_v_from(order: int, r0: int) -> QSeries:
     # the four-term sum over r >= r0, n >= 0
     return lattice_sum(
@@ -562,58 +567,57 @@ def _d_alt_sq(r: int, n: int) -> int:
     return _eighth((2 * r + 1) ** 2 + (2 * r + 1 + 2 * n) ** 2 - 2)
 
 
-_HALF = Fraction(1, 2)
+@shared
+def _d_grouped_sums(order: int) -> QSeries:
+    # twice: -1/2 sum q^(2n^2+n) - 1/2 sum q^(2n^2+3n+1) - 2 sum q^B
+    #   + sum q^(A+r) + sum q^(A+2n+r+1), with integer exponents
+    return (
+        -theta1d(Theta1D((2, 1, 0)), order)
+        - theta1d(Theta1D((2, 3, 1)), order)
+        - _lattice(order, _d_b).scale(4)
+        + _lattice(order, _d_a2).scale(2)
+        + _lattice(order, _d_a3).scale(2)
+    )
 
 
 @shared
-def _d_grouped_sums(order: int) -> QSeries:
-    # -1/2 sum q^(2n^2+n) - 1/2 sum q^(2n^2+3n+1) - 2 sum q^B
-    #   + sum q^(A+r) + sum q^(A+2n+r+1), with integer exponents
-    return (
-        -theta1d(Theta1D((2, 1, 0)), order).scale(_HALF)
-        - theta1d(Theta1D((2, 3, 1)), order).scale(_HALF)
-        - _lattice(order, _d_b).scale(2)
-        + _lattice(order, _d_a2)
-        + _lattice(order, _d_a3)
-    )
-
-
 def _d_grouped_assembly(order: int) -> QSeries:
-    # -1/2 sum q^(2n^2+n) - 1/2 sum q^(2n^2+3n+1) - 2 sum q^B
+    # twice: -1/2 sum q^(2n^2+n) - 1/2 sum q^(2n^2+3n+1) - 2 sum q^B
     #   + sum q^(A+r) + sum q^(A+2n+r+1), with eighth-square exponents
     return (
-        -theta1d(Theta1D((16, 8, 0), div=8), order).scale(_HALF)
-        - theta1d(Theta1D((16, 24, 8), div=8), order).scale(_HALF)
-        - _lattice(order, _d_b_sq).scale(2)
-        + _lattice(order, _d_a2_sq)
-        + _lattice(order, _d_a3_sq)
+        -theta1d(Theta1D((16, 8, 0), div=8), order)
+        - theta1d(Theta1D((16, 24, 8), div=8), order)
+        - _lattice(order, _d_b_sq).scale(4)
+        + _lattice(order, _d_a2_sq).scale(2)
+        + _lattice(order, _d_a3_sq).scale(2)
     )
 
 
+@shared
 def _d_paired_assembly(order: int) -> QSeries:
-    # the regrouped form with the n=0/r=0 diagonals absorbed
+    # twice: the regrouped form with the n=0/r=0 diagonals absorbed
     return (
-        -theta1d(Theta1D((16, 8, 0), div=8), order).scale(_HALF)
-        + theta1d(Theta1D((16, 24, 8), div=8), order).scale(_HALF)
-        - theta1d(Theta1D((8, 8, 0), div=8), order)
-        - _lattice(order, _d_b_sq).scale(2)
-        + _lattice(order, _d_pair_sq).scale(2)
+        -theta1d(Theta1D((16, 8, 0), div=8), order)
+        + theta1d(Theta1D((16, 24, 8), div=8), order)
+        - theta1d(Theta1D((8, 8, 0), div=8), order).scale(2)
+        - _lattice(order, _d_b_sq).scale(4)
+        + _lattice(order, _d_pair_sq).scale(4)
     )
 
 
 @shared
 def _d_jacobi_swapped(order: int) -> QSeries:
-    # the paired form less half of Jacobi's cube sum
-    return _d_paired_assembly(order) - jacobi_theta(order).scale(_HALF)
+    # twice: the paired form less half of Jacobi's cube sum
+    return _d_paired_assembly(order) - jacobi_theta(order)
 
 
 def _d_inner_final(order: int) -> QSeries:
-    # sum D'(n) q^n: the merged alternating form
+    # twice: sum D'(n) q^n, the merged alternating form
     return (
-        _lattice(order, _d_alt_sq, lambda r, n: -2 if n & 1 else 2)
-        - theta1d(Theta1D((1, 1, 0), div=2, sign="alternating"), order).scale(_HALF)
-        - theta1d(Theta1D((1, 1, 0)), order)
-        - jacobi_theta(order).scale(_HALF)
+        _lattice(order, _d_alt_sq, lambda r, n: -4 if n & 1 else 4)
+        - theta1d(Theta1D((1, 1, 0), div=2, sign="alternating"), order)
+        - theta1d(Theta1D((1, 1, 0)), order).scale(2)
+        - jacobi_theta(order)
     )
 
 
@@ -744,8 +748,8 @@ def _stage_d_lemma_rhs(order: int):
 
 
 def _stage_d_half(order: int):
-    lhs = _poch3(order).scale(_HALF) + _d_core_product(order)
-    return lhs, _d_t0(order).scale(_HALF) + _d_v_from(order, 1)
+    lhs = _poch3(order) + _d_core_product(order).scale(2)  # twice the display
+    return lhs, _d_t0(order) + _d_v_from(order, 1).scale(2)
 
 
 def _stage_d_expand(order: int):
@@ -762,7 +766,7 @@ def _stage_d_diagonal(order: int):
 
 
 def _stage_d_regroup(order: int):
-    return _d_t0(order).scale(_HALF) + _d_v_from(order, 0), _d_grouped_sums(order)
+    return _d_t0(order) + _d_v_from(order, 0).scale(2), _d_grouped_sums(order)  # twice
 
 
 def _stage_d_eighths(order: int):
@@ -774,7 +778,7 @@ def _stage_d_pair_up(order: int):
 
 
 def _stage_d_help_b2(order: int):
-    return _d_core_product(order), _d_jacobi_swapped(order)
+    return _d_core_product(order).scale(2), _d_jacobi_swapped(order)  # twice
 
 
 def _stage_d_alt_merge(order: int):
@@ -784,7 +788,7 @@ def _stage_d_alt_merge(order: int):
 def _stage_d_mapped(order: int):
     inner = mapped_inner_order(order)
     top = 8 * inner + 2
-    return _d_inner_final(inner).stretch(8, 2), rhs_theorem("D", top)
+    return _d_inner_final(inner).stretch(8, 2), rhs_theorem("D", top).scale(2)  # twice
 
 
 def _stage_d_ladder_1(order: int):

@@ -3,11 +3,11 @@ and oracle comparison.
 
 Exit codes are a stable contract: 0 success, 1 a verification compared
 unequal, 2 usage error (unknown id, malformed argument), 3 any other
-error, with its traceback on stderr.  Ids and arguments are validated
-before any series is built, so a fault raised inside a builder is never
-reported as a usage error.  Data goes to stdout (or --out), diagnostics to
-stderr.  Coefficients serialize as exact decimal strings so
-arbitrary-precision values survive a round trip.
+error, with its traceback on stderr.  Ids and arguments, the --out path
+among them, are validated before any series is built, so a fault raised
+inside a builder is never reported as a usage error.  Data goes to stdout
+(or --out), diagnostics to stderr.  Coefficients serialize as exact
+decimal strings so arbitrary-precision values survive a round trip.
 
 Each verify command runs its checks in one sharing scope, so a series that
 several checks build (a lemma side, a Pochhammer product) is built once.
@@ -76,6 +76,16 @@ def _resolve_order(value: Optional[int]) -> int:
     if value < 0:
         raise UsageError("order must be >= 0")
     return value
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an --out path that is empty, a directory, or in a missing one."""
+    if out is None:
+        return
+    if not out or os.path.isdir(out):
+        raise UsageError(f"--out {out!r} is not a file name")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"--out {out!r} lies in a missing directory")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -327,6 +337,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

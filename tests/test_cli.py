@@ -268,3 +268,25 @@ def test_verify_all(capsys):
         "lemma:slater-h1:a=-q^0",
         "chain",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--target", "all", "--order", "200"),
+        ("coeffs", "--series", "gen:A", "--order", "10"),
+        ("enum", "--family", "D", "--n", "5", "--counts"),
+        ("oracle", "--family", "B", "--max-n", "5"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, where):
+    def refused(*args, **kwargs):
+        raise AssertionError("built before --out was checked")
+
+    for name in ("_verify_reports", "_series_for", "signed_count", "oracle_compare"):
+        monkeypatch.setattr(cli, name, refused)
+    out = {"missing-directory": tmp_path / "missing" / "x.json", "directory": tmp_path}
+    code, stdout, err = run(capsys, *argv, "--out", str(out.get(where, "")))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --out ") and "Traceback" not in err

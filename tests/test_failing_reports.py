@@ -95,3 +95,19 @@ def test_oracle(monkeypatch):
     assert fields(report) == (
         "oracle:B", 10, False, (4, 2, 3), "enumeration vs series coefficient"
     )
+
+
+def test_doubled_chain_stage(monkeypatch):
+    # the doubled eighth-square form is the right side of one stage and the left of the next
+    monkeypatch.setattr(bailey, "_d_grouped_assembly", flipped(bailey._d_grouped_assembly, 3))
+    reports = {r.name: r for r in bailey.chain_stage_reports(30)}
+    assert fields(reports["chain:D:eighth-square-forms"]) == (
+        "chain:D:eighth-square-forms", 30, False, (3, 3, 4), ""
+    )
+    assert fields(reports["chain:D:diagonals-paired-up"]) == (
+        "chain:D:diagonals-paired-up", 30, False, (3, 4, 3), ""
+    )
+    assert fields(bailey.chain_summary(list(reports.values()), 30)) == (
+        "chain", 30, False, (3, 3, 4),
+        "2 of 34 stages fail, first chain:D:eighth-square-forms",
+    )

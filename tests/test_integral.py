@@ -1,0 +1,45 @@
+"""One coefficient domain: every series a verification builds is integral.
+
+The D chain checks its halved displays doubled, and the lemma's r = 0
+denominator cancels the (1 - a) normalization, so no check needs a
+Fraction; rationals reach a QSeries only when a caller passes them in.
+"""
+
+import pytest
+
+import overq.cli as cli
+from overq.bailey import CHAIN_STAGES, lemma_sides
+from overq.identities import psi_theta
+from overq.products import Monomial, sharing
+from overq.series import QSeries
+
+
+def test_verify_all_builds_no_fraction(capsys, monkeypatch):
+    integral = []
+    init = QSeries.__init__
+
+    def census(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        integral.append(self.is_integral())
+
+    monkeypatch.setattr(QSeries, "__init__", census)
+    assert cli.main(["verify", "--target", "all", "--order", "60"]) == 0
+    capsys.readouterr()
+    assert len(integral) > 1000
+    assert integral.count(False) == 0
+
+
+def test_chain_sides_are_integral():
+    with sharing():
+        for name, build in CHAIN_STAGES:
+            lhs, rhs = build(400)
+            assert lhs.is_integral() and rhs.is_integral(), name
+
+
+@pytest.mark.parametrize("order", [0, 1, 60])
+def test_lemma_at_a_equal_one(order):
+    # (1 - a) = 0 leaves only the r = 0 terms, and (a;q)_n only n = 0: psi(q)
+    lhs, rhs = lemma_sides("slater-h1", Monomial(1, 0), order)
+    assert lhs.is_integral() and rhs.is_integral()
+    assert lhs.first_mismatch(rhs, order) is None
+    assert rhs.first_mismatch(psi_theta(order), order) is None
