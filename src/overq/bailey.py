@@ -521,6 +521,19 @@ def _d_v_from(order: int, r0: int) -> QSeries:
     )
 
 
+@shared
+def _d_half_split(order: int) -> QSeries:
+    # (q;q)_inf^3 + 2 (q;q)_inf^3 S: the lemma's left side, and twice the
+    # halved identity's
+    return _poch3(order) + _d_core_product(order).scale(2)
+
+
+@shared
+def _d_r_split(order: int) -> QSeries:
+    # T0 + 2 V(1): the lemma's right side, and twice the halved identity's
+    return _d_t0(order) + _d_v_from(order, 1).scale(2)
+
+
 def _d_v_product_form(order: int) -> QSeries:
     # same sum with the product expanded mechanically rather than by hand
     def emit(r: int, n: int):
@@ -739,17 +752,16 @@ def _stage_c_assembled(order: int):
 
 def _stage_d_lemma_lhs(order: int):
     lhs, _ = lemma_sides(PAIRS["slater-h1"], Monomial(-1, 0), order)
-    return lhs, _poch3(order) + _d_core_product(order).scale(2)
+    return lhs, _d_half_split(order)
 
 
 def _stage_d_lemma_rhs(order: int):
     _, rhs = lemma_sides(PAIRS["slater-h1"], Monomial(-1, 0), order)
-    return rhs, _d_t0(order) + _d_v_from(order, 1).scale(2)
+    return rhs, _d_r_split(order)
 
 
 def _stage_d_half(order: int):
-    lhs = _poch3(order) + _d_core_product(order).scale(2)  # twice the display
-    return lhs, _d_t0(order) + _d_v_from(order, 1).scale(2)
+    return _d_half_split(order), _d_r_split(order)  # twice the display
 
 
 def _stage_d_expand(order: int):

@@ -11,8 +11,9 @@ decimal strings so arbitrary-precision values survive a round trip.
 
 Each verify command runs its checks in one sharing scope, so a series that
 several checks build (a lemma side, a Pochhammer product) is built once.
-enum and oracle refuse a weight above MAX_WEIGHT as a usage error before
-anything is enumerated.
+enum and oracle refuse a weight above MAX_WEIGHT, and verify, coeffs and
+oracle an order above MAX_ORDER, as a usage error before anything is
+enumerated or built.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ ORDER_ENV = "OVERQ_ORDER"
 #: takes about 7 s and 180 MB.
 MAX_WEIGHT = 30
 
+#: the largest order `verify`, `coeffs` and `oracle` accept, from --order or
+#: OVERQ_ORDER.  It is the q^(8n+2) scale's top exponent for 1000
+#: generating coefficients, so `verify --target theorem:C --order 8002`
+#: runs, in about 0.3 s.  A family on the plain scale builds 8003
+#: coefficients there: `verify --target theorem:B --order 8002` takes about
+#: 12 s and 26 MB.  Most work grows about 4x per doubling of the order.
+MAX_ORDER = 8002
+
 class UsageError(Exception):
     """Bad input that should exit 2."""
 
@@ -73,8 +82,8 @@ def _resolve_order(value: Optional[int]) -> int:
                 raise UsageError(f"{ORDER_ENV} must be an integer, got {env!r}") from None
         else:
             value = DEFAULT_ORDER
-    if value < 0:
-        raise UsageError("order must be >= 0")
+    if not 0 <= value <= MAX_ORDER:
+        raise UsageError(f"order must be in 0 .. {MAX_ORDER}")
     return value
 
 
@@ -257,8 +266,8 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if not 1 <= args.max_n <= MAX_WEIGHT:
         raise UsageError(f"--max-n must be in 1 .. {MAX_WEIGHT}")
-    if args.order is not None and args.order < args.max_n:
-        raise UsageError("--order must be >= --max-n")
+    if args.order is not None and not args.max_n <= args.order <= MAX_ORDER:
+        raise UsageError(f"--order must be in --max-n .. {MAX_ORDER}")
     names = list(FAMILIES) if args.family == "all" else [_known(family, args.family).name]
     return _emit_reports([oracle_compare(name, args.max_n, args.order) for name in names], args)
 

@@ -61,21 +61,22 @@ def gen_family(fam: Family, order: int) -> QSeries:
 
         q^(p*s) * prod (c*q^(s+d); q)_inf^m * (cf*q^(s+df); q)_s
 
-    per the family's factor table.  Moving s -> s+1 divides out one
-    binomial per infinite-product factor and re-balances the finite factor
-    with two multiplies and one divide.
+    per the family's factor table.  The s = 1 summand builds each infinite
+    product once and raises it to its power m.  Moving s -> s+1 divides out
+    one binomial per infinite-product factor and re-balances the finite
+    factor with two multiplies and one divide.
     """
     spec = _spec(fam)
     if order < 0:
         raise ValueError("order must be >= 0")
     cf, df = spec.fin_factor
     # summand at s=1, without its q^(p*s) prefactor
-    cur: list[Coeff] = [0] * (order + 1)
-    cur[0] = 1
+    first = one(order)
     for c, d, m in spec.inf_factors:
+        p = poch_infinite(Monomial(c, 1 + d), 1, order)
         for _ in range(m):
-            for ex in range(1 + d, order + 1):
-                _mul_binomial_inplace(cur, -c, ex)
+            first = first * p
+    cur = list(first.coeffs)
     _mul_binomial_inplace(cur, -cf, 1 + df)
     ratio = Ratio(
         (1, 0, spec.prefactor),

@@ -31,10 +31,10 @@ from .series import (
     Coeff,
     OrderExceededError,
     QSeries,
-    _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     one,
+    zero,
 )
 
 
@@ -181,16 +181,11 @@ class Ratio:
         (s1, a1, b1), (s2, a2, b2) = self.shift, other.shift
         return Ratio((s1 * s2, a1 + a2, b1 + b2), self.muls + other.muls, self.divs + other.divs)
 
-    def advance(self, term: list, n: int, at: int, order: int) -> int:
-        """Turn term = term(n)/q^at into term(n+1)/q^at' in place and return
-        at'.  The list keeps only the order + 1 - at' coefficients that can
-        still reach the order.  A multiply and a divide that realize the same
-        factor at this n cancel before either is applied."""
-        sign, slope, offset = self.shift
-        at += slope * n + offset
-        del term[max(0, order + 1 - at):]
-        if sign == -1:
-            term[:] = [-v for v in term]
+    def factors(self, n: int) -> tuple[list, list]:
+        """The (c, e) binomials (1 - c*q^e) the ratio at n multiplies in and
+        divides out.  A multiply and a divide that realize the same factor
+        cancel; no factor left may have a negative exponent, and no divide
+        may be the zero factor (1 - q^0)."""
         muls = [(c, a * n + b) for c, a, b in self.muls]
         divs = []
         for c, a, b in self.divs:
@@ -202,14 +197,30 @@ class Ratio:
         for c, e in muls + divs:
             if e < 0:
                 raise NegativeExponentFactor(f"factor (1 - {c}*q^{e}) at n={n}")
+        if (1, 0) in divs:
+            raise ZeroDenominator(f"divisor (1 - q^0) at n={n}")
+        return muls, divs
+
+    def apply(self, cs: list, muls: list, divs: list) -> None:
+        """Multiply cs in place by the sign and the given factors; a factor
+        whose exponent is past the end of cs leaves it unchanged."""
+        if self.shift[0] == -1:
+            cs[:] = [-v for v in cs]
         for c, e in muls:
-            if e < len(term):
-                _mul_binomial_inplace(term, -c, e)
+            if e < len(cs):
+                _mul_binomial_inplace(cs, -c, e)
         for c, e in divs:
-            if e == 0 and c == 1:
-                raise ZeroDenominator(f"divisor (1 - q^0) at n={n}")
-            if e < len(term):
-                _div_binomial_inplace(term, -c, e)
+            if e < len(cs):
+                _div_binomial_inplace(cs, -c, e)
+
+    def advance(self, term: list, n: int, at: int, order: int) -> int:
+        """Turn term = term(n)/q^at into term(n+1)/q^at' in place and return
+        at'.  The list keeps only the order + 1 - at' coefficients that can
+        still reach the order."""
+        _, slope, offset = self.shift
+        at += slope * n + offset
+        del term[max(0, order + 1 - at):]
+        self.apply(term, *self.factors(n))
         return at
 
 
@@ -219,22 +230,44 @@ def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int =
 
     init needs only the coefficients that can reach the order from q^at.
     Every step must raise the term's leading exponent at, so the sum stops
-    once at passes the order."""
+    once at passes the order.
+
+    The sum runs in Horner form: it is q^at * init * S_start, where
+    S_n = 1 + R_n * S_(n+1) and R_n is the ratio at n.  A first walk over n
+    finds the last term that reaches the order and checks every ratio's
+    factors, so it raises what a term-by-term sum raises, at the same n.
+    The second walk builds S from the innermost term outward, keeping for
+    S_n only the coefficients that can still reach the order from term n.
+    init multiplies in once at the end, and not at all when it is 1.
+    """
     if init.order < order - at:
         raise OrderExceededError(
             f"initial term of order {init.order} at q^{at} cannot reach q^{order}"
         )
-    total: list[Coeff] = [0] * (order + 1)
-    term = list(init.coeffs[: max(0, order + 1 - at)])
     _, slope, offset = ratio.shift
     n = start
     while at <= order:
-        _add_inplace(total, term, at)
-        if slope * n + offset < 1:
+        step = slope * n + offset
+        if step < 1:
             raise NonterminatingSum(f"step n={n} does not raise the term degree")
-        at = ratio.advance(term, n, at, order)
+        ratio.factors(n)  # raises what a term-by-term sum raises at this n
+        at += step
         n += 1
-    return QSeries(total, order)
+    if n == start:
+        return zero(order)
+    last = n - 1  # the last term to reach the order, where S is 1
+    at -= slope * last + offset
+    s: list[Coeff] = [1] + [0] * (order - at)
+    for k in range(last - 1, start - 1, -1):
+        ratio.apply(s, *ratio.factors(k))
+        step = slope * k + offset
+        s = [1] + [0] * (step - 1) + s
+        at -= step
+    head = init.coeffs[: len(s)]
+    if head[0] != 1 or any(head[1:]):
+        top = len(s) - 1
+        s = list((QSeries(head, top) * QSeries(s, top)).coeffs)
+    return QSeries([0] * at + s, order)
 
 
 def phi32(

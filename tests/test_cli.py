@@ -228,6 +228,38 @@ def test_weight_cap_refuses_before_enumerating(capsys, monkeypatch, argv):
     assert f"1 .. {cli.MAX_WEIGHT}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("verify", "--target", "theorem:C", "--order", str(cli.MAX_ORDER + 1)), None),
+        (("verify", "--target", "all"), str(cli.MAX_ORDER + 1)),
+        (("coeffs", "--series", "gen:A", "--order", str(cli.MAX_ORDER + 1)), None),
+        (("coeffs", "--series", "gen:A"), str(cli.MAX_ORDER + 1)),
+        (("oracle", "--family", "C", "--max-n", "5", "--order", str(cli.MAX_ORDER + 1)), None),
+    ],
+)
+def test_order_cap_refuses_before_building(capsys, monkeypatch, argv, env):
+    def refused(*args, **kwargs):
+        raise AssertionError("built above the order cap")
+
+    for name in ("_verify_reports", "_series_for", "oracle_compare"):
+        monkeypatch.setattr(cli, name, refused)
+    if env is not None:
+        monkeypatch.setenv(cli.ORDER_ENV, env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f".. {cli.MAX_ORDER}" in err
+    assert "Traceback" not in err
+
+
+def test_order_cap_admits_the_deepest_theorem(capsys):
+    assert cli.MAX_ORDER >= 8002
+    code, out, _ = run(
+        capsys, "verify", "--target", "theorem:C", "--order", str(cli.MAX_ORDER), "--format", "json"
+    )
+    assert code == 0 and json.loads(out)[0]["ok"]
+
+
 def test_verify_chain_builds_each_stage_once(capsys, monkeypatch):
     calls = {}
 

@@ -1,6 +1,7 @@
-"""The term-ratio summation kernel against a dense reference.
+"""The term-ratio summation kernel against a dense reference, and against
+the term-by-term kernel its Horner form replaced.
 
-The reference builds every term from explicit factor series with
+The dense reference builds every term from explicit factor series with
 QSeries.__mul__ and invert at the full order, so it shares none of the
 kernel's list trimming, leading-exponent bookkeeping or factor cancellation.
 """
@@ -10,8 +11,26 @@ from fractions import Fraction
 
 import pytest
 
-from overq.products import Monomial, Ratio, poch_finite, ratio_sum
-from overq.series import QSeries, monomial, one, zero
+from overq.enumeration import FAMILIES
+from overq.identities import gen_family
+from overq.products import (
+    Monomial,
+    NegativeExponentFactor,
+    NonterminatingSum,
+    Ratio,
+    ZeroDenominator,
+    poch_finite,
+    ratio_sum,
+)
+from overq.series import (
+    OrderExceededError,
+    QSeries,
+    _div_binomial_inplace,
+    _mul_binomial_inplace,
+    monomial,
+    one,
+    zero,
+)
 
 ORDERS = (0, 1, 7, 60)
 SWEEPS = 8
@@ -108,3 +127,142 @@ def test_ratio_sum_needs_an_initial_term_that_reaches_the_order():
     with pytest.raises(IndexError):
         ratio_sum(one(3), Ratio((1, 0, 1)), 5, at=1)
     assert ratio_sum(one(3), Ratio((1, 0, 1)), 5, at=2).coeffs == (0, 0, 1, 1, 1, 1)
+
+
+# -- the term-by-term kernel the Horner form replaced --------------------------
+
+
+def _forward_advance(ratio, term, n, at, order):
+    """term(n)/q^at -> term(n+1)/q^at' in place, trimmed to the order."""
+    sign, slope, offset = ratio.shift
+    at += slope * n + offset
+    del term[max(0, order + 1 - at):]
+    if sign == -1:
+        term[:] = [-v for v in term]
+    muls = [(c, a * n + b) for c, a, b in ratio.muls]
+    divs = []
+    for c, a, b in ratio.divs:
+        f = (c, a * n + b)
+        if f in muls:
+            muls.remove(f)
+        else:
+            divs.append(f)
+    for c, e in muls + divs:
+        if e < 0:
+            raise NegativeExponentFactor(f"factor (1 - {c}*q^{e}) at n={n}")
+    for c, e in muls:
+        if e < len(term):
+            _mul_binomial_inplace(term, -c, e)
+    for c, e in divs:
+        if e == 0 and c == 1:
+            raise ZeroDenominator(f"divisor (1 - q^0) at n={n}")
+        if e < len(term):
+            _div_binomial_inplace(term, -c, e)
+    return at
+
+
+def _forward_sum(init, ratio, order, start=0, at=0):
+    """Add each term to a running total, then advance it by the ratio."""
+    if init.order < order - at:
+        raise OrderExceededError(
+            f"initial term of order {init.order} at q^{at} cannot reach q^{order}"
+        )
+    total = [0] * (order + 1)
+    term = list(init.coeffs[: max(0, order + 1 - at)])
+    _, slope, offset = ratio.shift
+    n = start
+    while at <= order:
+        for i, v in enumerate(term):
+            total[at + i] += v
+        if slope * n + offset < 1:
+            raise NonterminatingSum(f"step n={n} does not raise the term degree")
+        at = _forward_advance(ratio, term, n, at, order)
+        n += 1
+    return QSeries(total, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_horner_sum_matches_the_forward_kernel(order, fractions):
+    rng = random.Random(7417 + order + 1000 * fractions)
+    for sweep in range(SWEEPS):
+        ratio = _random_ratio(rng, sign=-1 if sweep % 2 else 1)
+        start, at = rng.randint(0, 2), rng.randint(0, 3)
+        for init in (_random_init(rng, order, fractions), one(order)):
+            got = ratio_sum(init, ratio, order, start=start, at=at)
+            _assert_same(got, _forward_sum(init, ratio, order, start, at), order)
+
+
+#: (ratio, start, at, order) that each kernel must refuse with one error
+REFUSED = [
+    # a step that does not raise the degree, at n = 0 and at n = 3
+    (Ratio((1, 0, 0)), 0, 0, 9),
+    (Ratio((1, -1, 3)), 0, 0, 9),
+    # a negative factor exponent, at n = 0 and once n reaches 4
+    (Ratio((1, 0, 1), muls=((1, 1, -2),)), 0, 0, 9),
+    (Ratio((-1, 0, 1), muls=((1, -1, 3),)), 0, 0, 9),
+    # the zero divisor (1 - q^0) at n = 2, and at the last term to reach
+    # q^9, whose ratio reaches no coefficient
+    (Ratio((1, 0, 1), divs=((1, -1, 2),)), 0, 0, 9),
+    (Ratio((1, 0, 1), divs=((1, -1, 9),)), 0, 0, 9),
+    # a negative exponent at n = 0 before a flat step at n = 2
+    (Ratio((1, -1, 2), muls=((1, 0, -1),)), 0, 0, 9),
+    # a flat step and a zero divisor both at n = 2: the step is checked first
+    (Ratio((1, -1, 2), divs=((1, -1, 2),)), 0, 0, 9),
+]
+
+
+def _raised(build):
+    try:
+        build()
+    except Exception as exc:  # the kernels' own errors, compared below
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", range(len(REFUSED)))
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_horner_sum_refuses_what_the_forward_kernel_refuses(case, fractions):
+    ratio, start, at, order = REFUSED[case]
+    init = _random_init(random.Random(case), order, fractions)
+    want = _raised(lambda: _forward_sum(init, ratio, order, start, at))
+    assert want is not None and want[0] in (NonterminatingSum, NegativeExponentFactor, ZeroDenominator)
+    assert _raised(lambda: ratio_sum(init, ratio, order, start=start, at=at)) == want
+
+
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_horner_sum_refuses_a_short_initial_term(fractions):
+    init = _random_init(random.Random(5), 3, fractions)
+    want = _raised(lambda: _forward_sum(init, Ratio((1, 0, 1)), 5, 0, 1))
+    assert want[0] is OrderExceededError
+    assert _raised(lambda: ratio_sum(init, Ratio((1, 0, 1)), 5, at=1)) == want
+
+
+# -- gen_family against its inline product loop --------------------------------
+
+
+def _inline_gen_family(spec, order):
+    """The smallest-part sum with its s = 1 summand built one binomial at a
+    time, every infinite product as often as its power, then summed term by
+    term."""
+    cf, df = spec.fin_factor
+    cur = [0] * (order + 1)
+    cur[0] = 1
+    for c, d, m in spec.inf_factors:
+        for _ in range(m):
+            for ex in range(1 + d, order + 1):
+                _mul_binomial_inplace(cur, -c, ex)
+    _mul_binomial_inplace(cur, -cf, 1 + df)
+    ratio = Ratio(
+        (1, 0, spec.prefactor),
+        muls=((cf, 2, df), (cf, 2, df + 1)),
+        divs=tuple((c, 1, d) for c, d, m in spec.inf_factors for _ in range(m))
+        + ((cf, 1, df),),
+    )
+    return _forward_sum(QSeries(cur, order), ratio, order, start=1, at=spec.prefactor)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_gen_family_matches_the_inline_product_loop(name, order):
+    _assert_same(gen_family(name, order), _inline_gen_family(FAMILIES[name], order), order)

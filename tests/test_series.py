@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 
 from overq.series import (
+    DIV_BLOCK_MIN,
     OrderExceededError,
     QSeries,
     ZeroConstantTermError,
+    _div_binomial_inplace,
+    _mul_binomial_inplace,
+    _norm,
     _schoolbook_mul,
     from_coeffs,
     monomial,
@@ -59,6 +63,8 @@ def test_whole_fractions_collapse_to_int():
     s = QSeries([Fraction(4, 2), Fraction(1, 3)], 1)
     assert type(s.coeffs[0]) is int and s.coeffs[0] == 2
     assert s.coeffs[1] == Fraction(1, 3)
+    # an int subclass is not an int: it is canonicalized too
+    assert [type(c) for c in QSeries([True, 3, False], 2).coeffs] == [int, int, int]
 
 
 def test_immutability():
@@ -298,3 +304,88 @@ def test_fraction_operand_product_unchanged():
             assert [type(c) for c in product.coeffs] == [
                 int if Fraction(c).denominator == 1 else Fraction for c in expected
             ]
+
+
+# -- the binomial kernels against the loops they replaced ---------------------
+
+BINOMIAL_ORDERS = (0, 1, 7, 60, 400)
+BINOMIAL_CS = (1, -1, 2, Fraction(1, 3))
+
+
+def _loop_mul_binomial(cs, c, e):
+    """Multiply cs in place by (1 + c*q^e), one coefficient per step, from
+    the top down so every step reads a coefficient not yet updated."""
+    if e == 0:
+        s = 1 + c
+        for i in range(len(cs)):
+            cs[i] *= s
+        return
+    for i in range(len(cs) - 1, e - 1, -1):
+        lo = cs[i - e]
+        if lo:
+            cs[i] += c * lo
+
+
+def _loop_div_binomial(cs, c, e):
+    """Divide cs in place by (1 + c*q^e), one coefficient per step, from the
+    bottom up so every step reads a coefficient already updated."""
+    if e == 0:
+        inv = Fraction(1) / (1 + c)
+        for i in range(len(cs)):
+            cs[i] *= inv
+        return
+    for i in range(e, len(cs)):
+        lo = cs[i - e]
+        if lo:
+            cs[i] -= c * lo
+
+
+def _binomial_lists(rng, order):
+    """An int list, a sparse int list, and one holding Fractions."""
+    dense = [rng.randint(-2**70, 2**70) for _ in range(order + 1)]
+    sparse = [rng.choice((0, 0, 0, 1, -1, 5)) for _ in range(order + 1)]
+    mixed = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.4 else rng.randint(-9, 9)
+        for _ in range(order + 1)
+    ]
+    return dense, sparse, mixed
+
+
+def _canonical(cs):
+    # the kernels may leave a whole Fraction on the list for the wrap to collapse
+    return [(type(c), c) for c in map(_norm, cs)]
+
+
+@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
+def test_binomial_kernels_match_the_loops(order):
+    rng = random.Random(6007 + order)
+    n = order + 1
+    exponents = {0, 1, DIV_BLOCK_MIN - 1, DIV_BLOCK_MIN, DIV_BLOCK_MIN + 1, n, n + 3}
+    exponents |= {max(1, order // 2), max(1, order // 4)}  # a last block of one coefficient
+    for cs in _binomial_lists(rng, order):
+        for c in BINOMIAL_CS:
+            for e in sorted(exponents):
+                for kernel, loop in (
+                    (_mul_binomial_inplace, _loop_mul_binomial),
+                    (_div_binomial_inplace, _loop_div_binomial),
+                ):
+                    got, want = list(cs), list(cs)
+                    if kernel is _div_binomial_inplace and e == 0 and c == -1:
+                        continue  # the zero constant, refused below
+                    kernel(got, c, e)
+                    loop(want, c, e)
+                    assert _canonical(got) == _canonical(want), (kernel.__name__, c, e)
+
+
+@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
+def test_binomial_kernels_round_trip_and_refuse_a_zero_constant(order):
+    rng = random.Random(6101 + order)
+    for cs in _binomial_lists(rng, order):
+        for e in (1, DIV_BLOCK_MIN - 1, DIV_BLOCK_MIN, 2 * DIV_BLOCK_MIN + 1):
+            for c in BINOMIAL_CS:
+                work = list(cs)
+                _div_binomial_inplace(work, c, e)
+                _mul_binomial_inplace(work, c, e)
+                assert _canonical(work) == _canonical(cs)
+        with pytest.raises(ZeroConstantTermError):
+            _div_binomial_inplace(list(cs), -1, 0)
