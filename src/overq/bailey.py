@@ -168,28 +168,41 @@ def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
 def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]:
     """(label, relation sum, beta_n) for n = 0 .. n_max, one n at a time.
 
-    The relation sum is built with a running product: 1/((q;q)_n (aq;q)_n)
-    advances by two binomial divides per n, and within each n the r-th
-    denominator follows from the previous by one multiply and one divide.
+    With rho_r = (1 - q^(n-r+1)) / (1 - a*q^(n+r)), the relation sum is
+
+        1/((q;q)_n (aq;q)_n) * sum_r alpha_r * rho_1 * ... * rho_r,
+
+    and the inner sum runs in Horner form, h <- alpha_r + rho_(r+1) * h from
+    the last nonzero alpha_r down to r = 0.  h is kept from its lowest
+    possible exponent, the smallest one of the alpha_r summed so far, so it
+    holds only the coefficients that can reach the order.  The prefactor
+    advances by two binomial divides per n and multiplies in once per n.
     """
     a = p.relative
+    # each alpha_r's nonzero (exponent, coefficient) terms, lowest first
+    alphas = [
+        [(e, c) for e, c in enumerate(p.alpha(r, order).coeffs) if c] for r in range(n_max + 1)
+    ]
     p0: list[Coeff] = [0] * (order + 1)  # 1 / ((q;q)_n (aq;q)_n)
     p0[0] = 1
     for n, beta in zip(range(n_max + 1), p.betas(order)):
         if n:
             _div_binomial_inplace(p0, -1, n)
             _div_binomial_inplace(p0, -a.c, a.e + n)
-        acc: list[Coeff] = [0] * (order + 1)
-        den = list(p0)  # 1 / ((q;q)_(n-r) (aq;q)_(n+r))
-        for r in range(n + 1):
-            if r:
-                _mul_binomial_inplace(den, -1, n - r + 1)
-                _div_binomial_inplace(den, -a.c, a.e + n + r)
-            alpha_r = p.alpha(r, order)
-            for e, c in enumerate(alpha_r.coeffs):
-                if c:
-                    _add_inplace(acc, den, e, c)
-        yield f"defining relation fails at n={n}", QSeries(acc, order), beta
+        h: list[Coeff] = []
+        at = order + 1  # h stands for q^at * h
+        for r in range(n, -1, -1):
+            if h:
+                _mul_binomial_inplace(h, -1, n - r)  # rho_(r+1)
+                _div_binomial_inplace(h, -a.c, a.e + n + r + 1)
+            terms = alphas[r]
+            if terms and terms[0][0] < at:
+                h = [0] * (at - terms[0][0]) + h
+                at = terms[0][0]
+            for e, c in terms:
+                h[e - at] += c
+        total = QSeries(p0, order) * QSeries([0] * at + h, order)
+        yield f"defining relation fails at n={n}", total, beta
 
 
 @shared

@@ -25,6 +25,7 @@ import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .series import (
@@ -202,14 +203,27 @@ class Ratio:
         return muls, divs
 
     def apply(self, cs: list, muls: list, divs: list) -> None:
-        """Multiply cs in place by the sign and the given factors; a factor
-        whose exponent is past the end of cs leaves it unchanged."""
+        """Multiply cs in place by the sign and the factors muls and divs,
+        as factors returns them; a factor whose exponent is past the end of
+        cs leaves it unchanged.
+
+        A divide (1 - c*q^e) with c = +-1 and a multiply (1 - q^(2e)) run
+        as the one multiply (1 + c*q^e), their exact quotient since c*c = 1,
+        also when 2e is past the end of cs."""
         if self.shift[0] == -1:
-            cs[:] = [-v for v in cs]
+            cs[:] = map(neg, cs)
+        muls = list(muls)
+        unpaired = []
+        for c, e in divs:
+            if c in (1, -1) and (1, 2 * e) in muls:
+                muls.remove((1, 2 * e))
+                muls.append((-c, e))
+            else:
+                unpaired.append((c, e))
         for c, e in muls:
             if e < len(cs):
                 _mul_binomial_inplace(cs, -c, e)
-        for c, e in divs:
+        for c, e in unpaired:
             if e < len(cs):
                 _div_binomial_inplace(cs, -c, e)
 

@@ -59,6 +59,11 @@ class VerificationReport:
         return out
 
 
+#: the note of a pair whose two sides are one object: such a comparison
+#: cannot fail, so it shows nothing
+SAME_OBJECT_NOTE = "both sides are one object"
+
+
 def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> VerificationReport:
     """Compare each labelled pair through min(order, lhs.order, rhs.order),
     stopping at the first that differs.
@@ -66,13 +71,19 @@ def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> V
     pairs may be a lazy generator: it is not advanced past a failing pair,
     and the elapsed time covers building the sides as well as comparing
     them.  A failure reports the pair's label as the note and the pair's
-    order; a pass reports the smallest order compared and the note, which
-    defaults to "k comparisons" when more than one pair was compared.
+    order.  A pair whose two sides are one object fails too, with
+    SAME_OBJECT_NOTE after its label and no mismatch.  A pass reports the
+    smallest order compared and the note, which defaults to "k comparisons"
+    when more than one pair was compared; when that order is below the
+    requested one, "compared through k of N" is appended.
     """
     start = time.perf_counter()
     compared, count = order, 0
     for label, lhs, rhs in pairs:
         through = min(order, lhs.order, rhs.order)
+        if lhs is rhs:
+            bad = f"{label}: {SAME_OBJECT_NOTE}" if label else SAME_OBJECT_NOTE
+            return VerificationReport(name, through, False, None, bad, time.perf_counter() - start)
         mismatch = lhs.first_mismatch(rhs, through)
         if mismatch is not None:
             return VerificationReport(
@@ -81,6 +92,9 @@ def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> V
         compared, count = min(compared, through), count + 1
     if not note and count > 1:
         note = f"{count} comparisons"
+    if compared < order:
+        short = f"compared through {compared} of {order}"
+        note = f"{note}; {short}" if note else short
     return VerificationReport(name, compared, True, None, note, time.perf_counter() - start)
 
 

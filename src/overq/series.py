@@ -20,17 +20,34 @@ reference for the fast path.
 
 Every sum and product in the package runs on the two in-place binomial
 kernels, which multiply or divide a coefficient list by (1 + c*q^e).  Each
-runs as list comprehensions over slices rather than one Python step per
-coefficient.  The multiply is one comprehension: every coefficient reads one
-e below it, none of them updated yet.  The divide reads coefficients it has
-already updated, so for e >= DIV_BLOCK_MIN it runs one comprehension per
-block of e coefficients, each reading the finished block below it; for a
-smaller e the blocks are too short to pay for themselves, and it loops.
+runs as C-level builtins over slices (map, itertools.accumulate) rather than
+one Python step per coefficient.  The multiply is one map: every
+coefficient reads one e below it, none of them updated yet.  The divide
+reads coefficients it has already updated, and the package divides only by
+(1 - q^e) and (1 + q^e), so it dispatches on c and on e against the list
+length L:
+
+- (1 - q^e) with e*e < L: the quotient is a running sum along each residue
+  class mod e, one accumulate per class, so e calls of about L/e steps;
+- (1 + q^e) with (2e)^2 < L: multiply by (1 - q^e) and divide by
+  (1 - q^(2e)), the same product, by the running sums mod 2e;
+- otherwise, and for any other c: one pass per block of e coefficients,
+  each reading the finished block below it, so about L/e calls of e steps.
+
+Both running-sum rules pick the pass with fewer Python-level calls.
+
+invert on an integer series with constant term +-1 runs Newton's iteration
+g <- g*(2 - a*g) on the Kronecker product, doubling the correct length of g
+each step (Brent and Kung, JACM 1978); any other series keeps the
+schoolbook recurrence (_schoolbook_invert), which the tests also use as the
+reference for the fast path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -108,6 +125,8 @@ class QSeries:
                 f"comparison through q^{through} needs orders >= {through}, "
                 f"have {self.order} and {other.order}"
             )
+        if self.coeffs[: through + 1] == other.coeffs[: through + 1]:
+            return None
         for n in range(through + 1):
             a, b = self.coeffs[n], other.coeffs[n]
             if a != b:
@@ -166,21 +185,12 @@ class QSeries:
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        n = self.order
-        inv0 = _norm(Fraction(1) / c0)
-        out: list[Coeff] = [inv0]
         a = self.coeffs
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * out[k - j]
-            out.append(_norm(-acc * inv0) if acc else 0)
-        return QSeries(out, n)
+        if a[0] == 0:
+            raise ZeroConstantTermError("cannot invert a series with zero constant term")
+        if a[0] in (1, -1) and all(type(c) is int for c in a):
+            return QSeries(_newton_invert(a, self.order), self.order)
+        return QSeries(_schoolbook_invert(a, self.order), self.order)
 
     # -- reindexing ---------------------------------------------------------
 
@@ -323,6 +333,39 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
     return [int.from_bytes(data[i : i + width], "little") - h for i in range(0, size, width)]
 
 
+def _schoolbook_invert(a: Sequence[Coeff], n: int) -> list:
+    """Coefficients q^0 .. q^n of 1/a, one coefficient from all the ones
+    below it; the path for a rational series or a constant term other than
+    +-1, and the reference Newton inversion is tested against."""
+    inv0 = _norm(Fraction(1) / a[0])
+    out: list[Coeff] = [inv0]
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            aj = a[j]
+            if aj:
+                acc += aj * out[k - j]
+        out.append(_norm(-acc * inv0) if acc else 0)
+    return out
+
+
+def _newton_invert(a: Sequence[int], n: int) -> list:
+    """Coefficients q^0 .. q^n of 1/a for an integer series a whose constant
+    term is +-1, by Newton's iteration g <- g*(2 - a*g).
+
+    When g holds 1/a through q^(k-1), a*g - 1 = q^k * t, so the next
+    coefficients k .. 2k-1 of 1/a are those of -g*t: two Kronecker products
+    of at most k coefficients each double the length of g.
+    """
+    g = [a[0]]  # 1/a[0] = a[0]
+    while len(g) <= n:
+        k = len(g)
+        m = min(k, n + 1 - k)  # coefficients this step adds
+        t = _kronecker_mul(a[: k + m], g + [0] * m, k + m - 1)[k:]
+        g += map(neg, _kronecker_mul(g[:m], t, m - 1))
+    return g
+
+
 # -- in-place kernels -------------------------------------------------------
 #
 # Builders elsewhere in the package run long chains of binomial updates on a
@@ -330,20 +373,13 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
 # (1 + c*q^e) in both kernels.  Coefficients are not normalized here: a whole
 # Fraction may linger on the list until the QSeries wrap collapses it.
 
-#: the smallest e at which _div_binomial_inplace updates a block of e
-#: coefficients per list comprehension instead of one per loop step.  On
-#: dense and sparse lists of 401 and 1001 coefficients, blocks took 1.1-2.1x
-#: the loop's time for e <= 20, about the same for e = 24-28, and 0.5-1.1x
-#: (median 0.86x) from e = 32 on.
-DIV_BLOCK_MIN = 32
-
 
 def _plus_scaled(xs: Sequence[Coeff], ys: Sequence[Coeff], c: Coeff) -> list:
     """[x + c*y for x, y in zip(xs, ys)], with no multiply when c = +-1."""
     if c == 1:
-        return [x + y for x, y in zip(xs, ys)]
+        return list(map(add, xs, ys))
     if c == -1:
-        return [x - y for x, y in zip(xs, ys)]
+        return list(map(sub, xs, ys))
     return [x + c * y for x, y in zip(xs, ys)]
 
 
@@ -371,11 +407,15 @@ def _div_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
         for i in range(len(cs)):
             cs[i] *= inv
         return
-    if e < DIV_BLOCK_MIN:
-        for i in range(e, len(cs)):
-            lo = cs[i - e]
-            if lo:
-                cs[i] -= c * lo
+    if c == 1 and 4 * e * e < len(cs):
+        # 1/(1 + q^e) = (1 - q^e)/(1 - q^(2e))
+        cs[e:] = _plus_scaled(cs[e:], cs, -1)
+        c, e = -1, 2 * e
+    if c == -1 and e * e < len(cs):
+        # dividing by (1 - q^e) adds to each coefficient the updated one e
+        # below it: a running sum along each residue class mod e
+        for r in range(e):
+            cs[r::e] = accumulate(cs[r::e])
         return
     # every update reads the coefficient e below it, already updated: a block
     # of e coefficients reads only the block below it
@@ -385,14 +425,5 @@ def _div_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
 
 def _add_inplace(acc: list, cs: Sequence[Coeff], e: int = 0, scalar: Coeff = 1) -> None:
     """acc += scalar * q^e * cs, clipped to len(acc)."""
-    top = len(acc)
-    if scalar == 1:
-        for i in range(min(len(cs), top - e)):
-            v = cs[i]
-            if v:
-                acc[i + e] += v
-    else:
-        for i in range(min(len(cs), top - e)):
-            v = cs[i]
-            if v:
-                acc[i + e] += scalar * v
+    top = min(len(acc), e + len(cs))
+    acc[e:top] = _plus_scaled(acc[e:top], cs, scalar)

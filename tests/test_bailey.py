@@ -1,11 +1,15 @@
 """Bailey pairs, the lemma specialization, and the stagewise proof chains."""
 
+import random
+
 import pytest
 
+from overq import bailey
 from overq.bailey import (
     CHAIN_STAGE_IDS,
     LEMMA_CASES,
     PAIRS,
+    BaileyPair,
     MismatchedRelativeError,
     bailey_check,
     chain_stage_reports,
@@ -14,8 +18,16 @@ from overq.bailey import (
     verify_chain,
     verify_lemma,
 )
-from overq.products import Monomial, poch_finite
-from overq.series import monomial, one
+from overq.products import Monomial, poch_finite, sharing
+from overq.report import SAME_OBJECT_NOTE, check
+from overq.series import (
+    QSeries,
+    _add_inplace,
+    _div_binomial_inplace,
+    _mul_binomial_inplace,
+    monomial,
+    one,
+)
 
 Q = Monomial(1, 1)
 
@@ -122,3 +134,65 @@ def test_verify_chain_aggregate():
     rep = verify_chain(80)
     assert rep.ok
     assert "stages hold" in rep.note
+
+
+# -- the Horner relation sum against the shifted-add loop it replaced ----------
+
+
+def _shifted_add_relation(p, n_max, order):
+    """The relation sums for n = 0 .. n_max: each denominator advanced from
+    the last, each alpha_r rebuilt and added term by shifted term."""
+    a = p.relative
+    p0 = [0] * (order + 1)
+    p0[0] = 1
+    sums = []
+    for n in range(n_max + 1):
+        if n:
+            _div_binomial_inplace(p0, -1, n)
+            _div_binomial_inplace(p0, -a.c, a.e + n)
+        acc = [0] * (order + 1)
+        den = list(p0)
+        for r in range(n + 1):
+            if r:
+                _mul_binomial_inplace(den, -1, n - r + 1)
+                _div_binomial_inplace(den, -a.c, a.e + n + r)
+            for e, c in enumerate(p.alpha(r, order).coeffs):
+                if c:
+                    _add_inplace(acc, den, e, c)
+        sums.append(QSeries(acc, order))
+    return sums
+
+
+def _scrambled(p, seed):
+    """p with a random integer alpha, so the relation sums differ from beta
+    and the comparison sees every term."""
+
+    def alpha(r, order):
+        rng = random.Random(seed * 1000 + r)
+        lo = r * r - r
+        return QSeries(
+            [rng.randint(-3, 3) if lo <= i <= lo + 3 * r + 2 else 0 for i in range(order + 1)],
+            order,
+        )
+
+    return BaileyPair(f"{p.name}-scrambled", p.relative, alpha, p.beta_ratio)
+
+
+@pytest.mark.parametrize("order", (0, 1, 7, 60, 400))
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_horner_relation_sums_match_the_shifted_adds(name, order):
+    for p in (pair(name), _scrambled(pair(name), order)):
+        got = [lhs for _, lhs, _ in bailey._relation_pairs(p, 12, order)]
+        assert [s.coeffs for s in got] == [s.coeffs for s in _shifted_add_relation(p, 12, order)]
+
+
+def test_a_stage_with_one_builder_on_both_sides_fails(monkeypatch):
+    stages = bailey.CHAIN_STAGES[:1] + (("C:twice-the-same", lambda o: (bailey._poch3(o),) * 2),)
+    monkeypatch.setattr(bailey, "CHAIN_STAGES", stages)
+    first, same = chain_stage_reports(30)
+    assert first.ok
+    assert (same.ok, same.mismatch, same.note) == (False, None, SAME_OBJECT_NOTE)
+    # outside a sharing scope the two calls build two objects, which agree
+    assert check("x", 30, [("", bailey._poch3(30), bailey._poch3(30))]).ok
+    with sharing():
+        assert not check("x", 30, [("", bailey._poch3(30), bailey._poch3(30))]).ok

@@ -3,7 +3,8 @@
 import pytest
 
 import overq.report as report
-from overq.report import check, deferred, one_pair
+from overq.identities import verify_classical
+from overq.report import SAME_OBJECT_NOTE, check, deferred, one_pair
 from overq.series import QSeries
 
 
@@ -38,7 +39,9 @@ def test_pass_reports_smallest_order_and_default_note():
         ("c", series([3], 9), series([3], 9)),
     ]
     r = check("demo", 7, pairs)
-    assert (r.order, r.ok, r.mismatch, r.note) == (3, True, None, "3 comparisons")
+    assert (r.order, r.ok, r.mismatch, r.note) == (
+        3, True, None, "3 comparisons; compared through 3 of 7"
+    )
 
 
 def test_pass_note():
@@ -83,3 +86,25 @@ def test_helpers_build_lazily():
     assert calls == []
     assert [p[0] for gen in pending for p in gen] == ["label", "many"]
     assert calls == ["one", "many"]
+
+
+def test_one_object_on_both_sides_fails_with_a_fixed_note():
+    s = series([1, 2, 3])
+    r = check("demo", 2, [("first", series([1]), series([1])), ("twice", s, s)])
+    assert (r.ok, r.order, r.mismatch, r.note) == (False, 2, None, f"twice: {SAME_OBJECT_NOTE}")
+    assert check("demo", 2, [("", s, s)]).note == SAME_OBJECT_NOTE
+    # equal coefficients in two objects still pass
+    assert check("demo", 2, [("", s, series([1, 2, 3]))]).ok
+
+
+def test_pass_says_when_less_was_compared_than_asked():
+    short = [("x", series([1], 3), series([1], 5))]
+    assert check("demo", 3, short).note == ""
+    assert (check("demo", 4, short).order, check("demo", 4, short).note) == (
+        3, "compared through 3 of 4"
+    )
+    assert check("demo", 9, short, note="given").note == "given; compared through 3 of 9"
+    # classical:legendre is capped at order 40 whatever order is asked
+    legendre = verify_classical("legendre", 60)
+    assert (legendre.ok, legendre.order, legendre.note) == (True, 40, "compared through 40 of 60")
+    assert verify_classical("legendre", 40).note == ""

@@ -266,3 +266,77 @@ def _inline_gen_family(spec, order):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_gen_family_matches_the_inline_product_loop(name, order):
     _assert_same(gen_family(name, order), _inline_gen_family(FAMILIES[name], order), order)
+
+
+# -- paired factors against the unpaired table ---------------------------------
+
+
+def _unpaired_apply(ratio, cs, muls, divs):
+    """Ratio.apply without the pairing of a divide (1 - c*q^e) with a
+    multiply (1 - q^(2e)): every factor runs on its own."""
+    if ratio.shift[0] == -1:
+        cs[:] = [-v for v in cs]
+    for c, e in muls:
+        if e < len(cs):
+            _mul_binomial_inplace(cs, -c, e)
+    for c, e in divs:
+        if e < len(cs):
+            _div_binomial_inplace(cs, -c, e)
+
+
+def _pairable(muls, divs):
+    return any(c in (1, -1) and (1, 2 * e) in muls for c, e in divs)
+
+
+def _pairing_ratio(rng):
+    """A table whose divides often meet a multiply at twice their exponent;
+    c = 2 must never pair."""
+    divs = tuple((rng.choice((1, -1, 2)), rng.randint(0, 2), rng.randint(1, 4)) for _ in range(2))
+    muls = tuple((1, 2 * a, 2 * b) for c, a, b in divs if rng.random() < 0.7)
+    muls += tuple((rng.choice((1, -1)), rng.randint(0, 3), rng.randint(0, 5)) for _ in range(2))
+    return Ratio((rng.choice((1, -1)), 1, 1), muls, divs)
+
+
+@pytest.mark.parametrize("order", (0, 1, 7, 60, 400))
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_paired_apply_matches_the_unpaired(order, fractions):
+    rng = random.Random(9011 + order + 1000 * fractions)
+    paired_somewhere = False
+    for _ in range(4 * SWEEPS):
+        ratio = _pairing_ratio(rng)
+        # lists as short as 1, so that 2e is often past the end
+        length = rng.choice((1, 2, 3, order + 1))
+        cs = list(_random_init(rng, max(order, 3), fractions).coeffs[:length])
+        for n in range(4):
+            muls, divs = ratio.factors(n)
+            paired_somewhere |= _pairable(muls, divs)
+            got, want = list(cs), list(cs)
+            ratio.apply(got, muls, divs)
+            _unpaired_apply(ratio, want, muls, divs)
+            assert QSeries(got).coeffs == QSeries(want).coeffs, (ratio, n, length)
+    assert paired_somewhere
+
+
+def _applied(ratio, order):
+    cs = [1] + [0] * order
+    ratio.apply(cs, *ratio.factors(0))
+    return list(QSeries(cs).coeffs)
+
+
+def test_pairing_is_exact_and_only_for_unit_c():
+    # (1 - q^4) / (1 + q^2) = 1 - q^2
+    assert _applied(Ratio((1, 0, 1), muls=((1, 0, 4),), divs=((-1, 0, 2),)), 6) == [
+        1, 0, -1, 0, 0, 0, 0
+    ]
+    # (1 - q^4) / (1 - 2q^2) = (1 - q^4) * sum 2^k q^(2k), not 1 + 2q^2
+    assert _applied(Ratio((1, 0, 1), muls=((1, 0, 4),), divs=((2, 0, 2),)), 6) == [
+        1, 0, 2, 0, 3, 0, 6
+    ]
+    # (1 - q^0) / (1 + q^0) = 0 = 1 - q^0, paired at e = 0 too
+    assert _applied(Ratio((1, 0, 1), muls=((1, 0, 0),), divs=((-1, 0, 0),)), 3) == [0] * 4
+    # the checks in factors see every divide: one zero divisor is left after
+    # cancelling (1 - q^0) once, and a negative exponent raises
+    with pytest.raises(ZeroDenominator):
+        Ratio((1, 0, 1), muls=((1, 0, 0),), divs=((1, 0, 0), (1, 0, 0))).factors(0)
+    with pytest.raises(NegativeExponentFactor):
+        Ratio((1, 0, 1), muls=((1, 2, -2),), divs=((1, 1, -1),)).factors(0)

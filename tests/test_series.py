@@ -2,17 +2,21 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+import overq.series as series_module
 from overq.series import (
-    DIV_BLOCK_MIN,
     OrderExceededError,
     QSeries,
     ZeroConstantTermError,
+    _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
+    _newton_invert,
     _norm,
+    _schoolbook_invert,
     _schoolbook_mul,
     from_coeffs,
     monomial,
@@ -360,8 +364,12 @@ def _canonical(cs):
 def test_binomial_kernels_match_the_loops(order):
     rng = random.Random(6007 + order)
     n = order + 1
-    exponents = {0, 1, DIV_BLOCK_MIN - 1, DIV_BLOCK_MIN, DIV_BLOCK_MIN + 1, n, n + 3}
+    exponents = {0, 1, 31, 32, 33, n, n + 3}
     exponents |= {max(1, order // 2), max(1, order // 4)}  # a last block of one coefficient
+    # both sides of the running-sum rules: e*e < n for (1 - q^e), (2e)^2 < n
+    # for (1 + q^e)
+    root = isqrt(n)
+    exponents |= {max(0, x + d) for x in (root, root // 2) for d in (-1, 0, 1)}
     for cs in _binomial_lists(rng, order):
         for c in BINOMIAL_CS:
             for e in sorted(exponents):
@@ -381,7 +389,7 @@ def test_binomial_kernels_match_the_loops(order):
 def test_binomial_kernels_round_trip_and_refuse_a_zero_constant(order):
     rng = random.Random(6101 + order)
     for cs in _binomial_lists(rng, order):
-        for e in (1, DIV_BLOCK_MIN - 1, DIV_BLOCK_MIN, 2 * DIV_BLOCK_MIN + 1):
+        for e in (1, 31, 32, 65):
             for c in BINOMIAL_CS:
                 work = list(cs)
                 _div_binomial_inplace(work, c, e)
@@ -389,3 +397,66 @@ def test_binomial_kernels_round_trip_and_refuse_a_zero_constant(order):
                 assert _canonical(work) == _canonical(cs)
         with pytest.raises(ZeroConstantTermError):
             _div_binomial_inplace(list(cs), -1, 0)
+
+
+def _loop_add(acc, cs, e=0, scalar=1):
+    """acc += scalar * q^e * cs, clipped to len(acc), one step per term."""
+    for i in range(min(len(cs), len(acc) - e)):
+        v = cs[i]
+        if v:
+            acc[i + e] += scalar * v
+
+
+@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
+def test_add_inplace_matches_the_loop(order):
+    rng = random.Random(6203 + order)
+    n = order + 1
+    lists = _binomial_lists(rng, order)
+    for acc in lists:
+        for cs in lists + ([7, Fraction(1, 2)], []):
+            for e in sorted({0, 1, n // 2, n - 1, n, n + 3}):
+                for scalar in BINOMIAL_CS:
+                    got, want = list(acc), list(acc)
+                    _add_inplace(got, cs, e, scalar)
+                    _loop_add(want, cs, e, scalar)
+                    assert _canonical(got) == _canonical(want), (e, scalar)
+
+
+# -- Newton inversion against the schoolbook recurrence -----------------------
+
+
+def _unit_series(rng, order, c0):
+    """Integer series with constant term c0: dense, sparse, and a Pochhammer
+    product.  The inverse's coefficients grow about geometrically, so the
+    dense draws are large only at the small orders."""
+    bound = 2**80 if order <= 60 else 2
+    dense = [c0] + [rng.randint(-bound, bound) for _ in range(order)]
+    sparse = [c0] + [rng.choice((0, 0, 0, 0, 1, -1, 3)) for _ in range(order)]
+    poch = poch_infinite(Monomial(1, 2), 1, order).scale(c0).coeffs
+    return dense, sparse, list(poch)
+
+
+@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
+@pytest.mark.parametrize("c0", (1, -1))
+def test_newton_inversion_matches_the_schoolbook(order, c0, monkeypatch):
+    rng = random.Random(6301 + order + c0)
+    for cs in _unit_series(rng, order, c0):
+        want = _schoolbook_invert(cs, order)
+        got = _newton_invert(cs, order)
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+    # and invert takes it: the schoolbook path is not reached
+    monkeypatch.setattr(series_module, "_schoolbook_invert", None)
+    for cs in _unit_series(rng, order, c0):
+        assert list(QSeries(cs, order).invert().coeffs) == _newton_invert(cs, order)
+
+
+@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
+def test_other_inversions_keep_the_schoolbook(order, monkeypatch):
+    rng = random.Random(6367 + order)
+    # sparse, or the schoolbook's exact rationals make this test slow
+    two = [2] + [rng.choice((1, -1)) if rng.random() < 0.05 else 0 for _ in range(order)]
+    rational = [1] + [Fraction(1, 2) if rng.random() < 0.05 else 0 for _ in range(order)]
+    rational[-1] = Fraction(1, 3)  # a Fraction even at order 0
+    monkeypatch.setattr(series_module, "_newton_invert", None)  # not reached
+    for cs in (two, rational):
+        assert list(QSeries(cs, order).invert().coeffs) == _schoolbook_invert(cs, order)
