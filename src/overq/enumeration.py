@@ -3,13 +3,15 @@
 This module is the combinatorial oracle: it visits every object
 (overpartitions and overpartition pairs with a marked smallest part) and
 never touches the series machinery.  Each family is a window table: for
-every smallest part s, the distinct subsets of each window are listed once
-by sum, and one walk runs over the sum splits whose rows are non-empty and
-visits every combination of one subset per window.  enumerate_family builds
-the objects from those subsets; signed_count reads the parity statistic
-from their sizes and builds nothing.  Agreement between these counts and
-the generating-series coefficients is checked in oracle_compare and
-throughout the test suite.
+every smallest part s, one 0/1-knapsack pass per distinct window builds
+that window's distinct subsets, grouped by sum, each subset once.  One
+fold over the windows' rows then yields every combination of one entry per
+window whose sums add up to the weight, each exactly once.  For
+enumerate_family an entry is a subset and each combination builds an
+object; for signed_count an entry is the subset's counted size, so each
+object is one int whose parity the tally reads.  Agreement between these
+counts and the generating-series coefficients is checked in oracle_compare
+and throughout the test suite.
 
 Every family here is a distinct-parts family: within one component a size
 appears at most once overlined and at most once plain.  Objects are
@@ -19,9 +21,10 @@ plain at equal size).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import product, repeat, starmap
+from operator import add, and_
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -184,32 +187,56 @@ def family(name: str) -> FamilySpec:
         raise KeyError(f"unknown family {name!r}; know {sorted(FAMILIES)}") from None
 
 
-def _walk(spec: FamilySpec, n: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Every weight-n object of the family exactly once, as (s, subsets) with
-    one distinct subset per window, windows in table order."""
+def _subset_table(lo: int, hi: Optional[int], top: int) -> list[list[tuple[int, ...]]]:
+    """table[t]: every distinct subset of lo..hi with sum t, for t <= top, each
+    built once as an increasing tuple (hi None means no upper end)."""
+    table: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(top)]
+    for k in range(lo, top + 1 if hi is None else min(hi, top) + 1):
+        # 0/1 knapsack: sweep t downward, so no subset takes k twice
+        for t in range(top, k - 1, -1):
+            if table[t - k]:
+                table[t] += map(add, table[t - k], repeat((k,)))
+    return table
+
+
+def _join_rows(rows: list[list[list]], top: int) -> list[list]:
+    """One table over the rows: entry t lists e_1 + .. + e_k for every choice
+    of one entry e_i per row whose row sums add up to t <= top."""
+    acc = rows[0]
+    for row in rows[1:]:
+        joined: list[list] = [[] for _ in range(top + 1)]
+        for t, xs in enumerate(acc):
+            if xs:
+                for u, ys in enumerate(row[: top + 1 - t], t):
+                    if ys:
+                        joined[u] += starmap(add, product(xs, ys))
+        acc = joined
+    return acc
+
+
+def _fold(rows: list[list[list]], total: int) -> list:
+    """e_1 + .. + e_k for every choice of one entry e_i per row whose row
+    sums add up to total, each choice exactly once; rows[i][t] lists row i's
+    entries of sum t for t = 0 .. total, and there are at least two rows.
+    Each half of the rows is joined into one table and the two halves meet
+    only at the total, so partial choices span half the rows, not all but
+    the last."""
+    half = len(rows) // 2
+    left, right = _join_rows(rows[:half], total), _join_rows(rows[half:], total)
+    out: list = []
+    for xs, ys in zip(left, reversed(right)):
+        if xs and ys:
+            out += starmap(add, product(xs, ys))
+    return out
+
+
+def _tables(spec: FamilySpec, n: int) -> Iterator[tuple[int, list[Window], dict]]:
+    """(s, windows, tables) for every smallest part s of a weight-n object:
+    the windows' (lo, hi) bounds in table order, and the subset table of
+    each distinct window, summing to at most n - cores*s."""
     for s in range(1, n // spec.cores + 1):
-        rest = n - spec.cores * s
-        bounds = [(s + a, None if b is None else 2 * s + b) for c in spec.windows for a, b in c]
-        # by_sum[lo, hi][t]: the distinct subsets of lo..hi with sum t; equal windows share it
-        by_sum = {w: [list(distinct_subsets(*w, t)) for t in range(rest + 1)] for w in set(bounds)}
-        rows = [by_sum[w] for w in bounds]
-        for split in _splits(rows, rest):
-            # a list, not a generator: unpacking a generator builds an oversized tuple and
-            # shrinks it, and the shrunk tuples pile up on a free list (about 0.25 MB)
-            for subsets in itertools.product(*[row[t] for row, t in zip(rows, split)]):
-                yield s, subsets
-
-
-def _splits(rows: list[list[list]], total: int) -> Iterator[tuple[int, ...]]:
-    """Sums (t_1, .., t_k) adding up to total with every rows[i][t_i] non-empty."""
-    if len(rows) == 1:
-        if rows[0][total]:
-            yield (total,)
-        return
-    for t in range(total + 1):
-        if rows[0][t]:
-            for rest in _splits(rows[1:], total - t):
-                yield (t,) + rest
+        windows = [(s + a, None if b is None else 2 * s + b) for c in spec.windows for a, b in c]
+        yield s, windows, {w: _subset_table(*w, n - spec.cores * s) for w in set(windows)}
 
 
 def enumerate_family(name: str, n: int) -> list[FamilyObject]:
@@ -218,12 +245,16 @@ def enumerate_family(name: str, n: int) -> list[FamilyObject]:
         raise ValueError("weight must be >= 0")
     spec = family(name)
     objs = []
-    for s, subsets in _walk(spec, n):
-        parts = [
-            Overpartition.of(((s,) if i < spec.cores else ()) + subsets[2 * i], subsets[2 * i + 1])
-            for i in range(len(spec.windows))
-        ]
-        objs.append(OverpartitionPair(*parts) if len(parts) == 2 else parts[0])
+    for s, windows, tables in _tables(spec, n):
+        # 1-tuples, so that + joins one subset per window into a tuple of subsets
+        wrapped = {w: [[(sub,) for sub in subs] for subs in table] for w, table in tables.items()}
+        for subsets in _fold([wrapped[w] for w in windows], n - spec.cores * s):
+            parts = [
+                Overpartition.of(((s,) if i < spec.cores else ()) + subsets[2 * i],
+                                 subsets[2 * i + 1])
+                for i in range(len(spec.windows))
+            ]
+            objs.append(OverpartitionPair(*parts) if len(parts) == 2 else parts[0])
     if len(set(objs)) != len(objs):
         raise AssertionError(f"family {name} produced duplicate objects at n={n}")
     objs.sort()
@@ -240,15 +271,25 @@ _COUNTED = {
 
 
 def signed_count(name: str, n: int) -> tuple[int, int, int]:
-    """(even count, odd count, signed difference) for the family statistic,
-    read from the subset sizes of each walked object."""
+    """(even count, odd count, signed difference) for the family statistic.
+    Every weight-n object is visited once, as the sum of its counted subset
+    sizes; no object is built."""
+    if n < 0:
+        raise ValueError("weight must be >= 0")
     spec = family(name)
     over, plain = _COUNTED[spec.statistic]
     mask = (over, plain) * len(spec.windows)
     base = spec.cores if over else 0
     tally = [0, 0]
-    for _, subsets in _walk(spec, n):
-        tally[(base + sum(map(len, itertools.compress(subsets, mask)))) & 1] += 1
+    for s, windows, tables in _tables(spec, n):
+        rows = [
+            [list(map(len, subs)) if counted else [0] * len(subs) for subs in tables[w]]
+            for w, counted in zip(windows, mask)
+        ]
+        sizes = _fold(rows, n - spec.cores * s)  # one int per object
+        odd_sizes = sum(map(and_, sizes, repeat(1)))
+        tally[base & 1] += len(sizes) - odd_sizes
+        tally[(base + 1) & 1] += odd_sizes
     even, odd = tally
     signed = (odd - even) if spec.odd_positive else (even - odd)
     return (even, odd, signed)
@@ -307,6 +348,8 @@ def is_sum_two_triangular(n: int) -> bool:
 def oracle_compare(name: str, max_n: int, order: Optional[int] = None):
     """Check the series of signed counts through weight max_n against the
     generating series.  Returns a VerificationReport."""
+    if max_n < 0:
+        raise ValueError("weight must be >= 0")
     from .identities import gen_family
     from .report import check, one_pair
     from .series import QSeries

@@ -1,12 +1,17 @@
 """Brute-force object enumeration, signed counts, and parity helpers."""
 
+import itertools
+
 import pytest
 
+import overq.enumeration as enumeration
 from overq.enumeration import (
+    _COUNTED,
     FAMILIES,
     Overpartition,
     OverpartitionPair,
     distinct_parts_difference,
+    distinct_subsets,
     enumerate_family,
     family,
     is_sum_two_triangular,
@@ -130,6 +135,98 @@ def test_object_totals_to_weight_22():
     totals = {name: sum(sum(signed_count(name, n)[:2]) for n in range(1, 23)) for name in FAMILIES}
     want = {"F": 1236, "G": 1236, "A": 37481, "A2": 37481, "B": 32564, "C": 62010, "D": 24529}
     assert totals == want
+
+
+# -- reference walk: the sum-split walk the subset tables and the fold replaced --
+
+
+def _ref_walk(spec, n):
+    """Every weight-n object exactly once, as (s, subsets) with one distinct
+    subset per window, windows in table order."""
+    for s in range(1, n // spec.cores + 1):
+        rest = n - spec.cores * s
+        bounds = [(s + a, None if b is None else 2 * s + b) for c in spec.windows for a, b in c]
+        by_sum = {w: [list(distinct_subsets(*w, t)) for t in range(rest + 1)] for w in set(bounds)}
+        rows = [by_sum[w] for w in bounds]
+        for split in _ref_splits(rows, rest):
+            for subsets in itertools.product(*[row[t] for row, t in zip(rows, split)]):
+                yield s, subsets
+
+
+def _ref_splits(rows, total):
+    """Sums (t_1, .., t_k) adding up to total with every rows[i][t_i] non-empty."""
+    if len(rows) == 1:
+        if rows[0][total]:
+            yield (total,)
+        return
+    for t in range(total + 1):
+        if rows[0][t]:
+            for rest in _ref_splits(rows[1:], total - t):
+                yield (t,) + rest
+
+
+def _ref_enumerate(name, n):
+    spec = family(name)
+    objs = []
+    for s, subsets in _ref_walk(spec, n):
+        parts = [
+            Overpartition.of(((s,) if i < spec.cores else ()) + subsets[2 * i], subsets[2 * i + 1])
+            for i in range(len(spec.windows))
+        ]
+        objs.append(_pair(*parts) if len(parts) == 2 else parts[0])
+    return sorted(objs)
+
+
+def _ref_signed_count(name, n):
+    spec = family(name)
+    over, plain = _COUNTED[spec.statistic]
+    mask = (over, plain) * len(spec.windows)
+    base = spec.cores if over else 0
+    tally = [0, 0]
+    for _, subsets in _ref_walk(spec, n):
+        tally[(base + sum(map(len, itertools.compress(subsets, mask)))) & 1] += 1
+    even, odd = tally
+    return (even, odd, (odd - even) if spec.odd_positive else (even - odd))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_signed_count_matches_the_reference_walk(name):
+    for n in range(23):
+        assert signed_count(name, n) == _ref_signed_count(name, n), (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_enumerate_family_matches_the_reference_walk(name):
+    for n in range(13):
+        assert enumerate_family(name, n) == _ref_enumerate(name, n), (name, n)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, None), (2, None), (3, 5), (4, 4), (5, 3)])
+def test_subset_table_lists_each_subset_once(lo, hi):
+    top = 14
+    table = enumeration._subset_table(lo, hi, top)
+    assert len(table) == top + 1
+    for t, subs in enumerate(table):
+        assert sorted(subs) == sorted(distinct_subsets(lo, hi, t)), (lo, hi, t)
+
+
+def test_object_totals_at_the_weight_cap():
+    # family C is the largest; the cli refuses weights above 30 (cli.MAX_WEIGHT)
+    totals = [sum(signed_count("C", n)[:2]) for n in (20, 25, 30)]
+    assert totals == [9289, 41940, 165843]
+
+
+def test_negative_weights_are_refused_before_any_work(monkeypatch):
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        signed_count("F", -3)
+
+    def untouched(*args):
+        raise AssertionError("work started for a negative weight")
+
+    monkeypatch.setattr(enumeration, "signed_count", untouched)
+    monkeypatch.setattr(enumeration, "family", untouched)
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        oracle_compare("F", -1)
 
 
 def test_signed_count_fixtures():
