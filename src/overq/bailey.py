@@ -29,7 +29,8 @@ slip is caught at the exact step instead of only end to end.  The seven D
 displays that carry halves are checked with both sides doubled, so every
 side is integral.  Consecutive sum-over-n stages share a ratio table only
 when the terms are literally equal; every stage's initial term and every
-lattice exponent formula is coded independently.
+lattice exponent formula is coded independently.  The square-form sums are
+products.Theta2D specs, each written out on the side that uses it.
 
 Neighbouring stages share sides: stage k's right side is often stage
 k+1's left side, and several stages reuse one product or one lemma side.
@@ -160,6 +161,8 @@ def pair(name: PairLike) -> BaileyPair:
 
 def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
     """Verify the defining relation for every n <= n_max at the order."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     p = pair(p)
     note = f"defining relation holds for n <= {n_max}"
     return check(f"bailey:{p.name}", order, _relation_pairs(p, n_max, order), note)
@@ -257,16 +260,12 @@ def verify_lemma(p: PairLike, a: Monomial, order: int) -> VerificationReport:
 # -- derivation chains -------------------------------------------------------
 
 
-def _lattice(
-    order: int,
-    exponent: Callable[[int, int], int],
-    coeff: Callable[[int, int], Coeff] = lambda r, n: 1,
-) -> QSeries:
-    return lattice_sum(order, exponent, lambda r, n: ((coeff(r, n), exponent(r, n)),))
+def _lattice(order: int, exponent: Callable[[int, int], int]) -> QSeries:
+    return lattice_sum(order, exponent, lambda r, n: ((1, exponent(r, n)),))
 
 
 def _eighth(value: int) -> int:
-    # the square-form displays carry exponents (...)/8; they must divide out
+    # _d_a3_sq's display carries its exponent as (...)/8; it must divide out
     if value % 8:
         raise NonintegralExponent(f"exponent {value} is not a multiple of 8")
     return value // 8
@@ -408,51 +407,23 @@ def _c_e4(r: int, n: int) -> int:
     return 2 * n * n + 2 * n * r + r * r + 3 * n + 3 * r + 2
 
 
-def _c_e2_sq(r: int, n: int) -> int:
-    return _eighth((2 * r + 3) ** 2 + (2 * r + 4 * n + 5) ** 2 - 2)
-
-
-def _c_e3_sq(r: int, n: int) -> int:
-    return _eighth((2 * r + 3) ** 2 + (2 * r + 4 * n + 3) ** 2 - 2)
-
-
-def _c_e4_sq(r: int, n: int) -> int:
-    return _eighth((2 * r + 1) ** 2 + (2 * r + 4 * n + 5) ** 2 - 2)
-
-
 def _c_inner_assembly(order: int) -> QSeries:
     # sum C'(n) q^n as the four-sum combination in eighth-square form
     return (
         theta1d(Theta1D((16, 24, 8), div=8), order)
-        + _lattice(order, _c_e2_sq).scale(2)
-        - _lattice(order, _c_e3_sq)
-        - _lattice(order, _c_e4_sq)
+        + theta2d(Theta2D(2, 3, 4, 2, shift=-2, div=8), order).scale(2)
+        - theta2d(Theta2D(2, 3, 4, 0, shift=-2, div=8), order)
+        - theta2d(Theta2D(2, 1, 4, 4, shift=-2, div=8), order)
     )
-
-
-def _c_sq2(r: int, n: int) -> int:
-    return (2 * r + 3) ** 2 + (2 * r + 4 * n + 5) ** 2
-
-
-def _c_sq3(r: int, n: int) -> int:
-    return (2 * r + 3) ** 2 + (2 * r + 4 * n + 3) ** 2
-
-
-def _c_sq4(r: int, n: int) -> int:
-    return (2 * r + 1) ** 2 + (2 * r + 4 * n + 5) ** 2
-
-
-def _c_sq_wedge(r: int, n: int) -> int:
-    return (2 * r + 3) ** 2 + (2 * r + 3 + 4 * n) ** 2
 
 
 def _c_mapped_assembly(order: int) -> QSeries:
     # sum C'(n) q^(8n+2) as the four-sum combination in integer-square form
     return (
         theta1d(Theta1D((16, 24, 10)), order)
-        + _lattice(order, _c_sq2).scale(2)
-        - _lattice(order, _c_sq3)
-        - _lattice(order, _c_sq4)
+        + theta2d(Theta2D(2, 3, 4, 2), order).scale(2)
+        - theta2d(Theta2D(2, 3, 4, 0), order)
+        - theta2d(Theta2D(2, 1, 4, 4), order)
     )
 
 
@@ -573,24 +544,9 @@ def _d_a3(r: int, n: int) -> int:
     return _d_p(r, n) + 2 * n + r + 1
 
 
-def _d_b_sq(r: int, n: int) -> int:
-    return _eighth((2 * r + 1) ** 2 + (2 * r + 4 * n + 3) ** 2 - 2)
-
-
-def _d_a2_sq(r: int, n: int) -> int:
-    return _eighth((2 * r + 1) ** 2 + (2 * r + 4 * n + 1) ** 2 - 2)
-
-
 def _d_a3_sq(r: int, n: int) -> int:
+    # not a Theta2D spec: its first square's offset, 2r - 1, is negative at r = 0
     return _eighth((2 * r - 1) ** 2 + (2 * r + 4 * n + 3) ** 2 - 2)
-
-
-def _d_pair_sq(r: int, n: int) -> int:
-    return _eighth((2 * r + 1) ** 2 + (2 * r + 1 + 4 * n) ** 2 - 2)
-
-
-def _d_alt_sq(r: int, n: int) -> int:
-    return _eighth((2 * r + 1) ** 2 + (2 * r + 1 + 2 * n) ** 2 - 2)
 
 
 @shared
@@ -613,8 +569,8 @@ def _d_grouped_assembly(order: int) -> QSeries:
     return (
         -theta1d(Theta1D((16, 8, 0), div=8), order)
         - theta1d(Theta1D((16, 24, 8), div=8), order)
-        - _lattice(order, _d_b_sq).scale(4)
-        + _lattice(order, _d_a2_sq).scale(2)
+        - theta2d(Theta2D(2, 1, 4, 2, shift=-2, div=8), order).scale(4)
+        + theta2d(Theta2D(2, 1, 4, 0, shift=-2, div=8), order).scale(2)
         + _lattice(order, _d_a3_sq).scale(2)
     )
 
@@ -626,8 +582,8 @@ def _d_paired_assembly(order: int) -> QSeries:
         -theta1d(Theta1D((16, 8, 0), div=8), order)
         + theta1d(Theta1D((16, 24, 8), div=8), order)
         - theta1d(Theta1D((8, 8, 0), div=8), order).scale(2)
-        - _lattice(order, _d_b_sq).scale(4)
-        + _lattice(order, _d_pair_sq).scale(4)
+        - theta2d(Theta2D(2, 1, 4, 2, shift=-2, div=8), order).scale(4)
+        + theta2d(Theta2D(2, 1, 4, 0, shift=-2, div=8), order).scale(4)
     )
 
 
@@ -640,7 +596,7 @@ def _d_jacobi_swapped(order: int) -> QSeries:
 def _d_inner_final(order: int) -> QSeries:
     # twice: sum D'(n) q^n, the merged alternating form
     return (
-        _lattice(order, _d_alt_sq, lambda r, n: -4 if n & 1 else 4)
+        theta2d(Theta2D(2, 1, 2, 0, sign="alternating", shift=-2, div=8), order).scale(4)
         - theta1d(Theta1D((1, 1, 0), div=2, sign="alternating"), order)
         - theta1d(Theta1D((1, 1, 0)), order).scale(2)
         - jacobi_theta(order)
@@ -734,16 +690,16 @@ def _stage_c_mapped(order: int):
 
 
 def _stage_c_wedge(order: int):
-    lhs = _lattice(order, _c_sq2).scale(2) - _lattice(order, _c_sq3)
+    lhs = theta2d(Theta2D(2, 3, 4, 2), order).scale(2) - theta2d(Theta2D(2, 3, 4, 0), order)
     rhs = (
         theta2d(Theta2D(2, 3, 2, 0, sign="alternating-shifted"), order).scale(2)
-        + _lattice(order, _c_sq_wedge)
+        + theta2d(Theta2D(2, 3, 4, 0), order)
     )
     return lhs, rhs
 
 
 def _stage_c_remainder(order: int):
-    lhs = _lattice(order, _c_sq_wedge) - _lattice(order, _c_sq4)
+    lhs = theta2d(Theta2D(2, 3, 4, 0), order) - theta2d(Theta2D(2, 1, 4, 4), order)
     rhs = theta1d(Theta1D((8, 24, 18)), order) - theta1d(Theta1D((16, 40, 26)), order)
     return lhs, rhs
 

@@ -11,9 +11,9 @@ decimal strings so arbitrary-precision values survive a round trip.
 
 Each verify command runs its checks in one sharing scope, so a series that
 several checks build (a lemma side, a Pochhammer product) is built once.
-enum and oracle refuse a weight above MAX_WEIGHT, and verify, coeffs and
-oracle an order above MAX_ORDER, as a usage error before anything is
-enumerated or built.
+enum and oracle refuse a weight above MAX_WEIGHT, and verify and coeffs an
+order above MAX_ORDER, as a usage error before anything is enumerated or
+built.  oracle compares through its --max-n weight and reads no order.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ ORDER_ENV = "OVERQ_ORDER"
 #: takes about 7 s and 180 MB.
 MAX_WEIGHT = 30
 
-#: the largest order `verify`, `coeffs` and `oracle` accept, from --order or
+#: the largest order `verify` and `coeffs` accept, from --order or
 #: OVERQ_ORDER.  It is the q^(8n+2) scale's top exponent for 1000
 #: generating coefficients, so `verify --target theorem:C --order 8002`
 #: runs, in about 0.3 s.  A family on the plain scale builds 8003
@@ -266,10 +266,8 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if not 1 <= args.max_n <= MAX_WEIGHT:
         raise UsageError(f"--max-n must be in 1 .. {MAX_WEIGHT}")
-    if args.order is not None and not args.max_n <= args.order <= MAX_ORDER:
-        raise UsageError(f"--order must be in --max-n .. {MAX_ORDER}")
     names = list(FAMILIES) if args.family == "all" else [_known(family, args.family).name]
-    return _emit_reports([oracle_compare(name, args.max_n, args.order) for name in names], args)
+    return _emit_reports([oracle_compare(name, args.max_n) for name in names], args)
 
 
 # -- parser ------------------------------------------------------------------
@@ -335,7 +333,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--family", default="all")
     p_oracle.add_argument("--max-n", type=int, default=20)
-    p_oracle.add_argument("--order", type=int, default=None)
     p_oracle.add_argument("--format", choices=("text", "json"), default="text")
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=_cmd_oracle)

@@ -345,7 +345,7 @@ def is_sum_two_triangular(n: int) -> bool:
     return False
 
 
-def oracle_compare(name: str, max_n: int, order: Optional[int] = None):
+def oracle_compare(name: str, max_n: int):
     """Check the series of signed counts through weight max_n against the
     generating series.  Returns a VerificationReport."""
     if max_n < 0:
@@ -354,13 +354,9 @@ def oracle_compare(name: str, max_n: int, order: Optional[int] = None):
     from .report import check, one_pair
     from .series import QSeries
 
-    order = max_n if order is None else order
-    if order < max_n:
-        raise ValueError("series order must cover max_n")
-
     def sides():
         counts = QSeries([signed_count(name, n)[2] for n in range(max_n + 1)], max_n)
-        return counts, gen_family(name, order)
+        return counts, gen_family(name, max_n)
 
     label = "enumeration vs series coefficient"
     return check(f"oracle:{family(name).name}", max_n, one_pair(label, sides))

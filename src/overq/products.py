@@ -371,10 +371,11 @@ def theta1d(spec: Theta1D, order: int) -> QSeries:
 class Theta2D:
     """Two-index theta-style sum: over r, n >= 0 of
 
-        sign(n) * q^((a1 r + b1)^2 + (a1 r + b1 + a2 n + b2)^2 + shift).
+        sign(n) * q^(((a1 r + b1)^2 + (a1 r + b1 + a2 n + b2)^2 + shift) / div).
 
     Positive slopes and nonnegative offsets make the exponent strictly
-    increasing in each index, which is what lets truncation terminate.
+    increasing in each index, which is what lets truncation terminate; the
+    exponent at r = n = 0 is then the smallest, and must be >= 0.
     """
 
     a1: int
@@ -383,19 +384,29 @@ class Theta2D:
     b2: int
     sign: str = "plus"
     shift: int = 0
+    div: int = 1
 
     def __post_init__(self):
         if self.a1 < 1 or self.a2 < 1:
             raise ValueError("index slopes must be positive")
-        if self.b1 < 0 or self.b2 < 0 or self.shift < 0:
+        if self.b1 < 0 or self.b2 < 0:
             raise ValueError("offsets must be nonnegative")
+        if self.div < 1:
+            raise ValueError("exponent divisor must be >= 1")
+        if self.b1 ** 2 + (self.b1 + self.b2) ** 2 + self.shift < 0:
+            raise ValueError("exponent at r = n = 0 must be nonnegative")
         if self.sign not in _SIGN_RULES:
             raise ValueError(f"unknown sign rule {self.sign!r}")
 
     def exponent(self, r: int, n: int) -> int:
         u = self.a1 * r + self.b1
         v = u + self.a2 * n + self.b2
-        return u * u + v * v + self.shift
+        num = u * u + v * v + self.shift
+        if num % self.div:
+            raise NonintegralExponent(
+                f"exponent ({u}^2+{v}^2+{self.shift})/{self.div} not integral at r={r}, n={n}"
+            )
+        return num // self.div
 
 
 def theta2d(spec: Theta2D, order: int) -> QSeries:
@@ -414,8 +425,12 @@ def lattice_sum(
 
     base_exponent(r, n) must lower-bound every exponent emit produces at
     (r, n) and be nondecreasing in each index, so the scan can stop once it
-    passes the order.  The monotonicity is spot-checked while scanning.
+    passes the order.  The monotonicity is spot-checked while scanning, and
+    base_exponent(0, 0), the smallest, must be >= 0.
     """
+    low = base_exponent(0, 0)
+    if low < 0:
+        raise ValueError(f"negative lattice exponent {low} at r = n = 0")
     cs: list[Coeff] = [0] * (order + 1)
     r = 0
     while True:

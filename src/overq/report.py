@@ -63,6 +63,9 @@ class VerificationReport:
 #: cannot fail, so it shows nothing
 SAME_OBJECT_NOTE = "both sides are one object"
 
+#: the note of a check whose pair source was empty: it compared nothing
+NO_PAIRS_NOTE = "no pair was compared"
+
 
 def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> VerificationReport:
     """Compare each labelled pair through min(order, lhs.order, rhs.order),
@@ -72,10 +75,11 @@ def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> V
     and the elapsed time covers building the sides as well as comparing
     them.  A failure reports the pair's label as the note and the pair's
     order.  A pair whose two sides are one object fails too, with
-    SAME_OBJECT_NOTE after its label and no mismatch.  A pass reports the
-    smallest order compared and the note, which defaults to "k comparisons"
-    when more than one pair was compared; when that order is below the
-    requested one, "compared through k of N" is appended.
+    SAME_OBJECT_NOTE after its label and no mismatch; so does a source with
+    no pair, with NO_PAIRS_NOTE.  A pass reports the smallest order compared
+    and the note, which defaults to "k comparisons" when more than one pair
+    was compared; when that order is below the requested one, "compared
+    through k of N" is appended.
     """
     start = time.perf_counter()
     compared, count = order, 0
@@ -90,6 +94,9 @@ def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> V
                 name, through, False, mismatch, label, time.perf_counter() - start
             )
         compared, count = min(compared, through), count + 1
+    if not count:
+        elapsed = time.perf_counter() - start
+        return VerificationReport(name, order, False, None, NO_PAIRS_NOTE, elapsed)
     if not note and count > 1:
         note = f"{count} comparisons"
     if compared < order:

@@ -88,6 +88,15 @@ def test_bailey_check(name):
     assert bailey_check(name, 0, 10).ok
 
 
+def test_bailey_check_refuses_a_negative_bound_before_building(monkeypatch):
+    def refused(*args):
+        raise AssertionError("built a relation for n_max < 0")
+
+    monkeypatch.setattr(bailey, "_relation_pairs", refused)
+    with pytest.raises(ValueError, match="n_max"):
+        bailey_check("slater-h1", -1, 10)
+
+
 def test_lemma_sides_agree():
     for name, a in LEMMA_CASES:
         lhs, rhs = lemma_sides(name, a, 150)

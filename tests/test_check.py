@@ -4,7 +4,7 @@ import pytest
 
 import overq.report as report
 from overq.identities import verify_classical
-from overq.report import SAME_OBJECT_NOTE, check, deferred, one_pair
+from overq.report import NO_PAIRS_NOTE, SAME_OBJECT_NOTE, check, deferred, one_pair
 from overq.series import QSeries
 
 
@@ -95,6 +95,13 @@ def test_one_object_on_both_sides_fails_with_a_fixed_note():
     assert check("demo", 2, [("", s, s)]).note == SAME_OBJECT_NOTE
     # equal coefficients in two objects still pass
     assert check("demo", 2, [("", s, series([1, 2, 3]))]).ok
+
+
+def test_an_empty_pair_source_fails():
+    for pairs in ([], iter(()), deferred(list)):
+        r = check("x", 10, pairs)
+        assert (r.ok, r.order, r.mismatch, r.note) == (False, 10, None, NO_PAIRS_NOTE)
+    assert not check("x", 10, [], note="given").ok
 
 
 def test_pass_says_when_less_was_compared_than_asked():

@@ -235,7 +235,6 @@ def test_weight_cap_refuses_before_enumerating(capsys, monkeypatch, argv):
         (("verify", "--target", "all"), str(cli.MAX_ORDER + 1)),
         (("coeffs", "--series", "gen:A", "--order", str(cli.MAX_ORDER + 1)), None),
         (("coeffs", "--series", "gen:A"), str(cli.MAX_ORDER + 1)),
-        (("oracle", "--family", "C", "--max-n", "5", "--order", str(cli.MAX_ORDER + 1)), None),
     ],
 )
 def test_order_cap_refuses_before_building(capsys, monkeypatch, argv, env):

@@ -295,5 +295,3 @@ def test_triangular_predicates():
 def test_oracle_compare_smoke():
     rep = oracle_compare("F", 8)
     assert rep.ok
-    with pytest.raises(ValueError):
-        oracle_compare("F", 10, order=5)

@@ -239,11 +239,18 @@ def _theta2d_oracle(spec, order):
     sgn = {"plus": lambda n: 1,
            "alternating": lambda n: (-1) ** n,
            "alternating-shifted": lambda n: (-1) ** (n + 1)}[spec.sign]
+
+    def exponent(r, n):
+        u = spec.a1 * r + spec.b1
+        num = u * u + (u + spec.a2 * n + spec.b2) ** 2 + spec.shift
+        assert num % spec.div == 0
+        return num // spec.div
+
     r = 0
-    while spec.exponent(r, 0) <= order:
+    while exponent(r, 0) <= order:
         n = 0
-        while spec.exponent(r, n) <= order:
-            cs[spec.exponent(r, n)] += sgn(n)
+        while exponent(r, n) <= order:
+            cs[exponent(r, n)] += sgn(n)
             n += 1
         r += 1
     return QSeries(cs, order)
@@ -264,6 +271,8 @@ def test_theta2d_against_double_loop():
         Theta2D(2, 1, 2, 0, sign="alternating"),
         Theta2D(2, 3, 2, 0, sign="alternating-shifted"),
         Theta2D(1, 0, 1, 1, shift=3),
+        Theta2D(2, 3, 4, 2, shift=-2, div=8),
+        Theta2D(2, 1, 2, 0, sign="alternating", shift=-2, div=8),
     ):
         got = theta2d(spec, 120)
         assert got.equal_up_to(_theta2d_oracle(spec, 120), 120), spec
@@ -276,6 +285,16 @@ def test_theta2d_validation():
         Theta2D(2, -1, 2, 0)
     with pytest.raises(ValueError):
         Theta2D(2, 1, 2, 0, sign="nope")
+    with pytest.raises(ValueError, match="divisor"):
+        Theta2D(2, 1, 2, 0, div=0)
+    # the smallest exponent, at r = n = 0, is 0 + 0 - 1
+    with pytest.raises(ValueError, match="r = n = 0"):
+        Theta2D(1, 0, 1, 0, shift=-1)
+    # a negative shift that leaves the smallest exponent at 0 is admitted
+    assert theta2d(Theta2D(1, 0, 1, 1, shift=-1), 4).coeffs == (1, 0, 0, 1, 1)
+    # (2r+2)^2 + (2r+4n+2)^2 - 2 is 6 at r = n = 0: not a multiple of 8
+    with pytest.raises(NonintegralExponent):
+        theta2d(Theta2D(2, 2, 4, 0, shift=-2, div=8), 40)
 
 
 def test_lattice_sum_monotonicity_guard():
@@ -285,6 +304,12 @@ def test_lattice_sum_monotonicity_guard():
         lattice_sum(20, lambda r, n: (30 if r == 0 else 5) + n, lambda r, n: ())
     with pytest.raises(ValueError, match="below its bound"):
         lattice_sum(20, lambda r, n: r + n + 1, lambda r, n: ((1, 0),))
+
+
+def test_lattice_sum_refuses_a_negative_exponent():
+    # the q^-1 term at r = n = 0 would land in the top coefficient
+    with pytest.raises(ValueError, match="negative lattice exponent -1"):
+        lattice_sum(10, lambda r, n: r + n - 1, lambda r, n: ((1, r + n - 1),))
 
 
 def test_lattice_sum_emit_matches_monomials():
