@@ -47,9 +47,9 @@ ORDER_ENV = "OVERQ_ORDER"
 
 #: the largest weight `enum --n` and `oracle --max-n` accept.  The number
 #: of objects grows about 4x per 5 more weight: family C has 165,843 at
-#: weight 30.  Counting them builds no object and takes about 0.3 s, and
-#: `oracle` to weight 30 about 1 s; listing them builds every object and
-#: takes about 7 s and 180 MB.
+#: weight 30.  Counting them builds no object and takes about 0.02 s, and
+#: `oracle --family all` to weight 30 about 0.25 s; listing them builds
+#: every object and takes about 2.6 s and 115 MB.
 MAX_WEIGHT = 30
 
 #: the largest order `verify` and `coeffs` accept, from --order or

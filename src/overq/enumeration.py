@@ -5,13 +5,18 @@ This module is the combinatorial oracle: it visits every object
 never touches the series machinery.  Each family is a window table: for
 every smallest part s, one 0/1-knapsack pass per distinct window builds
 that window's distinct subsets, grouped by sum, each subset once.  One
-fold over the windows' rows then yields every combination of one entry per
-window whose sums add up to the weight, each exactly once.  For
-enumerate_family an entry is a subset and each combination builds an
-object; for signed_count an entry is the subset's counted size, so each
-object is one int whose parity the tally reads.  Agreement between these
-counts and the generating-series coefficients is checked in oracle_compare
-and throughout the test suite.
+fold over the windows' rows joins each half of the rows into one table
+and meets the two halves at the weights asked for, so it yields every
+combination of one entry per window whose sums add up to such a weight,
+each exactly once.  signed_counts builds the tables and half-joins once
+per smallest part for the largest weight and meets the halves at every
+weight up to it; signed_count meets them at its one weight.  For
+enumerate_family an entry is a subset of (size, overlined) parts and each
+combination's parts, merged in canonical order, are one object; for the
+counts an entry is the subset's counted size, so each object is one int
+whose parity the tally reads.  Agreement between these counts and the
+generating-series coefficients is checked in oracle_compare and
+throughout the test suite.
 
 Every family here is a distinct-parts family: within one component a size
 appears at most once overlined and at most once plain.  Objects are
@@ -24,8 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product, repeat, starmap
-from operator import add, and_
-from typing import Iterable, Iterator, Optional, Union
+from operator import add, and_, attrgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
+
+
+#: (size, overlined) parts
+Parts = tuple[tuple[int, bool], ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -33,7 +42,7 @@ class Overpartition:
     """Parts stored as (size, overlined) sorted descending, overlined first
     at equal size.  Overlined sizes are pairwise distinct."""
 
-    parts: tuple[tuple[int, bool], ...]
+    parts: Parts
 
     @staticmethod
     def of(over: Iterable[int] = (), plain: Iterable[int] = ()) -> "Overpartition":
@@ -105,21 +114,6 @@ class OverpartitionPair:
 FamilyObject = Union[Overpartition, OverpartitionPair]
 
 
-# -- subset machinery -------------------------------------------------------
-
-
-def distinct_subsets(lo: int, hi: Optional[int], total: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing tuples of integers in [lo, hi] summing to total
-    (hi None means unbounded; values above the remaining total cannot occur)."""
-    if total == 0:
-        yield ()
-        return
-    top = total if hi is None else min(hi, total)
-    for first in range(lo, top + 1):
-        for rest in distinct_subsets(first + 1, hi, total - first):
-            yield (first,) + rest
-
-
 # -- the seven families -----------------------------------------------------
 
 Window = tuple[int, Optional[int]]
@@ -187,16 +181,28 @@ def family(name: str) -> FamilySpec:
         raise KeyError(f"unknown family {name!r}; know {sorted(FAMILIES)}") from None
 
 
-def _subset_table(lo: int, hi: Optional[int], top: int) -> list[list[tuple[int, ...]]]:
-    """table[t]: every distinct subset of lo..hi with sum t, for t <= top, each
-    built once as an increasing tuple (hi None means no upper end)."""
-    table: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(top)]
+def _knapsack(
+    lo: int, hi: Optional[int], top: int, empty, adds: Callable[[int], object]
+) -> list[list]:
+    """table[t]: one entry per distinct subset of lo..hi with sum t <= top,
+    each subset met once (hi None means no upper end).  The empty subset's
+    entry is `empty`, and a subset's entry gains adds(k) for its part k."""
+    table: list[list] = [[empty]] + [[] for _ in range(top)]
     for k in range(lo, top + 1 if hi is None else min(hi, top) + 1):
+        step = adds(k)
         # 0/1 knapsack: sweep t downward, so no subset takes k twice
         for t in range(top, k - 1, -1):
             if table[t - k]:
-                table[t] += map(add, table[t - k], repeat((k,)))
+                table[t] += map(add, table[t - k], repeat(step))
     return table
+
+
+def _subset_table(over: bool, lo: int, hi: Optional[int], top: int) -> list[list[tuple[Parts]]]:
+    """table[t]: every distinct subset of lo..hi with sum t <= top, built
+    once as an increasing tuple of (size, over) parts and held in a 1-tuple,
+    so that + joins one subset per window into a tuple of subsets."""
+    table = _knapsack(lo, hi, top, (), lambda k: ((k, over),))
+    return [[(sub,) for sub in subs] for subs in table]
 
 
 def _join_rows(rows: list[list[list]], top: int) -> list[list]:
@@ -214,50 +220,74 @@ def _join_rows(rows: list[list[list]], top: int) -> list[list]:
     return acc
 
 
-def _fold(rows: list[list[list]], total: int) -> list:
-    """e_1 + .. + e_k for every choice of one entry e_i per row whose row
-    sums add up to total, each choice exactly once; rows[i][t] lists row i's
-    entries of sum t for t = 0 .. total, and there are at least two rows.
-    Each half of the rows is joined into one table and the two halves meet
-    only at the total, so partial choices span half the rows, not all but
-    the last."""
+def _fold(rows: list[list[list]], totals: range) -> Iterator[tuple[int, list]]:
+    """(total, entries) for each total in totals, where entries holds
+    e_1 + .. + e_k for every choice of one entry e_i per row whose row sums
+    add up to total, each choice exactly once; rows[i][t] lists row i's
+    entries of sum t for t = 0 .. totals[-1], and there are at least two
+    rows.  Each half of the rows is joined into one table, once for all
+    totals, and the two halves meet only at the totals asked for, so
+    partial choices span half the rows, not all but the last."""
+    top = totals[-1]
     half = len(rows) // 2
-    left, right = _join_rows(rows[:half], total), _join_rows(rows[half:], total)
-    out: list = []
-    for xs, ys in zip(left, reversed(right)):
-        if xs and ys:
-            out += starmap(add, product(xs, ys))
-    return out
+    left, right = _join_rows(rows[:half], top), _join_rows(rows[half:], top)
+    for total in totals:
+        entries: list = []
+        for xs, ys in zip(left[: total + 1], reversed(right[: total + 1])):
+            if xs and ys:
+                entries += starmap(add, product(xs, ys))
+        yield total, entries
 
 
-def _tables(spec: FamilySpec, n: int) -> Iterator[tuple[int, list[Window], dict]]:
-    """(s, windows, tables) for every smallest part s of a weight-n object:
-    the windows' (lo, hi) bounds in table order, and the subset table of
-    each distinct window, summing to at most n - cores*s."""
-    for s in range(1, n // spec.cores + 1):
-        windows = [(s + a, None if b is None else 2 * s + b) for c in spec.windows for a, b in c]
-        yield s, windows, {w: _subset_table(*w, n - spec.cores * s) for w in set(windows)}
+def _walk(
+    spec: FamilySpec, weights: range, table: Callable[..., list[list]]
+) -> Iterator[tuple[int, int, list]]:
+    """(s, n, entries) for every smallest part s and every weight n in
+    `weights` (a non-empty range of weights >= 0): entries holds one entry
+    per object of weight n and smallest part s, the sum of its windows'
+    entries.  table(over, lo, hi, top) lists the entries of the window
+    lo..hi by sum up to top, where over tells an overlined window (the
+    first of a component's pair) from a plain one; per s it is called once
+    for each distinct window, for the largest weight."""
+    low, high = weights[0], weights[-1]
+    for s in range(1, high // spec.cores + 1):
+        top = high - spec.cores * s
+        windows = [
+            (over, s + a, None if b is None else 2 * s + b)
+            for component in spec.windows
+            for over, (a, b) in zip((True, False), component)
+        ]
+        tables = {w: table(*w, top) for w in set(windows)}
+        totals = range(max(low - spec.cores * s, 0), top + 1)
+        for t, entries in _fold([tables[w] for w in windows], totals):
+            yield s, spec.cores * s + t, entries
 
 
 def enumerate_family(name: str, n: int) -> list[FamilyObject]:
-    """All weight-n objects of the family, canonically ordered, no duplicates."""
+    """All weight-n objects of the family, canonically ordered, no duplicates.
+    Each component's parts are the fold's subsets plus its core, merged into
+    the canonical order; no object is re-validated."""
     if n < 0:
         raise ValueError("weight must be >= 0")
     spec = family(name)
-    objs = []
-    for s, windows, tables in _tables(spec, n):
-        # 1-tuples, so that + joins one subset per window into a tuple of subsets
-        wrapped = {w: [[(sub,) for sub in subs] for subs in table] for w, table in tables.items()}
-        for subsets in _fold([wrapped[w] for w in windows], n - spec.cores * s):
-            parts = [
-                Overpartition.of(((s,) if i < spec.cores else ()) + subsets[2 * i],
-                                 subsets[2 * i + 1])
-                for i in range(len(spec.windows))
-            ]
-            objs.append(OverpartitionPair(*parts) if len(parts) == 2 else parts[0])
-    if len(set(objs)) != len(objs):
+    pair = len(spec.windows) == 2
+    objs: list[FamilyObject] = []
+    for s, _, entries in _walk(spec, range(n, n + 1), _subset_table):
+        core = ((s, True),)
+        second_core = core if spec.cores == 2 else ()
+        for subsets in entries:
+            first = Overpartition(tuple(sorted(core + subsets[0] + subsets[1], reverse=True)))
+            if pair:
+                second = tuple(sorted(second_core + subsets[2] + subsets[3], reverse=True))
+                objs.append(OverpartitionPair(first, Overpartition(second)))
+            else:
+                objs.append(first)
+    # the dataclasses compare objects as these plain-tuple keys do, but in
+    # Python; hashing and sorting the keys runs in C
+    key = attrgetter("first.parts", "second.parts") if pair else attrgetter("parts")
+    if len(set(map(key, objs))) != len(objs):
         raise AssertionError(f"family {name} produced duplicate objects at n={n}")
-    objs.sort()
+    objs.sort(key=key)
     return objs
 
 
@@ -270,46 +300,60 @@ _COUNTED = {
 }
 
 
+def _signed_counts(spec: FamilySpec, weights: range) -> list[tuple[int, int, int]]:
+    """(even, odd, signed) for every weight in `weights`.  Every object is
+    visited once, as the number of its counted parts outside the cores; no
+    object is built."""
+    over_counted, plain_counted = _COUNTED[spec.statistic]
+    base = spec.cores if over_counted else 0
+
+    def table(over, lo, hi, top):
+        step = int(over_counted if over else plain_counted)
+        return _knapsack(lo, hi, top, 0, lambda k: step)
+
+    tally = [[0, 0] for _ in weights]
+    for _, n, sizes in _walk(spec, weights, table):  # one int per object
+        odd_sizes = sum(map(and_, sizes, repeat(1)))
+        row = tally[n - weights[0]]
+        row[base & 1] += len(sizes) - odd_sizes
+        row[(base + 1) & 1] += odd_sizes
+    return [(even, odd, (odd - even) if spec.odd_positive else (even - odd)) for even, odd in tally]
+
+
 def signed_count(name: str, n: int) -> tuple[int, int, int]:
-    """(even count, odd count, signed difference) for the family statistic.
-    Every weight-n object is visited once, as the sum of its counted subset
-    sizes; no object is built."""
+    """(even count, odd count, signed difference) for the family statistic
+    at weight n; the halves of the fold meet at n only."""
     if n < 0:
         raise ValueError("weight must be >= 0")
-    spec = family(name)
-    over, plain = _COUNTED[spec.statistic]
-    mask = (over, plain) * len(spec.windows)
-    base = spec.cores if over else 0
-    tally = [0, 0]
-    for s, windows, tables in _tables(spec, n):
-        rows = [
-            [list(map(len, subs)) if counted else [0] * len(subs) for subs in tables[w]]
-            for w, counted in zip(windows, mask)
-        ]
-        sizes = _fold(rows, n - spec.cores * s)  # one int per object
-        odd_sizes = sum(map(and_, sizes, repeat(1)))
-        tally[base & 1] += len(sizes) - odd_sizes
-        tally[(base + 1) & 1] += odd_sizes
-    even, odd = tally
-    signed = (odd - even) if spec.odd_positive else (even - odd)
-    return (even, odd, signed)
+    return _signed_counts(family(name), range(n, n + 1))[0]
+
+
+def signed_counts(name: str, max_n: int) -> list[tuple[int, int, int]]:
+    """signed_count(name, n) for n = 0 .. max_n, from one walk: each
+    smallest part's tables and half-joins are built once, for the largest
+    weight, and the halves meet at every weight."""
+    if max_n < 0:
+        raise ValueError("weight must be >= 0")
+    return _signed_counts(family(name), range(max_n + 1))
 
 
 # -- classical partition-side oracles --------------------------------------
 
 
+def distinct_parts_differences(max_n: int) -> list[int]:
+    """distinct_parts_difference(n) for n = 0 .. max_n, from one knapsack
+    pass over the sizes 1 .. max_n; each partition into distinct parts is
+    one entry, its number of parts."""
+    if max_n < 0:
+        raise ValueError("weight must be >= 0")
+    table = _knapsack(1, None, max_n, 0, lambda k: 1)
+    return [len(sizes) - 2 * sum(map(and_, sizes, repeat(1))) for sizes in table]
+
+
 def distinct_parts_difference(n: int) -> int:
     """Partitions of n into distinct parts counted with an even number of
     parts, minus those with an odd number."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
-    even = odd = 0
-    for parts in distinct_subsets(1, None, n):
-        if len(parts) & 1:
-            odd += 1
-        else:
-            even += 1
-    return even - odd
+    return distinct_parts_differences(n)[n]
 
 
 def pentagonal_rule(n: int) -> int:
@@ -355,7 +399,7 @@ def oracle_compare(name: str, max_n: int):
     from .series import QSeries
 
     def sides():
-        counts = QSeries([signed_count(name, n)[2] for n in range(max_n + 1)], max_n)
+        counts = QSeries([signed for _, _, signed in signed_counts(name, max_n)], max_n)
         return counts, gen_family(name, max_n)
 
     label = "enumeration vs series coefficient"

@@ -23,7 +23,7 @@ import random
 from functools import partial
 from typing import Callable, Union
 
-from .enumeration import FamilySpec, distinct_parts_difference, family
+from .enumeration import FamilySpec, distinct_parts_differences, family
 from .products import (
     Monomial,
     NegativeExponentFactor,
@@ -388,7 +388,7 @@ LEGENDRE_CAP = 40
 
 def _classical_legendre(order: int) -> SidePairs:
     cap = min(order, LEGENDRE_CAP)
-    counted = QSeries([distinct_parts_difference(n) for n in range(cap + 1)], cap)
+    counted = QSeries(distinct_parts_differences(cap), cap)
     return [("signed-count-vs-bilateral-sum", counted, _pentagonal_bilateral_sum(cap))]
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: series ids, output formats, env handling, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 import overq.bailey as bailey
 import overq.cli as cli
+import overq.enumeration as enumeration
 from overq.report import VerificationReport
 
 
@@ -126,6 +128,22 @@ def test_enum_list_line_count(capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "fam, n, lines, sha256",
+    [
+        ("C", 16, 2450, "af8aa3d31a8fd69de46ce1dd2612b3a6bd506d95b26f2339f544f23aaf5d3c00"),
+        ("D", 14, 454, "e97bdd81968f425d0ae33bd5df053a003f2b4f34d7ab43a31c0fd716909d54bc"),
+    ],
+    ids=["C-16", "D-14"],
+)
+def test_enum_list_is_pinned(capsys, fam, n, lines, sha256):
+    # digests of the listings as the Overpartition.of-based builder printed
+    # them; a change in object order, rendering or membership shows here
+    code, out, _ = run(capsys, "enum", "--family", fam, "--n", str(n), "--list")
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_enum_counts(capsys):
     code, out, _ = run(capsys, "enum", "--family", "F", "--n", "4", "--counts")
     assert code == 0 and out.strip() == "(2, 2, 0)"
@@ -223,6 +241,7 @@ def test_weight_cap_refuses_before_enumerating(capsys, monkeypatch, argv):
 
     for name in ("enumerate_family", "signed_count", "oracle_compare"):
         monkeypatch.setattr(cli, name, refused)
+    monkeypatch.setattr(enumeration, "signed_counts", refused)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"1 .. {cli.MAX_WEIGHT}" in err
@@ -317,6 +336,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, wh
 
     for name in ("_verify_reports", "_series_for", "signed_count", "oracle_compare"):
         monkeypatch.setattr(cli, name, refused)
+    monkeypatch.setattr(enumeration, "signed_counts", refused)
     out = {"missing-directory": tmp_path / "missing" / "x.json", "directory": tmp_path}
     code, stdout, err = run(capsys, *argv, "--out", str(out.get(where, "")))
     assert code == 2 and stdout == ""

@@ -11,7 +11,7 @@ from overq.enumeration import (
     Overpartition,
     OverpartitionPair,
     distinct_parts_difference,
-    distinct_subsets,
+    distinct_parts_differences,
     enumerate_family,
     family,
     is_sum_two_triangular,
@@ -19,7 +19,21 @@ from overq.enumeration import (
     oracle_compare,
     pentagonal_rule,
     signed_count,
+    signed_counts,
 )
+
+
+def distinct_subsets(lo, hi, total):
+    """Strictly increasing tuples of integers in [lo, hi] summing to total
+    (hi None means unbounded): the recursive reference for the knapsack
+    tables."""
+    if total == 0:
+        yield ()
+        return
+    top = total if hi is None else min(hi, total)
+    for first in range(lo, top + 1):
+        for rest in distinct_subsets(first + 1, hi, total - first):
+            yield (first,) + rest
 
 
 def _pair(first, second):
@@ -132,7 +146,7 @@ def test_window_table_matches_brute_force(name):
 
 
 def test_object_totals_to_weight_22():
-    totals = {name: sum(sum(signed_count(name, n)[:2]) for n in range(1, 23)) for name in FAMILIES}
+    totals = {name: sum(even + odd for even, odd, _ in signed_counts(name, 22)) for name in FAMILIES}
     want = {"F": 1236, "G": 1236, "A": 37481, "A2": 37481, "B": 32564, "C": 62010, "D": 24529}
     assert totals == want
 
@@ -191,8 +205,18 @@ def _ref_signed_count(name, n):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_signed_count_matches_the_reference_walk(name):
+    counts = signed_counts(name, 22)
+    assert len(counts) == 23
     for n in range(23):
-        assert signed_count(name, n) == _ref_signed_count(name, n), (name, n)
+        want = _ref_signed_count(name, n)
+        assert counts[n] == want, (name, n)
+        assert signed_count(name, n) == want, (name, n)
+
+
+def test_signed_counts_agree_with_single_weights():
+    counts = signed_counts("C", 26)
+    assert counts == [signed_count("C", n) for n in range(27)]
+    assert signed_counts("F", 0) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -204,10 +228,12 @@ def test_enumerate_family_matches_the_reference_walk(name):
 @pytest.mark.parametrize("lo, hi", [(1, None), (2, None), (3, 5), (4, 4), (5, 3)])
 def test_subset_table_lists_each_subset_once(lo, hi):
     top = 14
-    table = enumeration._subset_table(lo, hi, top)
-    assert len(table) == top + 1
-    for t, subs in enumerate(table):
-        assert sorted(subs) == sorted(distinct_subsets(lo, hi, t)), (lo, hi, t)
+    for over in (True, False):
+        table = enumeration._subset_table(over, lo, hi, top)
+        assert len(table) == top + 1
+        for t, subs in enumerate(table):
+            want = [(tuple((k, over) for k in sub),) for sub in distinct_subsets(lo, hi, t)]
+            assert sorted(subs) == sorted(want), (lo, hi, over, t)
 
 
 def test_object_totals_at_the_weight_cap():
@@ -217,13 +243,17 @@ def test_object_totals_at_the_weight_cap():
 
 
 def test_negative_weights_are_refused_before_any_work(monkeypatch):
+    for refused in (signed_count, signed_counts, enumerate_family):
+        with pytest.raises(ValueError, match="weight must be >= 0"):
+            refused("F", -3)
     with pytest.raises(ValueError, match="weight must be >= 0"):
-        signed_count("F", -3)
+        distinct_parts_differences(-1)
 
     def untouched(*args):
         raise AssertionError("work started for a negative weight")
 
     monkeypatch.setattr(enumeration, "signed_count", untouched)
+    monkeypatch.setattr(enumeration, "signed_counts", untouched)
     monkeypatch.setattr(enumeration, "family", untouched)
     with pytest.raises(ValueError, match="weight must be >= 0"):
         oracle_compare("F", -1)
@@ -282,6 +312,14 @@ def test_distinct_parts_difference_small_values():
 def test_distinct_parts_difference_matches_pentagonal_rule():
     for n in range(41):
         assert distinct_parts_difference(n) == pentagonal_rule(n), n
+
+
+def test_distinct_parts_differences_from_one_table():
+    diffs = distinct_parts_differences(60)
+    assert diffs == [pentagonal_rule(n) for n in range(61)]
+    for n in range(31):
+        sizes = [len(parts) for parts in distinct_subsets(1, None, n)]
+        assert diffs[n] == sum(1 if k % 2 == 0 else -1 for k in sizes), n
 
 
 def test_triangular_predicates():
