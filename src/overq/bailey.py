@@ -261,7 +261,7 @@ def verify_lemma(p: PairLike, a: Monomial, order: int) -> VerificationReport:
 
 
 def _lattice(order: int, exponent: Callable[[int, int], int]) -> QSeries:
-    return lattice_sum(order, exponent, lambda r, n: ((1, exponent(r, n)),))
+    return lattice_sum(order, exponent, lambda r, n, e: ((1, e),))
 
 
 def _eighth(value: int) -> int:
@@ -379,8 +379,7 @@ def _c_bpd1_lattice(order: int) -> QSeries:
     def base(r: int, n: int) -> int:
         return 2 * n * n + 2 * n * r + r * r + 3 * n + 2 * r
 
-    def emit(r: int, n: int):
-        e = base(r, n)
+    def emit(r: int, n: int, e: int):
         return (
             (1, e),
             (-1, e + r + 1),
@@ -484,9 +483,8 @@ def _d_p(r: int, n: int) -> int:
     return 2 * n * n + 2 * n * r + r * r + n
 
 
-def _d_four_terms(r: int, n: int):
-    # -(1 - q^r)(1 - q^(r+2n+1)) q^P expanded
-    e = _d_p(r, n)
+def _d_four_terms(r: int, n: int, e: int):
+    # -(1 - q^r)(1 - q^(r+2n+1)) q^P expanded, with e = P(r, n)
     return (
         (-1, e),
         (1, e + r),
@@ -501,7 +499,7 @@ def _d_v_from(order: int, r0: int) -> QSeries:
     return lattice_sum(
         order,
         lambda r, n: _d_p(r + r0, n),
-        lambda r, n: _d_four_terms(r + r0, n),
+        lambda r, n, e: _d_four_terms(r + r0, n, e),
     )
 
 
@@ -520,9 +518,8 @@ def _d_r_split(order: int) -> QSeries:
 
 def _d_v_product_form(order: int) -> QSeries:
     # same sum with the product expanded mechanically rather than by hand
-    def emit(r: int, n: int):
+    def emit(r: int, n: int, e: int):
         rr = r + 1
-        e = _d_p(rr, n)
         out = []
         for c1, e1 in ((1, 0), (-1, rr)):
             for c2, e2 in ((1, 0), (-1, rr + 2 * n + 1)):

@@ -16,16 +16,18 @@ The product of two integer series is one big-integer multiply by Kronecker
 substitution (_kronecker_mul), with a slot width proven wide enough to keep
 every coefficient exact; a product with a Fraction coefficient runs the
 schoolbook double loop (_schoolbook_mul), which the tests also use as the
-reference for the fast path.
+reference for the fast path.  _pack and _unpack move a coefficient list in
+and out of its packed integer: slots of 1, 2, 4 or 8 bytes go through
+struct in one C-level pass, wider slots one coefficient per step.  products
+builds its Pochhammer products on the same packing.
 
-Every sum and product in the package runs on the two in-place binomial
-kernels, which multiply or divide a coefficient list by (1 + c*q^e).  Each
-runs as C-level builtins over slices (map, itertools.accumulate) rather than
-one Python step per coefficient.  The multiply is one map: every
-coefficient reads one e below it, none of them updated yet.  The divide
-reads coefficients it has already updated, and the package divides only by
-(1 - q^e) and (1 + q^e), so it dispatches on c and on e against the list
-length L:
+Every sum in the package runs on the two in-place binomial kernels, which
+multiply or divide a coefficient list by (1 + c*q^e).  Each runs as C-level
+builtins over slices (map, itertools.accumulate) rather than one Python step
+per coefficient.  The multiply is one map: every coefficient reads one e
+below it, none of them updated yet.  The divide reads coefficients it has
+already updated, and the package divides only by (1 - q^e) and (1 + q^e),
+so it dispatches on c and on e against the list length L:
 
 - (1 - q^e) with e*e < L: the quotient is a running sum along each residue
   class mod e, one accumulate per class, so e calls of about L/e steps;
@@ -45,6 +47,7 @@ reference for the fast path.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, neg, sub
@@ -72,6 +75,11 @@ def _norm(x: Coeff) -> Coeff:
     raise TypeError(f"coefficients must be int or Fraction, got {type(x).__name__}")
 
 
+def _all_int(cs: Iterable[Coeff]) -> bool:
+    """Whether every coefficient is exactly an int, in one C-level pass."""
+    return {int}.issuperset(map(type, cs))
+
+
 class QSeries:
     """An exact power series in q truncated after the q^order coefficient."""
 
@@ -79,7 +87,7 @@ class QSeries:
 
     def __init__(self, coeffs: Sequence[Coeff], order: Optional[int] = None):
         cs = tuple(coeffs)
-        if set(map(type, cs)) != {int}:
+        if not _all_int(cs):
             cs = tuple(map(_norm, cs))
         if order is None:
             if not cs:
@@ -110,7 +118,7 @@ class QSeries:
 
     def is_integral(self) -> bool:
         """True when every stored coefficient is a whole number."""
-        return all(type(c) is int for c in self.coeffs)
+        return _all_int(self.coeffs)
 
     def equal_up_to(self, other: "QSeries", through: int) -> bool:
         """Compare coefficients of q^0 .. q^through; order must cover the range."""
@@ -171,7 +179,7 @@ class QSeries:
         if isinstance(other, QSeries):
             n = min(self.order, other.order)
             a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-            if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+            if _all_int(a) and _all_int(b):
                 return QSeries(_kronecker_mul(a, b, n), n)
             return QSeries(_schoolbook_mul(a, b, n), n)
         if isinstance(other, (int, Fraction)):
@@ -188,7 +196,7 @@ class QSeries:
         a = self.coeffs
         if a[0] == 0:
             raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        if a[0] in (1, -1) and all(type(c) is int for c in a):
+        if a[0] in (1, -1) and _all_int(a):
             return QSeries(_newton_invert(a, self.order), self.order)
         return QSeries(_schoolbook_invert(a, self.order), self.order)
 
@@ -297,6 +305,54 @@ def _schoolbook_mul(a: Sequence[Coeff], b: Sequence[Coeff], n: int) -> list:
     return out
 
 
+#: a signed struct format code for each slot width in bytes, so slots of
+#: that width convert to and from ints in one C-level pass; "<" fixes both
+#: the sizes and the byte order on every platform
+_LANES = {struct.calcsize("<" + code): code for code in "bhiq"}
+
+
+def _bias(width: int, length: int) -> int:
+    """2^(8*width - 1) in each of length slots of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+
+
+def _pack(cs: Sequence[int], width: int) -> int:
+    """sum(cs[i] * 2^(8*width*i)): cs evaluated at q = 2^(8*width), for
+    coefficients in [-2^(8*width - 1), 2^(8*width - 1)).
+
+    The slots are first written in two's complement, where a negative
+    coefficient does not borrow from the slot above it.  XOR with the bias
+    flips each slot's top bit, which turns the two's complement of c into
+    c + h in [0, 2^(8*width)), with h = 2^(8*width - 1); subtracting the
+    bias then leaves the sum of the c * 2^(8*width*i) themselves."""
+    lane = _LANES.get(width)
+    if lane is None:
+        data = b"".join([c.to_bytes(width, "little", signed=True) for c in cs])
+    else:
+        data = struct.pack(f"<{len(cs)}{lane}", *cs)
+    bias = _bias(width, len(cs))
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def _unpack(x: int, width: int, length: int) -> list:
+    """The first length coefficients of x as packed by _pack, read modulo
+    2^(8*width*length); each must lie in [-2^(8*width - 1), 2^(8*width - 1)).
+
+    With the bias added, every slot holds c + h in [0, 2^(8*width)), so no
+    slot borrows from or carries into its neighbour; XOR with the bias
+    leaves each slot in two's complement, read back as a signed int."""
+    bias = _bias(width, length)
+    size = width * length
+    data = (((x + bias) & ((1 << (8 * size)) - 1)) ^ bias).to_bytes(size, "little")
+    lane = _LANES.get(width)
+    if lane is None:
+        return [
+            int.from_bytes(data[i : i + width], "little", signed=True)
+            for i in range(0, size, width)
+        ]
+    return list(struct.unpack(f"<{length}{lane}", data))
+
+
 def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
     """Coefficients q^0 .. q^n of a*b for integer a, b of n + 1 coefficients
     each, by Kronecker substitution: evaluate both at q = 2^w, multiply the
@@ -305,13 +361,10 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
 
     The slot width is w = bits(max|a|) + bits(max|b|) + bits(n+1) + 1,
     rounded up to whole bytes (which only widens it).  Every product
-    coefficient is a sum of at most n + 1 terms a_i*b_j, so its magnitude is
-    below 2^bits(n+1) * 2^bits(max|a|) * 2^bits(max|b|) <= 2^(w-1); the
-    inputs are below that bound too.  Adding the bias h = 2^(w-1) to every
-    slot therefore puts each one in [0, 2^w): no slot borrows from or
-    carries into its neighbour, and subtracting h again recovers every
-    coefficient exactly.  The slots above q^n are dropped, which cannot
-    disturb the ones below.
+    coefficient is a sum of at most n + 1 terms a_i*b_j, so its magnitude
+    is below 2^bits(n+1) * 2^bits(max|a|) * 2^bits(max|b|) <= 2^(w-1); the
+    inputs are below that bound too, so _pack and _unpack are exact.  The
+    slots above q^n are dropped, which cannot disturb the ones below.
     """
     bits = (
         max(map(abs, a)).bit_length()
@@ -320,17 +373,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
         + 1
     )
     width = (bits + 7) // 8
-    h = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
-
-    def pack(cs: Sequence[int]) -> int:
-        slots = b"".join([(c + h).to_bytes(width, "little") for c in cs])
-        return int.from_bytes(slots, "little") - bias
-
-    size = width * (n + 1)
-    low = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
-    data = low.to_bytes(size, "little")
-    return [int.from_bytes(data[i : i + width], "little") - h for i in range(0, size, width)]
+    return _unpack(_pack(a, width) * _pack(b, width), width, n + 1)
 
 
 def _schoolbook_invert(a: Sequence[Coeff], n: int) -> list:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from overq.series import QSeries, monomial, one
+from overq.series import QSeries, _mul_binomial_inplace, _pack, monomial, one
 from overq.products import (
     Monomial,
     NegativeExponentFactor,
@@ -14,6 +14,7 @@ from overq.products import (
     Theta1D,
     Theta2D,
     ZeroDenominator,
+    _certifier,
     lattice_sum,
     phi32,
     poch_finite,
@@ -299,24 +300,24 @@ def test_theta2d_validation():
 
 def test_lattice_sum_monotonicity_guard():
     with pytest.raises(ValueError, match="monotone in n"):
-        lattice_sum(20, lambda r, n: 10 - n, lambda r, n: ((1, 10),))
+        lattice_sum(20, lambda r, n: 10 - n, lambda r, n, b: ((1, 10),))
     with pytest.raises(ValueError, match="monotone in r"):
-        lattice_sum(20, lambda r, n: (30 if r == 0 else 5) + n, lambda r, n: ())
+        lattice_sum(20, lambda r, n: (30 if r == 0 else 5) + n, lambda r, n, b: ())
     with pytest.raises(ValueError, match="below its bound"):
-        lattice_sum(20, lambda r, n: r + n + 1, lambda r, n: ((1, 0),))
+        lattice_sum(20, lambda r, n: r + n + 1, lambda r, n, b: ((1, 0),))
 
 
 def test_lattice_sum_refuses_a_negative_exponent():
     # the q^-1 term at r = n = 0 would land in the top coefficient
     with pytest.raises(ValueError, match="negative lattice exponent -1"):
-        lattice_sum(10, lambda r, n: r + n - 1, lambda r, n: ((1, r + n - 1),))
+        lattice_sum(10, lambda r, n: r + n - 1, lambda r, n, b: ((1, b),))
 
 
 def test_lattice_sum_emit_matches_monomials():
     got = lattice_sum(
         30,
         lambda r, n: r * r + n * n,
-        lambda r, n: ((1, r * r + n * n), (-1, r * r + n * n + 1)),
+        lambda r, n, b: ((1, b), (-1, b + 1)),
     )
     want = one(30).scale(0)
     r = 0
@@ -330,3 +331,111 @@ def test_lattice_sum_emit_matches_monomials():
             n += 1
         r += 1
     assert got.equal_up_to(want, 30)
+
+
+# -- packed Pochhammer products against the list loop they replaced ------------
+
+POCH_ORDERS = (0, 1, 2, 7, 60, 400, 1000)
+POCH_LENGTHS = (0, 1, 2, 5, 40, 2000)
+
+
+def _list_poch_finite(a, base, n, order):
+    """(a; q^base)_n by one list update per factor, the loop before the
+    packed product."""
+    if base < 1:
+        raise ValueError("base must be >= 1")
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    for j in range(n):
+        ex = a.e + j * base
+        if ex < 0:
+            raise NegativeExponentFactor(f"factor (1 - {a.c}*q^{ex}) in ({a}; q^{base})_{n}")
+        if ex > order:
+            break
+        _mul_binomial_inplace(cs, -a.c, ex)
+        if ex == 0 and a.c == 1:
+            break
+    return cs
+
+
+def _list_poch_infinite(a, base, order):
+    if base < 1:
+        raise ValueError("base must be >= 1")
+    if a.e < 1:
+        raise NonconvergentProduct(f"({a}; q^{base})_inf needs a positive leading exponent")
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    ex = a.e
+    while ex <= order:
+        _mul_binomial_inplace(cs, -a.c, ex)
+        ex += base
+    return cs
+
+
+def _outcome(build, *args):
+    """The coefficient list, or the exception's type and message."""
+    try:
+        result = build(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return list(getattr(result, "coeffs", result))
+
+
+@pytest.mark.parametrize("order", POCH_ORDERS)
+def test_packed_products_match_the_list_loop(order):
+    for c in (1, -1):
+        for lead in range(-1, 4):
+            a = Monomial(c, lead)
+            for base in (1, 2, 3):
+                for n in POCH_LENGTHS:
+                    got = _outcome(poch_finite, a, base, n, order)
+                    assert got == _outcome(_list_poch_finite, a, base, n, order), (a, base, n)
+                got = _outcome(poch_infinite, a, base, order)
+                assert got == _outcome(_list_poch_infinite, a, base, order), (a, base)
+
+
+def test_packed_products_raise_where_the_loop_raises():
+    assert _outcome(poch_finite, Monomial(1, -1), 1, 3, 10)[0] is NegativeExponentFactor
+    assert _outcome(poch_infinite, Monomial(-1, 0), 2, 10)[0] is NonconvergentProduct
+    # (1 - q^0) zeroes the product; (1 + q^0) doubles it
+    assert poch_finite(Monomial(1, 0), 1, 5, 10).is_zero()
+    assert poch_finite(Monomial(-1, 0), 1, 1, 3).coeffs == (2, 0, 0, 0)
+
+
+def test_packed_product_widens_its_slots():
+    # (-q;q)_inf counts partitions into distinct parts: 73 bits at q^1000,
+    # more than 8-byte slots hold, so the 4-byte slots the product starts
+    # with must widen at least twice
+    got = poch_infinite(Monomial(-1, 1), 1, 1000).coeffs
+    assert max(got).bit_length() == 73
+    assert list(got) == _list_poch_infinite(Monomial(-1, 1), 1, 1000)
+    # and a finite product of the same kind through 2000 factors
+    want = _list_poch_finite(Monomial(-1, 1), 1, 2000, 1000)
+    assert list(poch_finite(Monomial(-1, 1), 1, 2000, 1000).coeffs) == want
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 4, 5, 8, 16, 40))
+def test_certified_bound_holds_and_frees_slot_bits(width):
+    # every coefficient below 2^(w-1) in size, as the product keeps them; a
+    # bound the test returns must hold for every coefficient, with
+    # -2^t exactly on the edge of the [-2^t, 2^t) it tests
+    w = 8 * width
+    rng = random.Random(8093 + width)
+    certify = _certifier(width, 6)
+    top = (1 << (w - 1)) - 1
+    values = {0, 1, -1, top, -top}
+    for k in range(w - 1):
+        values |= {(1 << k) - 1, 1 << k, -(1 << k), -(1 << k) - 1}
+    for v in sorted(values):
+        if abs(v) > top:
+            continue
+        for slot in range(6):
+            cs = [rng.choice((0, 1, -1)) for _ in range(6)]
+            cs[slot] = v
+            bound = certify(_pack(cs, width))
+            if bound is not None:
+                assert bound <= w - 2, (v, slot)
+                assert all(abs(c) < 1 << bound for c in cs), (v, slot, bound)
+    assert certify(_pack([1, -1, 0, 1, 0, -1], width)) is not None

@@ -16,8 +16,10 @@ from overq.series import (
     _mul_binomial_inplace,
     _newton_invert,
     _norm,
+    _pack,
     _schoolbook_invert,
     _schoolbook_mul,
+    _unpack,
     from_coeffs,
     monomial,
     one,
@@ -292,6 +294,39 @@ def test_kronecker_sparse_dense_unequal_and_zero(order):
         assert list(product.coeffs) == _reference_product(s, t)
     assert (zero(order) * cube).coeffs == (0,) * (order + 1)
     assert (cube * zero(order + 3)).coeffs == (0,) * (order + 1)
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 4, 5, 8, 16))
+@pytest.mark.parametrize("lanes", (True, False))
+def test_pack_unpack_round_trip(width, lanes, monkeypatch):
+    # 1, 2, 4 and 8 bytes go through struct, the others one at a time;
+    # without the struct lanes every width takes the slot-at-a-time path
+    if not lanes:
+        monkeypatch.setattr(series_module, "_LANES", {})
+    h = 1 << (8 * width - 1)
+    rng = random.Random(5077 + width)
+    edges = [h - 1, -(h - 1), -h, 0, 1, -1]
+    for cs in (edges, edges[::-1], [rng.randrange(-h, h) for _ in range(50)], [-h], [0]):
+        x = _pack(cs, width)
+        assert x == sum(c << (8 * width * i) for i, c in enumerate(cs))
+        assert _unpack(x, width, len(cs)) == cs
+        # slots above the ones read back do not disturb them
+        junk = rng.randrange(-(1 << 99), 1 << 99) << (8 * width * len(cs))
+        assert _unpack(x + junk, width, len(cs)) == cs
+
+
+def test_integer_products_take_the_kronecker_path(monkeypatch):
+    rng = random.Random(4111)
+    s = _random_ints(rng, 30, 9)
+    t = QSeries([Fraction(1, 2)] + [1] * 30, 30)
+    want_int = _reference_product(s, s)
+    want_frac = _reference_product(s, t)
+    monkeypatch.setattr(series_module, "_schoolbook_mul", None)
+    assert list((s * s).coeffs) == want_int
+    monkeypatch.undo()
+    monkeypatch.setattr(series_module, "_kronecker_mul", None)
+    assert list((s * t).coeffs) == want_frac
+    assert s.is_integral() and not t.is_integral()
 
 
 def test_fraction_operand_product_unchanged():
