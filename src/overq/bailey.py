@@ -25,18 +25,22 @@ over n.
 
 verify_chain replays the two derivations that turn the lemma into the
 two-square identities, one displayed equality per stage, so a transcription
-slip is caught at the exact step instead of only end to end.  The seven D
-displays that carry halves are checked with both sides doubled, so every
-side is integral.  Consecutive sum-over-n stages share a ratio table only
-when the terms are literally equal; every stage's initial term and every
-lattice exponent formula is coded independently.  The square-form sums are
-products.Theta2D specs, each written out on the side that uses it.
+slip is caught at the exact step instead of only end to end.  CHAIN_TABLE
+lists the stages as (name, lhs, rhs) rows; a side is a builder's name or a
+one-line function of the order.  Names are looked up when the stage runs,
+never at import, so a rebound builder (a test's injected fault, a tracer's
+wrapper) is the one that runs.  The seven D displays that carry halves are
+checked with both sides doubled, so every side is integral.  Consecutive
+sum-over-n stages share a ratio table only when the terms are literally
+equal; every stage's initial term and every lattice exponent formula is
+coded independently.  The square-form sums are products.Theta2D specs.
 
 Neighbouring stages share sides: stage k's right side is often stage
-k+1's left side, and several stages reuse one product or one lemma side.
-Those builders are @shared, and chain_stage_reports runs the stages in one
-sharing scope, so each is built once per verification.  A stage still
-builds its left and right sides through separately coded builders.
+k+1's left side.  Those builders are @shared, and chain_stage_reports runs
+the stages in one sharing scope, so each is built once per verification.
+Within a stage the two sides are coded apart: tests/test_chain_table.py
+builds each side alone and fails if both call one @shared builder other
+than poch_infinite, outside an audited list.
 """
 
 from __future__ import annotations
@@ -600,225 +604,143 @@ def _d_inner_final(order: int) -> QSeries:
     )
 
 
-# -- stage registry ----------------------------------------------------------
+# -- stage table -------------------------------------------------------------
 
+SideFn = Callable[[int], QSeries]
+#: one side of a stage: the name of a builder in this module, or a function
+#: of the order
+Side = Union[str, SideFn]
 StageBuilder = Callable[[int], tuple[QSeries, QSeries]]
 
 
-def _stage_c_lemma_lhs(order: int):
-    lhs, _ = lemma_sides(PAIRS["lovejoy-q2"], _NEG_Q, order)
-    return lhs, _c_explicit_sum(order)
+def _side(side: Side) -> SideFn:
+    # a name is looked up now, so a rebound module attribute is what runs
+    return globals()[side] if isinstance(side, str) else side
 
 
-def _stage_c_lemma_rhs(order: int):
-    _, rhs = lemma_sides(PAIRS["lovejoy-q2"], _NEG_Q, order)
-    return rhs.mul_binomial(-1, 1), _c_bpd1_lattice(order)
+def _lemma(name: str, a: Monomial, k: int) -> SideFn:
+    # side k (0 left, 1 right) of the conjugate Bailey lemma
+    return lambda order: lemma_sides(PAIRS[name], a, order)[k]
 
 
-def _stage_c_specialized(order: int):
-    lhs = _c_explicit_sum(order).mul_binomial(-1, 1)
-    return lhs, _c_bpd1_lattice(order)
-
-
-def _stage_c_tails(order: int):
-    lhs = _c_explicit_sum(order).mul_binomial(-1, 1)
-    return lhs, _c_ladder_tails(order)
-
-
-def _stage_c_overline(order: int):
-    return _c_ladder_tails(order), _c_ladder_pulled_out(order)
-
-
-def _stage_c_euler_swap(order: int):
-    return _c_ladder_pulled_out(order), _c_ladder_euler_swapped(order)
-
-
-def _stage_c_odd_tail(order: int):
-    return _c_ladder_euler_swapped(order), _c_ladder_odd_tail(order)
-
-
-def _stage_c_squares(order: int):
-    return _c_ladder_odd_tail(order), _c_ladder_squares(order)
-
-
-def _stage_c_merge(order: int):
-    return _c_ladder_squares(order), _c_ladder_merged(order)
-
-
-def _stage_c_finite(order: int):
-    return _c_ladder_merged(order), _c_ladder_finite(order)
-
-
-def _stage_c_reindex(order: int):
-    return _c_ladder_finite(order).shift(1), gen_family("C", order)
-
-
-def _stage_c_four_lattices(order: int):
-    lhs = _c_bpd1_lattice(order).shift(1)
-    rhs = (
-        _lattice(order, _c_e1)
-        + _lattice(order, _c_e2)
-        - _lattice(order, _c_e3)
-        - _lattice(order, _c_e4)
+def _mapped(lhs: Side, rhs: Side) -> tuple[SideFn, SideFn]:
+    # lhs at the inner order moved onto q^(8n+2), rhs at that scale's order
+    return (
+        lambda order: _side(lhs)(mapped_inner_order(order)).stretch(8, 2),
+        lambda order: _side(rhs)(8 * mapped_inner_order(order) + 2),
     )
-    return lhs, rhs
 
 
-def _stage_c_diagonal(order: int):
-    lhs = _lattice(order, _c_e1) + _lattice(order, _c_e2)
-    rhs = theta1d(Theta1D((2, 3, 1)), order) + _lattice(order, _c_e2).scale(2)
-    return lhs, rhs
+def _stage(lhs: Side, rhs: Side) -> StageBuilder:
+    return lambda order: (_side(lhs)(order), _side(rhs)(order))
 
 
-def _stage_c_eighths(order: int):
-    lhs = (
-        theta1d(Theta1D((2, 3, 1)), order)
-        + _lattice(order, _c_e2).scale(2)
-        - _lattice(order, _c_e3)
-        - _lattice(order, _c_e4)
-    )
-    return lhs, _c_inner_assembly(order)
-
-
-def _stage_c_mapped(order: int):
-    inner = mapped_inner_order(order)
-    top = 8 * inner + 2
-    return _c_inner_assembly(inner).stretch(8, 2), _c_mapped_assembly(top)
-
-
-def _stage_c_wedge(order: int):
-    lhs = theta2d(Theta2D(2, 3, 4, 2), order).scale(2) - theta2d(Theta2D(2, 3, 4, 0), order)
-    rhs = (
-        theta2d(Theta2D(2, 3, 2, 0, sign="alternating-shifted"), order).scale(2)
-        + theta2d(Theta2D(2, 3, 4, 0), order)
-    )
-    return lhs, rhs
-
-
-def _stage_c_remainder(order: int):
-    lhs = theta2d(Theta2D(2, 3, 4, 0), order) - theta2d(Theta2D(2, 1, 4, 4), order)
-    rhs = theta1d(Theta1D((8, 24, 18)), order) - theta1d(Theta1D((16, 40, 26)), order)
-    return lhs, rhs
-
-
-def _stage_c_odd_squares(order: int):
-    lhs = theta1d(Theta1D((16, 24, 10)), order) - theta1d(Theta1D((16, 40, 26)), order)
-    rhs = theta1d(Theta1D((4, 4, 2), start=1, sign="alternating-shifted"), order)
-    return lhs, rhs
-
-
-def _stage_c_assembled(order: int):
-    lhs = (
-        theta2d(Theta2D(2, 3, 2, 0, sign="alternating-shifted"), order).scale(2)
-        + theta1d(Theta1D((4, 4, 2), start=1, sign="alternating-shifted"), order)
-        + theta1d(Theta1D((8, 24, 18)), order)
-    )
-    return lhs, rhs_theorem("C", order)
-
-
-def _stage_d_lemma_lhs(order: int):
-    lhs, _ = lemma_sides(PAIRS["slater-h1"], Monomial(-1, 0), order)
-    return lhs, _d_half_split(order)
-
-
-def _stage_d_lemma_rhs(order: int):
-    _, rhs = lemma_sides(PAIRS["slater-h1"], Monomial(-1, 0), order)
-    return rhs, _d_r_split(order)
-
-
-def _stage_d_half(order: int):
-    return _d_half_split(order), _d_r_split(order)  # twice the display
-
-
-def _stage_d_expand(order: int):
-    return _d_v_from(order, 1), _d_v_product_form(order)
-
-
-def _stage_d_extend(order: int):
-    return _d_v_from(order, 1), _d_v_from(order, 0)
-
-
-def _stage_d_diagonal(order: int):
-    lhs = _lattice(order, _d_p)
-    return lhs, theta1d(Theta1D((2, 1, 0)), order) + _lattice(order, _d_b)
-
-
-def _stage_d_regroup(order: int):
-    return _d_t0(order) + _d_v_from(order, 0).scale(2), _d_grouped_sums(order)  # twice
-
-
-def _stage_d_eighths(order: int):
-    return _d_grouped_sums(order), _d_grouped_assembly(order)
-
-
-def _stage_d_pair_up(order: int):
-    return _d_grouped_assembly(order), _d_paired_assembly(order)
-
-
-def _stage_d_help_b2(order: int):
-    return _d_core_product(order).scale(2), _d_jacobi_swapped(order)  # twice
-
-
-def _stage_d_alt_merge(order: int):
-    return _d_jacobi_swapped(order), _d_inner_final(order)
-
-
-def _stage_d_mapped(order: int):
-    inner = mapped_inner_order(order)
-    top = 8 * inner + 2
-    return _d_inner_final(inner).stretch(8, 2), rhs_theorem("D", top).scale(2)  # twice
-
-
-def _stage_d_ladder_1(order: int):
-    return _d_core_product(order), _d_ladder_middle(order)
-
-
-def _stage_d_ladder_2(order: int):
-    return _d_ladder_middle(order), _d_ladder_even(order)
-
-
-def _stage_d_ladder_3(order: int):
-    return _d_ladder_even(order), gen_family("D", order)
-
-
-CHAIN_STAGES: tuple[tuple[str, StageBuilder], ...] = (
-    ("C:lemma-lhs-vs-explicit-sum", _stage_c_lemma_lhs),
-    ("C:lemma-rhs-vs-explicit-lattice", _stage_c_lemma_rhs),
-    ("C:specialized-identity", _stage_c_specialized),
-    ("C:infinite-tails-absorbed", _stage_c_tails),
-    ("C:overline-factor-pulled-out", _stage_c_overline),
-    ("C:euler-reciprocal-swap", _stage_c_euler_swap),
-    ("C:odd-tail-folded", _stage_c_odd_tail),
-    ("C:difference-of-squares", _stage_c_squares),
-    ("C:even-odd-tails-merged", _stage_c_merge),
-    ("C:tail-ratio-to-finite", _stage_c_finite),
-    ("C:reindex-to-family-series", _stage_c_reindex),
-    ("C:product-expanded-to-lattices", _stage_c_four_lattices),
-    ("C:first-diagonal-collapse", _stage_c_diagonal),
-    ("C:eighth-square-forms", _stage_c_eighths),
-    ("C:mapped-to-8n-plus-2", _stage_c_mapped),
-    ("C:wedge-parity-merge", _stage_c_wedge),
-    ("C:diagonal-remainder", _stage_c_remainder),
-    ("C:odd-square-merge", _stage_c_odd_squares),
-    ("C:assembled-theorem-side", _stage_c_assembled),
-    ("D:lemma-lhs-vs-half-split", _stage_d_lemma_lhs),
-    ("D:lemma-rhs-vs-r-split", _stage_d_lemma_rhs),
-    ("D:halved-identity", _stage_d_half),
-    ("D:product-expanded", _stage_d_expand),
-    ("D:extended-to-r0", _stage_d_extend),
-    ("D:second-diagonal-collapse", _stage_d_diagonal),
-    ("D:regrouped-assembly", _stage_d_regroup),
-    ("D:eighth-square-forms", _stage_d_eighths),
-    ("D:diagonals-paired-up", _stage_d_pair_up),
-    ("D:jacobi-swap", _stage_d_help_b2),
-    ("D:alternating-merge", _stage_d_alt_merge),
-    ("D:mapped-to-8n-plus-2", _stage_d_mapped),
-    ("D:ladder-binomial-split", _stage_d_ladder_1),
-    ("D:ladder-even-factors", _stage_d_ladder_2),
-    ("D:ladder-vs-family-series", _stage_d_ladder_3),
+#: (name, lhs, rhs) per displayed equality, in derivation order
+CHAIN_TABLE: tuple[tuple[str, Side, Side], ...] = (
+    ("C:lemma-lhs-vs-explicit-sum", _lemma("lovejoy-q2", _NEG_Q, 0), "_c_explicit_sum"),
+    (
+        "C:lemma-rhs-vs-explicit-lattice",
+        lambda o: _lemma("lovejoy-q2", _NEG_Q, 1)(o).mul_binomial(-1, 1),
+        "_c_bpd1_lattice",
+    ),
+    ("C:specialized-identity", lambda o: _c_explicit_sum(o).mul_binomial(-1, 1), "_c_bpd1_lattice"),
+    (
+        "C:infinite-tails-absorbed",
+        lambda o: _c_explicit_sum(o).mul_binomial(-1, 1),
+        "_c_ladder_tails",
+    ),
+    ("C:overline-factor-pulled-out", "_c_ladder_tails", "_c_ladder_pulled_out"),
+    ("C:euler-reciprocal-swap", "_c_ladder_pulled_out", "_c_ladder_euler_swapped"),
+    ("C:odd-tail-folded", "_c_ladder_euler_swapped", "_c_ladder_odd_tail"),
+    ("C:difference-of-squares", "_c_ladder_odd_tail", "_c_ladder_squares"),
+    ("C:even-odd-tails-merged", "_c_ladder_squares", "_c_ladder_merged"),
+    ("C:tail-ratio-to-finite", "_c_ladder_merged", "_c_ladder_finite"),
+    (
+        "C:reindex-to-family-series",
+        lambda o: _c_ladder_finite(o).shift(1),
+        lambda o: gen_family("C", o),
+    ),
+    (
+        "C:product-expanded-to-lattices",
+        lambda o: _c_bpd1_lattice(o).shift(1),
+        lambda o: _lattice(o, _c_e1) + _lattice(o, _c_e2) - _lattice(o, _c_e3) - _lattice(o, _c_e4),
+    ),
+    (
+        "C:first-diagonal-collapse",
+        lambda o: _lattice(o, _c_e1) + _lattice(o, _c_e2),
+        lambda o: theta1d(Theta1D((2, 3, 1)), o) + _lattice(o, _c_e2).scale(2),
+    ),
+    (
+        "C:eighth-square-forms",
+        lambda o: (
+            theta1d(Theta1D((2, 3, 1)), o)
+            + _lattice(o, _c_e2).scale(2)
+            - _lattice(o, _c_e3)
+            - _lattice(o, _c_e4)
+        ),
+        "_c_inner_assembly",
+    ),
+    ("C:mapped-to-8n-plus-2", *_mapped("_c_inner_assembly", "_c_mapped_assembly")),
+    (
+        "C:wedge-parity-merge",
+        lambda o: theta2d(Theta2D(2, 3, 4, 2), o).scale(2) - theta2d(Theta2D(2, 3, 4, 0), o),
+        lambda o: (
+            theta2d(Theta2D(2, 3, 2, 0, sign="alternating-shifted"), o).scale(2)
+            + theta2d(Theta2D(2, 3, 4, 0), o)
+        ),
+    ),
+    (
+        "C:diagonal-remainder",
+        lambda o: theta2d(Theta2D(2, 3, 4, 0), o) - theta2d(Theta2D(2, 1, 4, 4), o),
+        lambda o: theta1d(Theta1D((8, 24, 18)), o) - theta1d(Theta1D((16, 40, 26)), o),
+    ),
+    (
+        "C:odd-square-merge",
+        lambda o: theta1d(Theta1D((16, 24, 10)), o) - theta1d(Theta1D((16, 40, 26)), o),
+        lambda o: theta1d(Theta1D((4, 4, 2), start=1, sign="alternating-shifted"), o),
+    ),
+    (
+        "C:assembled-theorem-side",
+        lambda o: (
+            theta2d(Theta2D(2, 3, 2, 0, sign="alternating-shifted"), o).scale(2)
+            + theta1d(Theta1D((4, 4, 2), start=1, sign="alternating-shifted"), o)
+            + theta1d(Theta1D((8, 24, 18)), o)
+        ),
+        lambda o: rhs_theorem("C", o),
+    ),
+    ("D:lemma-lhs-vs-half-split", _lemma("slater-h1", Monomial(-1, 0), 0), "_d_half_split"),
+    ("D:lemma-rhs-vs-r-split", _lemma("slater-h1", Monomial(-1, 0), 1), "_d_r_split"),
+    ("D:halved-identity", "_d_half_split", "_d_r_split"),  # twice the display
+    ("D:product-expanded", lambda o: _d_v_from(o, 1), "_d_v_product_form"),
+    ("D:extended-to-r0", lambda o: _d_v_from(o, 1), lambda o: _d_v_from(o, 0)),
+    (
+        "D:second-diagonal-collapse",
+        lambda o: _lattice(o, _d_p),
+        lambda o: theta1d(Theta1D((2, 1, 0)), o) + _lattice(o, _d_b),
+    ),
+    (
+        "D:regrouped-assembly",  # twice the display
+        lambda o: _d_t0(o) + _d_v_from(o, 0).scale(2),
+        "_d_grouped_sums",
+    ),
+    ("D:eighth-square-forms", "_d_grouped_sums", "_d_grouped_assembly"),
+    ("D:diagonals-paired-up", "_d_grouped_assembly", "_d_paired_assembly"),
+    ("D:jacobi-swap", lambda o: _d_core_product(o).scale(2), "_d_jacobi_swapped"),  # twice
+    ("D:alternating-merge", "_d_jacobi_swapped", "_d_inner_final"),
+    (  # twice the display
+        "D:mapped-to-8n-plus-2",
+        *_mapped("_d_inner_final", lambda o: rhs_theorem("D", o).scale(2)),
+    ),
+    ("D:ladder-binomial-split", "_d_core_product", "_d_ladder_middle"),
+    ("D:ladder-even-factors", "_d_ladder_middle", "_d_ladder_even"),
+    ("D:ladder-vs-family-series", "_d_ladder_even", lambda o: gen_family("D", o)),
 )
 
-CHAIN_STAGE_IDS = tuple(name for name, _ in CHAIN_STAGES)
+CHAIN_STAGES: tuple[tuple[str, StageBuilder], ...] = tuple(
+    (name, _stage(lhs, rhs)) for name, lhs, rhs in CHAIN_TABLE
+)
+
+CHAIN_STAGE_IDS = tuple(name for name, _, _ in CHAIN_TABLE)
 
 
 def chain_stage_reports(order: int) -> list[VerificationReport]:

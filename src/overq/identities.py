@@ -71,12 +71,12 @@ def gen_family(fam: Family, order: int) -> QSeries:
         raise ValueError("order must be >= 0")
     cf, df = spec.fin_factor
     # summand at s=1, without its q^(p*s) prefactor
-    first = one(order)
+    first = None
     for c, d, m in spec.inf_factors:
         p = poch_infinite(Monomial(c, 1 + d), 1, order)
         for _ in range(m):
-            first = first * p
-    cur = list(first.coeffs)
+            first = p if first is None else first * p
+    cur = list((one(order) if first is None else first).coeffs)
     _mul_binomial_inplace(cur, -cf, 1 + df)
     ratio = Ratio(
         (1, 0, spec.prefactor),

@@ -1,0 +1,93 @@
+"""The chain's stage table: its names resolve, its sides are pinned, and the
+two sides of a stage share no @shared builder beyond an audited list."""
+
+import hashlib
+
+import pytest
+
+from overq import bailey, products
+from overq.products import sharing
+
+#: SHA-256 over every stage's two sides at orders 0, 1, 60 and 400, taken
+#: from the hand-written stage functions the table replaced
+SIDE_DIGEST = "ed6a3da896035dd8fe0fb660af629c2309571b9ba212a907a58e25c4bee800fa"
+
+#: leaf products that any two sides may build: a closed-form Pochhammer
+#: product, not a step of the derivation
+LEAF_BUILDERS = frozenset({"poch_infinite"})
+
+#: (stage, builder) -> why both sides of the stage may build it
+SHARED_ON_BOTH_SIDES = {
+    ("C:infinite-tails-absorbed", "_c_prefix"): (
+        "the display moves the prefix (q;q)_inf (q^2;q)_inf^2 into the tails; "
+        "the left multiplies it into the sum, the right starts the ladder from it"
+    ),
+    ("C:overline-factor-pulled-out", "_c_prefix"): (
+        "both ladders start from the prefix; the stage checks the pulled-out "
+        "(-q^(n+1);q)_inf, which only the right side divides by"
+    ),
+    ("C:euler-reciprocal-swap", "_c_prefix"): (
+        "built inside _c_ladder_overline, which both sides multiply"
+    ),
+    ("C:euler-reciprocal-swap", "_c_ladder_overline"): (
+        "the display swaps the multiplier (-q;q)_inf for 1/(q;q^2)_inf in front "
+        "of one ladder; the stage checks Euler's identity on that multiplier"
+    ),
+    ("C:odd-tail-folded", "_c_prefix"): (
+        "both ladders start from the prefix; the stage checks the folded odd "
+        "tail (q^(2n+3);q^2)_inf, which only the right side divides by"
+    ),
+    ("D:extended-to-r0", "_d_v_from"): (
+        "one four-term lattice at r0 = 1 against r0 = 0: the stage checks that "
+        "the r = 0 row vanishes, which is all the two calls differ by"
+    ),
+}
+
+
+def side_digest(orders) -> str:
+    h = hashlib.sha256()
+    with sharing():
+        for order in orders:
+            for name, build in bailey.CHAIN_STAGES:
+                for side in build(order):
+                    h.update(repr((name, order, side.order, side.coeffs)).encode())
+    return h.hexdigest()
+
+
+def shared_builders(side, order: int) -> set[str]:
+    """Names of the @shared builders one side calls, built alone in a fresh scope."""
+    assert products._MEMO.get() is None
+    with sharing():
+        bailey._side(side)(order)
+        return {builder.__name__ for builder, _ in products._MEMO.get()} - LEAF_BUILDERS
+
+
+def overlaps(table, order: int) -> set[tuple[str, str]]:
+    """(stage, builder) for every @shared builder that both sides of a row call."""
+    found = set()
+    for name, lhs, rhs in table:
+        both = shared_builders(lhs, order) & shared_builders(rhs, order)
+        found |= {(name, builder) for builder in both}
+    return found
+
+
+def test_every_named_side_is_a_module_callable():
+    sides = [side for _, lhs, rhs in bailey.CHAIN_TABLE for side in (lhs, rhs)]
+    names = [side for side in sides if isinstance(side, str)]
+    assert names
+    for name in names:
+        assert callable(vars(bailey).get(name)), name
+
+
+def test_sides_match_the_pinned_digest():
+    assert side_digest((0, 1, 60, 400)) == SIDE_DIGEST
+
+
+@pytest.mark.parametrize("order", (0, 60))
+def test_sides_share_only_the_audited_builders(order):
+    assert overlaps(bailey.CHAIN_TABLE, order) == set(SHARED_ON_BOTH_SIDES)
+
+
+def test_audit_flags_a_builder_on_both_sides():
+    row = ("C:scratch", "_c_explicit_sum", lambda o: bailey._c_sum_triple(o).shift(1))
+    assert overlaps((row,), 30) == {("C:scratch", "_c_sum_triple")}
