@@ -521,7 +521,9 @@ def _d_r_split(order: int) -> QSeries:
 
 
 def _d_v_product_form(order: int) -> QSeries:
-    # same sum with the product expanded mechanically rather than by hand
+    # same sum with the product expanded mechanically rather than by hand,
+    # and its exponent written out here rather than taken from _d_p, so a
+    # slip in _d_p cannot cancel between the two sides of D:product-expanded
     def emit(r: int, n: int, e: int):
         rr = r + 1
         out = []
@@ -530,7 +532,7 @@ def _d_v_product_form(order: int) -> QSeries:
                 out.append((-c1 * c2, e + e1 + e2))
         return tuple(out)
 
-    return lattice_sum(order, lambda r, n: _d_p(r + 1, n), emit)
+    return lattice_sum(order, lambda r, n: (r + 1) ** 2 + 2 * n * (r + 1) + 2 * n * n + n, emit)
 
 
 def _d_b(r: int, n: int) -> int:

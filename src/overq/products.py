@@ -37,7 +37,10 @@ factor; doubling the width instead made it up to 2x slower than that.
 Every q-hypergeometric sum over n in the package is an initial term plus a
 Ratio table: term(n+1)/term(n) is a signed power of q times binomial
 factors multiplied in or divided out.  ratio_sum sums such a table; phi32
-is the 3-phi-2 instance.
+is the 3-phi-2 instance.  Its walk runs on the same packing and never
+divides: it carries the sum's numerator U and denominator P, two packed
+integers under one bound b <= w - 1 kept by the same test, and divides
+once at the end, exactly (see ratio_sum).
 
 A builder marked @shared runs once per argument set inside a sharing()
 scope and hands every later caller in the scope that same immutable
@@ -52,6 +55,7 @@ import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import neg
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -60,6 +64,7 @@ from .series import (
     OrderExceededError,
     QSeries,
     _div_binomial_inplace,
+    _hensel_div,
     _mul_binomial_inplace,
     _pack,
     _unpack,
@@ -167,6 +172,32 @@ def _certifier(width: int, length: int) -> Callable[[int], Optional[int]]:
     return certify
 
 
+def _widened(packed: Iterable[tuple[int, int]], width: int, room: int) -> tuple[int, int, list]:
+    """Decode each (x, length) packed in slots of width bytes, exact under
+    the bound invariant, and pack it again, masked, in the fewest whole
+    bytes that leave room bits above the largest coefficient's bit length
+    b.  Returns the new width, b, and the packed integers."""
+    lists = [(_unpack(x, width, length), length) for x, length in packed]
+    bound = max(max(map(abs, cs)).bit_length() for cs, _ in lists)
+    width = (bound + room + 7) // 8
+    return width, bound, [_pack(cs, width) & ((1 << (8 * width * n)) - 1) for cs, n in lists]
+
+
+def _bits(factors: Iterable[tuple]) -> int:
+    """The bits that factors (c, ...) can add to a coefficient bound: a
+    binomial (1 - c*q^e) adds at most the bit length of c."""
+    return sum(abs(f[0]).bit_length() for f in factors)
+
+
+def _shift_add(x: int, c: int, shift: int) -> int:
+    """x - c*(x << shift): a packed series times (1 - c*q^e), shift = w*e."""
+    if c == 1:
+        return x - (x << shift)
+    if c == -1:
+        return x + (x << shift)
+    return x - c * (x << shift)
+
+
 def _binomial_product(c: int, exponents: Iterable[int], length: int) -> list:
     """The first length coefficients of the product of (1 + c*q^e) over the
     exponents, for c = +-1 and exponents e >= 0, on one packed integer
@@ -178,14 +209,10 @@ def _binomial_product(c: int, exponents: Iterable[int], length: int) -> list:
         if bound == 8 * width - 1:
             bound = certify(x)
             if bound is None:
-                cs = _unpack(x, width, length)
-                bound = max(map(abs, cs)).bit_length()
-                width = (bound + 39) // 8  # room for 32 more bits
-                x = _pack(cs, width)
+                width, bound, (x,) = _widened(((x, length),), width, 32)
                 mask = (1 << (8 * width * length)) - 1
                 certify = _certifier(width, length)
-        shifted = x << (8 * width * e)
-        x = (x + shifted if c == 1 else x - shifted) & mask
+        x = _shift_add(x, -c, 8 * width * e) & mask
         bound += 1
     return _unpack(x, width, length)
 
@@ -273,18 +300,11 @@ class Ratio:
         also when 2e is past the end of cs."""
         if self.shift[0] == -1:
             cs[:] = map(neg, cs)
-        muls = list(muls)
-        unpaired = []
-        for c, e in divs:
-            if c in (1, -1) and (1, 2 * e) in muls:
-                muls.remove((1, 2 * e))
-                muls.append((-c, e))
-            else:
-                unpaired.append((c, e))
+        muls, divs = _paired(muls, divs)
         for c, e in muls:
             if e < len(cs):
                 _mul_binomial_inplace(cs, -c, e)
-        for c, e in unpaired:
+        for c, e in divs:
             if e < len(cs):
                 _div_binomial_inplace(cs, -c, e)
 
@@ -299,27 +319,63 @@ class Ratio:
         return at
 
 
+def _paired(muls: list, divs: list) -> tuple[list, list]:
+    """muls and divs with each divide (1 - c*q^e), c = +-1, that meets a
+    multiply (1 - q^(2e)) replaced, with that multiply, by the multiply
+    (1 + c*q^e): their exact quotient, since c*c = 1."""
+    muls = list(muls)
+    unpaired = []
+    for c, e in divs:
+        if c in (1, -1) and (1, 2 * e) in muls:
+            muls.remove((1, 2 * e))
+            muls.append((-c, e))
+        else:
+            unpaired.append((c, e))
+    return muls, unpaired
+
+
 def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int = 0) -> QSeries:
     """Sum over n >= start of term(n), truncated at the order, where
     term(start) = q^at * init and term(n+1) = term(n) * ratio at n.
 
     init needs only the coefficients that can reach the order from q^at.
-    Every step must raise the term's leading exponent at, so the sum stops
-    once at passes the order.
+    Every step must raise the term's leading exponent, so the sum stops
+    once it passes the order.  A first walk over n finds the last term
+    that reaches the order and checks every ratio's factors, so it raises
+    what a term-by-term sum raises, at the same n.
 
-    The sum runs in Horner form: it is q^at * init * S_start, where
-    S_n = 1 + R_n * S_(n+1) and R_n is the ratio at n.  A first walk over n
-    finds the last term that reaches the order and checks every ratio's
-    factors, so it raises what a term-by-term sum raises, at the same n.
-    The second walk builds S from the innermost term outward, keeping for
-    S_n only the coefficients that can still reach the order from term n.
-    init multiplies in once at the end, and not at all when it is 1.
+    The sum is q^at * init * S_start in Horner form, S_n = 1 + R_n S_(n+1)
+    with S_last = 1, and the second walk builds it without dividing.  With
+    the ratio at n written sign * q^step * M_n / D_n (after _paired), let
+    P_n = D_n P_(n+1) and U_n = P_n S_n, so P_last = U_last = 1 and
+
+        U_n = P_n + sign * q^step * M_n * U_(n+1).
+
+    Both are shift-and-add on packed integers in one slot width, laid out
+    as for the Pochhammer products, with one bound b <= w - 1 on every
+    coefficient of U and P.  A factor (1 - c*q^e) raises b by the bit
+    length of c and the add by 1, so a step raises it by at most g, 1 plus
+    the larger of the table's multiply and divide bit lengths.  Before a
+    step that would pass w - 1, _certifier proves a smaller bound for both,
+    or both are packed again wider.  A certifier for P's L slots also
+    serves U's l <= L: as L slots, U's residue holds its l coefficients,
+    then 0 or 1, then zeros.  U_n keeps only the l slots that still reach
+    the order and P keeps all L, which the quotient needs; a mask reduces
+    modulo 2^(w*l), a ring map, so one mask a step is enough.
+
+    The sum is init * U_start / P_start.  A constant divide (1 - c*q^0) is
+    a scalar, so P_start is T times a series with constant term 1, where T
+    is the product of those scalars; the quotient divides by that series,
+    then by T.  When init is integral, series._hensel_div divides, and
+    returns its 2-adic quotient only once the divisor times it gives the
+    numerator exactly; a Fraction init takes QSeries inversion instead.
     """
     if init.order < order - at:
         raise OrderExceededError(
             f"initial term of order {init.order} at q^{at} cannot reach q^{order}"
         )
-    _, slope, offset = ratio.shift
+    full = order + 1 - at  # slots of P and of U_start
+    sign, slope, offset = ratio.shift
     n = start
     while at <= order:
         step = slope * n + offset
@@ -330,19 +386,54 @@ def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int =
         n += 1
     if n == start:
         return zero(order)
-    last = n - 1  # the last term to reach the order, where S is 1
-    at -= slope * last + offset
-    s: list[Coeff] = [1] + [0] * (order - at)
-    for k in range(last - 1, start - 1, -1):
-        ratio.apply(s, *ratio.factors(k))
+    size = order + 1 - (at - slope * (n - 1) - offset)  # slots of U_last
+    # factors, _paired and the length tests below only drop binomials, or
+    # swap one with |c| = 1 for another, so the table's rows bound each step
+    grow = 1 + max(_bits(ratio.muls), _bits(ratio.divs))
+    width, bound, u, p, scale = 4, 1, 1, 1, 1
+    mask = (1 << (8 * width * full)) - 1
+    certify = _certifier(width, full)
+    for k in range(n - 2, start - 1, -1):
+        muls, divs = _paired(*ratio.factors(k))
+        if bound + grow >= 8 * width:
+            proven = certify(p) and certify(u)
+            if proven:
+                bound = proven
+            if bound + grow >= 8 * width:
+                width, bound, (p, u) = _widened(((p, full), (u, size)), width, 32 + grow)
+                mask = (1 << (8 * width * full)) - 1
+                certify = _certifier(width, full)
+        w = 8 * width
+        for c, e in divs:
+            if e == 0:
+                scale *= 1 - c
+            if e < full:
+                p = _shift_add(p, c, w * e)
+        p &= mask
+        for c, e in muls:
+            if e < size:
+                u = _shift_add(u, c, w * e)
         step = slope * k + offset
-        s = [1] + [0] * (step - 1) + s
-        at -= step
-    head = init.coeffs[: len(s)]
+        shifted = u << (w * step)
+        size += step
+        u = (p + shifted if sign == 1 else p - shifted) & (mask >> (w * (full - size)))
+        bound += grow
+    top = full - 1
+    s = QSeries(_unpack(u, width, full), top)
+    head = init.coeffs[:full]
     if head[0] != 1 or any(head[1:]):
-        top = len(s) - 1
-        s = list((QSeries(head, top) * QSeries(s, top)).coeffs)
-    return QSeries([0] * at + s, order)
+        s = QSeries(head, top) * s
+    if p != 1:
+        den = _unpack(p, width, full)
+        if scale != 1:
+            den = [x // scale for x in den]
+        if s.is_integral():
+            s = QSeries(_hensel_div(s.coeffs, den, top), top)
+        else:
+            s = s * QSeries(den, top).invert()
+        if scale != 1:
+            s = s.scale(Fraction(1, scale))
+    return QSeries([0] * (order + 1 - full) + list(s.coeffs), order)
 
 
 def phi32(

@@ -19,15 +19,19 @@ schoolbook double loop (_schoolbook_mul), which the tests also use as the
 reference for the fast path.  _pack and _unpack move a coefficient list in
 and out of its packed integer: slots of 1, 2, 4 or 8 bytes go through
 struct in one C-level pass, wider slots one coefficient per step.  products
-builds its Pochhammer products on the same packing.
+builds its Pochhammer products and its ratio sums on the same packing, and
+a ratio sum ends in one exact division (_hensel_div): a 2-adic quotient
+that b*c == a accepts, else a times the Newton inverse.
 
-Every sum in the package runs on the two in-place binomial kernels, which
-multiply or divide a coefficient list by (1 + c*q^e).  Each runs as C-level
-builtins over slices (map, itertools.accumulate) rather than one Python step
-per coefficient.  The multiply is one map: every coefficient reads one e
-below it, none of them updated yet.  The divide reads coefficients it has
-already updated, and the package divides only by (1 - q^e) and (1 + q^e),
-so it dispatches on c and on e against the list length L:
+The two in-place binomial kernels multiply or divide a coefficient list by
+(1 + c*q^e).  The Bailey pairs' terms and relation sums, gen_family's first
+summand and QSeries.mul_binomial/div_binomial run on them.  Each runs as
+C-level builtins over slices (map, itertools.accumulate) rather than one
+Python step per coefficient.  The multiply is one map: every coefficient
+reads one e below it, none of them updated yet.  The divide reads
+coefficients it has already updated, and the package divides only by
+(1 - q^e) and (1 + q^e), so it dispatches on c and on e against the list
+length L:
 
 - (1 - q^e) with e*e < L: the quotient is a running sum along each residue
   class mod e, one accumulate per class, so e calls of about L/e steps;
@@ -407,6 +411,38 @@ def _newton_invert(a: Sequence[int], n: int) -> list:
         t = _kronecker_mul(a[: k + m], g + [0] * m, k + m - 1)[k:]
         g += map(neg, _kronecker_mul(g[:m], t, m - 1))
     return g
+
+
+def _hensel_div(a: Sequence[int], b: Sequence[int], n: int) -> list:
+    """Coefficients q^0 .. q^n of a/b for integer a, b of n + 1 coefficients
+    each, b[0] = +-1, first by one 2-adic division (Brent and Zimmermann,
+    Modern Computer Arithmetic, 2010, 2.4 and 2.5).
+
+    In the fewest whole bytes w that hold every coefficient of a and b, let
+    A = a(2^w) and B = b(2^w).  B = b[0] modulo 2^w is odd, and Newton's
+    iteration y <- y*(2 - B*y), from y = b[0], doubles the correct low bits
+    of its inverse modulo 2^(w*(n+1)) each step.  A*y read back from its
+    slots is the quotient whenever every quotient coefficient fits a slot.
+    The quotient is unique, since b[0] is a unit, so the candidate c is
+    returned only if b*c == a exactly.  Otherwise the quotient is wider
+    than a and b, and a * (1/b) by _newton_invert, whose products size
+    their own slots, gives it; doubling the slots and dividing again took
+    1.8x as long over the package's divisions at orders 400 to 1000.
+    """
+    bits = max(max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length()) + 1
+    width = (bits + 7) // 8
+    top = 8 * width * (n + 1)
+    big = _pack(b, width)
+    y, k = b[0], 8 * width
+    while k < top:
+        # B*y = 1 + 2^h * t modulo 2^k, and y - 2^h * y * t is right to 2^k
+        h, k = k, min(2 * k, top)
+        t = (((big & ((1 << k) - 1)) * y) >> h) & ((1 << (k - h)) - 1)
+        y = (y - (((y * t) & ((1 << (k - h)) - 1)) << h)) & ((1 << k) - 1)
+    c = _unpack(_pack(a, width) * y, width, n + 1)
+    if _kronecker_mul(b, c, n) == list(a):
+        return c
+    return _kronecker_mul(a, _newton_invert(b, n), n)
 
 
 # -- in-place kernels -------------------------------------------------------

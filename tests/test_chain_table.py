@@ -91,3 +91,12 @@ def test_sides_share_only_the_audited_builders(order):
 def test_audit_flags_a_builder_on_both_sides():
     row = ("C:scratch", "_c_explicit_sum", lambda o: bailey._c_sum_triple(o).shift(1))
     assert overlaps((row,), 30) == {("C:scratch", "_c_sum_triple")}
+
+
+def test_a_slip_in_d_p_fails_the_product_expanded_stage(monkeypatch):
+    # _d_v_product_form writes its exponent out rather than calling _d_p, so
+    # a slip in _d_p shows on D:product-expanded, not only at other stages
+    d_p = bailey._d_p
+    monkeypatch.setattr(bailey, "_d_p", lambda r, n: d_p(r, n) + ((r, n) == (2, 1)))
+    failed = {r.name for r in bailey.chain_stage_reports(60) if not r.ok}
+    assert "chain:D:product-expanded" in failed

@@ -1,5 +1,6 @@
-"""The term-ratio summation kernel against a dense reference, and against
-the term-by-term kernel its Horner form replaced.
+"""The term-ratio summation kernel against a dense reference, against the
+term-by-term kernel its Horner form replaced, and against the list Horner
+walk its packed, division-free walk replaced.
 
 The dense reference builds every term from explicit factor series with
 QSeries.__mul__ and invert at the full order, so it shares none of the
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+import overq.cli as cli
+from overq import bailey, identities, products
 from overq.enumeration import FAMILIES
 from overq.identities import gen_family
 from overq.products import (
@@ -340,3 +343,112 @@ def test_pairing_is_exact_and_only_for_unit_c():
         Ratio((1, 0, 1), muls=((1, 0, 0),), divs=((1, 0, 0), (1, 0, 0))).factors(0)
     with pytest.raises(NegativeExponentFactor):
         Ratio((1, 0, 1), muls=((1, 2, -2),), divs=((1, 1, -1),)).factors(0)
+
+
+# -- the packed walk against the list Horner walk it replaced ------------------
+
+
+def _list_horner_sum(init, ratio, order, start=0, at=0):
+    """S_n = 1 + R_n S_(n+1) on a coefficient list, innermost term first,
+    dividing by each ratio's divides in place; init multiplies in at the
+    end.  The same first walk checks every ratio's factors."""
+    if init.order < order - at:
+        raise OrderExceededError(
+            f"initial term of order {init.order} at q^{at} cannot reach q^{order}"
+        )
+    _, slope, offset = ratio.shift
+    n = start
+    while at <= order:
+        step = slope * n + offset
+        if step < 1:
+            raise NonterminatingSum(f"step n={n} does not raise the term degree")
+        ratio.factors(n)
+        at += step
+        n += 1
+    if n == start:
+        return zero(order)
+    last = n - 1
+    at -= slope * last + offset
+    s = [1] + [0] * (order - at)
+    for k in range(last - 1, start - 1, -1):
+        ratio.apply(s, *ratio.factors(k))
+        step = slope * k + offset
+        s = [1] + [0] * (step - 1) + s
+        at -= step
+    head = init.coeffs[: len(s)]
+    if head[0] != 1 or any(head[1:]):
+        top = len(s) - 1
+        s = list((QSeries(head, top) * QSeries(s, top)).coeffs)
+    return QSeries([0] * at + s, order)
+
+
+@pytest.mark.parametrize("order", ORDERS + (400,))
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_packed_walk_matches_the_list_walk(order, fractions):
+    rng = random.Random(15015 + order + 1000 * fractions)
+    for sweep in range(SWEEPS):
+        ratio = _random_ratio(rng, sign=-1 if sweep % 2 else 1)
+        start, at = rng.randint(0, 2), rng.randint(0, 3)
+        for init in (_random_init(rng, order, fractions), one(order)):
+            got = ratio_sum(init, ratio, order, start=start, at=at)
+            _assert_same(got, _list_horner_sum(init, ratio, order, start, at), order)
+
+
+@pytest.mark.parametrize("order", ORDERS + (400,))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_a_constant_divide_leaves_the_division_2_adic(order, sign, monkeypatch):
+    # (1 + q^0) = 2 at every n: P_start is 2^k times a unit series, so the
+    # walk still divides 2-adically, then by 2^k, and never inverts
+    ratio = Ratio((sign, 1, 1), muls=((-1, 1, 1),), divs=((-1, 0, 0), (1, 1, 1)))
+    init = _random_init(random.Random(order), order, False)
+    want = _list_horner_sum(init, ratio, order, 1)
+    monkeypatch.setattr(QSeries, "invert", None)
+    got = ratio_sum(init, ratio, order, start=1)
+    _assert_same(got, want, order)
+    assert not got.is_integral() or order < 2
+
+
+def test_the_walk_widens_its_slots(monkeypatch):
+    # (q;q)_n^3 over n: U and P pass the first 32-bit slots, and pass the
+    # certifier's bound there, by order 300
+    widened = []
+    real = products._widened
+
+    def counted(packed, width, room):
+        widened.append(width)
+        return real(packed, width, room)
+
+    monkeypatch.setattr(products, "_widened", counted)
+    ratio = Ratio((-1, 0, 1), muls=((-1, 1, 3),), divs=((1, 1, 1),) * 3)
+    init = _random_init(random.Random(3), 300, False)
+    got = ratio_sum(init, ratio, 300, start=1)
+    assert widened and widened[0] == 4
+    _assert_same(got, _list_horner_sum(init, ratio, 300, 1), 300)
+
+
+@pytest.mark.parametrize("order", (30, 60, 120))
+def test_the_walk_bound_covers_a_table_that_reaches_it(order):
+    # U_n = (1 + 3q)^(last-n) + 4q U_(n+1): its coefficients grow by a
+    # little more than 2 bits a step, past a bound that left out the add's 1
+    ratio = Ratio((1, 0, 1), muls=((-1, 0, 0), (-1, 0, 0)), divs=((-3, 0, 1),))
+    got = ratio_sum(one(order), ratio, order)
+    _assert_same(got, _list_horner_sum(one(order), ratio, order), order)
+
+
+def test_every_package_table_matches_the_list_walk(monkeypatch):
+    """Every sum gen_family, phi32 and bailey build, at the bench orders."""
+    seen = []
+
+    def both(init, ratio, order, start=0, at=0):
+        got = ratio_sum(init, ratio, order, start, at)
+        _assert_same(got, _list_horner_sum(init, ratio, order, start, at), order)
+        seen.append(ratio)
+        return got
+
+    for module in (products, identities, bailey):
+        monkeypatch.setattr(module, "ratio_sum", both)
+    for name in FAMILIES:
+        gen_family(name, 1000)
+    assert len(seen) == len(FAMILIES)
+    assert cli.main(["verify", "--target", "all", "--order", "400", "--format", "json"]) == 0
+    assert len(set(seen)) > 2 * len(FAMILIES)

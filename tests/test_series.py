@@ -13,6 +13,8 @@ from overq.series import (
     ZeroConstantTermError,
     _add_inplace,
     _div_binomial_inplace,
+    _hensel_div,
+    _kronecker_mul,
     _mul_binomial_inplace,
     _newton_invert,
     _norm,
@@ -495,3 +497,47 @@ def test_other_inversions_keep_the_schoolbook(order, monkeypatch):
     monkeypatch.setattr(series_module, "_newton_invert", None)  # not reached
     for cs in (two, rational):
         assert list(QSeries(cs, order).invert().coeffs) == _schoolbook_invert(cs, order)
+
+
+# -- 2-adic division against multiplication by the inverse --------------------
+
+
+def _by_inverse(a, b, order):
+    return list((QSeries(a, order) * QSeries(b, order).invert()).coeffs)
+
+
+@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
+@pytest.mark.parametrize("c0", (1, -1))
+def test_hensel_division_matches_the_inverse(order, c0, monkeypatch):
+    rng = random.Random(1515 + order + c0)
+    small = [rng.randint(-3, 3) for _ in range(order + 1)]
+    for b in _unit_series(rng, order, c0):
+        for a in (small, one(order).coeffs, _kronecker_mul(b, small, order)):
+            assert _hensel_div(a, b, order) == _by_inverse(a, b, order)
+    # a quotient as narrow as its operands is the 2-adic candidate itself
+    monkeypatch.setattr(series_module, "_newton_invert", None)
+    for b in _unit_series(rng, order, c0):
+        assert _hensel_div(_kronecker_mul(b, small, order), b, order) == small
+
+
+def _partition_numbers(n):
+    """p(0) .. p(n) by Euler's pentagonal recurrence."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
+
+
+def test_hensel_division_wider_than_its_first_slots():
+    # 1/(q;q)_inf: 105-bit quotient coefficients at 1000 from 1-bit operands
+    b = list(poch_infinite(Monomial(1, 1), 1, 1000).coeffs)
+    got = _hensel_div(one(1000).coeffs, b, 1000)
+    assert got == _partition_numbers(1000)
+    assert got[1000] == 24061467864032622473692149727991

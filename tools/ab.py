@@ -22,7 +22,9 @@ exit 1.  The workloads mirror bench/workloads.py:
 
 The output gives each side's median and quartiles over the rounds, the
 ratio of the medians (change / base), and in how many rounds the change
-was faster.
+was faster.  One more untimed call per side, after the rounds, runs under
+tracemalloc and gives the side's peak of traced memory: the memory a pass
+allocates, apart from the interpreter and the imported modules.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import io
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -96,6 +99,20 @@ def timed(label: str, run: Callable[[], bool]) -> float:
     return elapsed
 
 
+def traced_peak(label: str, run: Callable[[], bool]) -> int:
+    """The peak of traced memory, in bytes, over one untimed call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ok = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if not ok:
+        raise SystemExit(f"error: {label} did not verify")
+    return peak
+
+
 def summary(times: list[float]) -> str:
     if len(times) > 1:
         q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
@@ -128,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         for label in order:
             times[label].append(timed(label, sides[label]))
 
+    peaks = {label: traced_peak(label, run) for label, run in sides.items()}
     wins = sum(c < b for b, c in zip(times["base"], times["change"]))
     base_med = statistics.median(times["base"])
     change_med = statistics.median(times["change"])
@@ -137,6 +155,10 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"ratio change/base {change_med / base_med:.3f}; "
         f"change faster in {wins} of {args.rounds} rounds"
+    )
+    print(
+        f"traced peak of one call: base {peaks['base'] / 1024:.0f} KB, "
+        f"change {peaks['change'] / 1024:.0f} KB"
     )
     return 0
 
