@@ -20,7 +20,7 @@ Pochhammer splitting laws and the Legendre signed count by enumeration.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 from .enumeration import FamilySpec, distinct_parts_differences, family
@@ -42,7 +42,7 @@ from .series import (
     Coeff,
     QSeries,
     _div_binomial_inplace,
-    _mul_binomial_inplace,
+    _mul_binomial_inplace,  # unused here; bench/spans.py traces this binding
     one,
 )
 
@@ -61,30 +61,35 @@ def gen_family(fam: Family, order: int) -> QSeries:
 
         q^(p*s) * prod (c*q^(s+d); q)_inf^m * (cf*q^(s+df); q)_s
 
-    per the family's factor table.  The s = 1 summand builds each infinite
-    product once and raises it to its power m.  Moving s -> s+1 divides out
-    one binomial per infinite-product factor and re-balances the finite
-    factor with two multiplies and one divide.
+    per the family's factor table.  The s = 1 summand's products go to
+    ratio_sum as factors, not as a built initial term.  Moving s -> s+1
+    divides out one binomial per infinite-product factor and re-balances
+    the finite factor with two multiplies and one divide.  That divide is
+    listed first, so that it pairs with a multiply (see products._paired)
+    and the infinite-product divides are left to cancel against the
+    factors: for F, A, A2, B, C and D every divide does, and no product is
+    built or divided.  G's finite divide (1 + q^s) pairs with nothing, so
+    its sum builds the products and divides.
     """
     spec = _spec(fam)
     if order < 0:
         raise ValueError("order must be >= 0")
+    ratio, factors = _family_table(spec)
+    return ratio_sum(one(order), ratio, order, start=1, at=spec.prefactor, factors=factors)
+
+
+@lru_cache(maxsize=None)
+def _family_table(spec: FamilySpec) -> tuple[Ratio, tuple]:
+    """gen_family's term ratio and s = 1 factors for the spec."""
     cf, df = spec.fin_factor
-    # summand at s=1, without its q^(p*s) prefactor
-    first = None
-    for c, d, m in spec.inf_factors:
-        p = poch_infinite(Monomial(c, 1 + d), 1, order)
-        for _ in range(m):
-            first = p if first is None else first * p
-    cur = list((one(order) if first is None else first).coeffs)
-    _mul_binomial_inplace(cur, -cf, 1 + df)
     ratio = Ratio(
         (1, 0, spec.prefactor),
         muls=((cf, 2, df), (cf, 2, df + 1)),
-        divs=tuple((c, 1, d) for c, d, m in spec.inf_factors for _ in range(m))
-        + ((cf, 1, df),),
+        divs=((cf, 1, df),)
+        + tuple((c, 1, d) for c, d, m in spec.inf_factors for _ in range(m)),
     )
-    return ratio_sum(QSeries(cur, order), ratio, order, start=1, at=spec.prefactor)
+    factors = tuple((c, 1 + d, m, None) for c, d, m in spec.inf_factors) + ((cf, 1 + df, 1, 1),)
+    return ratio, factors
 
 
 def psi_theta(order: int) -> QSeries:

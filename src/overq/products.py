@@ -42,6 +42,15 @@ divides: it carries the sum's numerator U and denominator P, two packed
 integers under one bound b <= w - 1 kept by the same test, and divides
 once at the end, exactly (see ratio_sum).
 
+An initial term may come as factors, runs (c*q^e; q)_n^m of binomials
+(1 - c*q^e) with c = +-1 and e >= 1, which ratio_sum nets against the
+divides it applies instead of building them.  Every such binomial has
+constant term 1, so it is a unit of the series truncated to any length,
+and one that is both a factor and a divide cancels exactly: the sum is
+unchanged whichever way the factors and divides are paired.  A sum whose
+every divide cancels needs no product and no division; one that leaves a
+divide over builds the factors and divides as before.
+
 A builder marked @shared runs once per argument set inside a sharing()
 scope and hands every later caller in the scope that same immutable
 result; outside any scope it runs on every call.  The memo only ever
@@ -65,6 +74,7 @@ from .series import (
     QSeries,
     _div_binomial_inplace,
     _hensel_div,
+    _kronecker_mul,
     _mul_binomial_inplace,
     _pack,
     _unpack,
@@ -334,9 +344,73 @@ def _paired(muls: list, divs: list) -> tuple[list, list]:
     return muls, unpaired
 
 
-def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int = 0) -> QSeries:
+def _counts(factors: Iterable[tuple], full: int) -> dict[int, list]:
+    """For each sign c = +-1, the multiplicity of (1 - c*q^e) for e < full
+    in the product of the factors (c, e, m, n), each (c*q^e; q)_n^m with
+    n = None for an infinite product."""
+    counts = {1: [0] * full, -1: [0] * full}
+    for c, e, m, n in factors:
+        if c not in counts or e < 1 or m < 0 or (n is not None and n < 0):
+            raise ValueError(f"factor ({c}*q^{e}; q)_{n}^{m} is not a run of units")
+        top = full if n is None else min(full, e + n)
+        row = counts[c]
+        row[e:top] = [k + m for k in row[e:top]]
+    return counts
+
+
+def _product(factors: Iterable[tuple], order: int, full: int) -> list:
+    """The first full coefficients of the product of the factors
+    (c, e, m, n) of _counts, the infinite ones by poch_infinite at the
+    order."""
+    cs = None
+    for c, e, m, n in factors:
+        if n is None:
+            p = list(poch_infinite(Monomial(c, e), 1, order).coeffs[:full])
+            for _ in range(m):
+                cs = p if cs is None else _kronecker_mul(cs, p, full - 1)
+    if cs is None:
+        cs = [1] + [0] * (full - 1)
+    for c, e, m, n in factors:
+        for j in range(0 if n is None else min(n, full)):
+            for _ in range(m):
+                if e + j < full:
+                    _mul_binomial_inplace(cs, -c, e + j)
+    return cs
+
+
+def _unmatched(cs: list, counts: dict[int, list]) -> list:
+    """cs times the binomials (1 - c*q^e) that counts still holds, to
+    len(cs) coefficients.  Those with 2e >= len(cs) multiply out to
+    1 - sum c*k*q^e, k their multiplicity, since any product of two of
+    them is past the end: one Kronecker product, built in O(len(cs))."""
+    full = len(cs)
+    tail = [1] + [0] * (full - 1)
+    for c, row in counts.items():
+        for e, k in enumerate(row):
+            if not k:
+                continue
+            if 2 * e < full:
+                for _ in range(k):
+                    _mul_binomial_inplace(cs, -c, e)
+            else:
+                tail[e] -= c * k
+    if any(tail[1:]):
+        cs = _kronecker_mul(cs, tail, full - 1)
+    return cs
+
+
+def ratio_sum(
+    init: QSeries,
+    ratio: Ratio,
+    order: int,
+    start: int = 0,
+    at: int = 0,
+    factors: Sequence[tuple[int, int, int, Optional[int]]] = (),
+) -> QSeries:
     """Sum over n >= start of term(n), truncated at the order, where
-    term(start) = q^at * init and term(n+1) = term(n) * ratio at n.
+    term(start) = q^at * init * F and term(n+1) = term(n) * ratio at n,
+    with F the product of the factors (c, e, m, n): (c*q^e; q)_n^m for
+    c = +-1 and e >= 1, with n = None for an infinite product.
 
     init needs only the coefficients that can reach the order from q^at.
     Every step must raise the term's leading exponent, so the sum stops
@@ -344,8 +418,9 @@ def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int =
     that reaches the order and checks every ratio's factors, so it raises
     what a term-by-term sum raises, at the same n.
 
-    The sum is q^at * init * S_start in Horner form, S_n = 1 + R_n S_(n+1)
-    with S_last = 1, and the second walk builds it without dividing.  With
+    The sum is q^at * init * F * S_start in Horner form, with
+    S_n = 1 + R_n S_(n+1) and S_last = 1, and the second walk builds it
+    without dividing.  With
     the ratio at n written sign * q^step * M_n / D_n (after _paired), let
     P_n = D_n P_(n+1) and U_n = P_n S_n, so P_last = U_last = 1 and
 
@@ -363,12 +438,21 @@ def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int =
     the order and P keeps all L, which the quotient needs; a mask reduces
     modulo 2^(w*l), a ring map, so one mask a step is enough.
 
-    The sum is init * U_start / P_start.  A constant divide (1 - c*q^0) is
-    a scalar, so P_start is T times a series with constant term 1, where T
-    is the product of those scalars; the quotient divides by that series,
-    then by T.  When init is integral, series._hensel_div divides, and
-    returns its 2-adic quotient only once the divisor times it gives the
-    numerator exactly; a Fraction init takes QSeries inversion instead.
+    The sum is init * F * U_start / P_start.  Every factor of F has
+    constant term 1, so it is a unit of the integer series truncated to L
+    coefficients, a ring in which a factor of F and an equal divide of P
+    cancel exactly.  So the walk nets each divide (c, e) it applies to P,
+    e < L, against F's binomials, kept as one list of multiplicities per
+    sign.  If every applied divide is netted, P_start is a factor of F and
+    the sum is init * F' * U_start, where F' is what F has left: F itself
+    is never built and nothing is divided (see _unmatched for F').
+    Otherwise init * F is built and divided by all of P_start.  A constant
+    divide (1 - c*q^0) is a scalar, so P_start is T times a series with
+    constant term 1, where T is the product of those scalars; the quotient
+    divides by that series, then by T.  When init is integral,
+    series._hensel_div divides, and returns its 2-adic quotient only once
+    the divisor times it gives the numerator exactly; a Fraction init
+    takes QSeries inversion instead.
     """
     if init.order < order - at:
         raise OrderExceededError(
@@ -393,6 +477,8 @@ def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int =
     width, bound, u, p, scale = 4, 1, 1, 1, 1
     mask = (1 << (8 * width * full)) - 1
     certify = _certifier(width, full)
+    # F's binomials by sign and exponent; None once a divide is not one
+    counts = _counts(factors, full) if factors else None
     for k in range(n - 2, start - 1, -1):
         muls, divs = _paired(*ratio.factors(k))
         if bound + grow >= 8 * width:
@@ -409,6 +495,12 @@ def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int =
                 scale *= 1 - c
             if e < full:
                 p = _shift_add(p, c, w * e)
+                if counts:
+                    row = counts.get(c)
+                    if row and row[e]:
+                        row[e] -= 1
+                    else:
+                        counts = None
         p &= mask
         for c, e in muls:
             if e < size:
@@ -419,11 +511,16 @@ def ratio_sum(init: QSeries, ratio: Ratio, order: int, start: int = 0, at: int =
         u = (p + shifted if sign == 1 else p - shifted) & (mask >> (w * (full - size)))
         bound += grow
     top = full - 1
-    s = QSeries(_unpack(u, width, full), top)
+    s = _unpack(u, width, full)
+    if counts:
+        s = _unmatched(s, counts)
+    elif factors:
+        s = _kronecker_mul(_product(factors, order, full), s, top)
+    s = QSeries(s, top)
     head = init.coeffs[:full]
     if head[0] != 1 or any(head[1:]):
         s = QSeries(head, top) * s
-    if p != 1:
+    if not counts and p != 1:
         den = _unpack(p, width, full)
         if scale != 1:
             den = [x // scale for x in den]

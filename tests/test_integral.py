@@ -5,6 +5,8 @@ denominator cancels the (1 - a) normalization, so no check needs a
 Fraction; rationals reach a QSeries only when a caller passes them in.
 """
 
+import json
+
 import pytest
 
 import overq.cli as cli
@@ -22,11 +24,23 @@ def test_verify_all_builds_no_fraction(capsys, monkeypatch):
         init(self, *args, **kwargs)
         integral.append(self.is_integral())
 
+    sides = []
+    compare = QSeries.first_mismatch
+
+    def compared(self, other, *args, **kwargs):
+        sides.extend((self, other))
+        return compare(self, other, *args, **kwargs)
+
     monkeypatch.setattr(QSeries, "__init__", census)
-    assert cli.main(["verify", "--target", "all", "--order", "60"]) == 0
-    capsys.readouterr()
-    assert len(integral) > 1000
+    monkeypatch.setattr(QSeries, "first_mismatch", compared)
+    assert cli.main(["verify", "--target", "all", "--order", "60", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert reports and all(r["ok"] for r in reports)
     assert integral.count(False) == 0
+    # every side a report compares was wrapped in this run, at least once
+    assert len(sides) >= 2 * len(reports)
+    assert len(integral) >= len({id(side) for side in sides})
+    assert {type(c) for side in sides for c in side.coeffs} == {int}
 
 
 def test_chain_sides_are_integral():

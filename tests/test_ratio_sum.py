@@ -1,6 +1,8 @@
 """The term-ratio summation kernel against a dense reference, against the
 term-by-term kernel its Horner form replaced, and against the list Horner
-walk its packed, division-free walk replaced.
+walk its packed, division-free walk replaced; and the initial term's
+factors, which the walk cancels against its divides, against the same sums
+given the initial term times their product.
 
 The dense reference builds every term from explicit factor series with
 QSeries.__mul__ and invert at the full order, so it shares none of the
@@ -265,7 +267,7 @@ def _inline_gen_family(spec, order):
     return _forward_sum(QSeries(cur, order), ratio, order, start=1, at=spec.prefactor)
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("order", ORDERS + (2, 3, 99, 100, 101))
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_gen_family_matches_the_inline_product_loop(name, order):
     _assert_same(gen_family(name, order), _inline_gen_family(FAMILIES[name], order), order)
@@ -439,9 +441,10 @@ def test_every_package_table_matches_the_list_walk(monkeypatch):
     """Every sum gen_family, phi32 and bailey build, at the bench orders."""
     seen = []
 
-    def both(init, ratio, order, start=0, at=0):
-        got = ratio_sum(init, ratio, order, start, at)
-        _assert_same(got, _list_horner_sum(init, ratio, order, start, at), order)
+    def both(init, ratio, order, start=0, at=0, factors=()):
+        got = ratio_sum(init, ratio, order, start, at, factors)
+        want = _list_horner_sum(_times(init, factors), ratio, order, start, at)
+        _assert_same(got, want, order)
         seen.append(ratio)
         return got
 
@@ -452,3 +455,125 @@ def test_every_package_table_matches_the_list_walk(monkeypatch):
     assert len(seen) == len(FAMILIES)
     assert cli.main(["verify", "--target", "all", "--order", "400", "--format", "json"]) == 0
     assert len(set(seen)) > 2 * len(FAMILIES)
+
+
+# -- the initial term's factors, cancelled against the walk's divides ----------
+
+
+def _times(init, factors):
+    """init times the factors (c, e, m, n), each (c*q^e;q)_n^m, one
+    binomial at a time."""
+    cs = list(init.coeffs)
+    for c, e, m, n in factors:
+        for ex in range(e, len(cs) if n is None else min(e + n, len(cs))):
+            for _ in range(m):
+                _mul_binomial_inplace(cs, -c, ex)
+    return QSeries(cs, init.order)
+
+
+def _random_factors(rng, ratio, start):
+    """Runs that hold most of the table's unit divides from n = start on,
+    an infinite run for a slope-1 row and a single binomial for a constant
+    one, some of them twice; plus a few runs no divide meets."""
+    factors = []
+    for c, a, b in ratio.divs:
+        e = a * start + b
+        if c in (1, -1) and e >= 1 and rng.random() < 0.8:
+            factors.append((c, e, rng.choice((1, 1, 2)), 1 if a == 0 else None))
+    for _ in range(rng.randint(0, 2)):
+        n = rng.choice((None, 0, 1, 3))
+        factors.append((rng.choice((1, -1)), rng.randint(1, 9), rng.randint(1, 2), n))
+    rng.shuffle(factors)
+    return tuple(factors)
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(products, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(products, name, spy)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_factors_match_the_initial_term_times_their_product(order, fractions, monkeypatch):
+    calls = []
+    _spy(monkeypatch, "_unmatched", calls)
+    _spy(monkeypatch, "_product", calls)
+    rng = random.Random(16016 + order + 1000 * fractions)
+    for sweep in range(2 * SWEEPS):
+        ratio = _random_ratio(rng, sign=-1 if sweep % 2 else 1)
+        start, at = rng.randint(0, 2), rng.randint(0, 3)
+        factors = _random_factors(rng, ratio, start)
+        for init in (_random_init(rng, order, fractions), one(order)):
+            got = ratio_sum(init, ratio, order, start=start, at=at, factors=factors)
+            want = _dense_sum(_times(init, factors), ratio, order, start, at)
+            _assert_same(got, want, order)
+    # both ends are reached: every divide cancelled, and some divide left over
+    assert {"_unmatched", "_product"} <= set(calls) or order < 60
+
+
+@pytest.mark.parametrize("case", range(len(REFUSED)))
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_factors_leave_every_refusal_as_it_was(case, fractions):
+    ratio, start, at, order = REFUSED[case]
+    rng = random.Random(case)
+    init = _random_init(rng, order, fractions)
+    factors = ((1, 1, 2, None), (-1, 1, 1, None), (1, 2, 1, 1))
+    factors += _random_factors(rng, ratio, start)
+    want = _raised(lambda: ratio_sum(init, ratio, order, start=start, at=at))
+    assert want is not None
+    got = _raised(lambda: ratio_sum(init, ratio, order, start=start, at=at, factors=factors))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "bad", [(2, 1, 1, None), (1, 0, 1, None), (-1, 0, 1, 1), (1, 1, -1, None), (1, 1, 1, -1)]
+)
+def test_a_factor_that_is_not_a_run_of_units_is_refused(bad):
+    with pytest.raises(ValueError):
+        ratio_sum(one(9), Ratio((1, 0, 1), divs=((1, 1, 1),)), 9, factors=(bad,))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_a_divide_with_c_2_is_left_over(order, fractions, monkeypatch):
+    # (1 - 2q^(n+1)) is no factor's binomial: the sum builds the product and
+    # divides, as it does for a table without factors
+    calls = []
+    _spy(monkeypatch, "_unmatched", calls)
+    _spy(monkeypatch, "_product", calls)
+    ratio = Ratio((1, 1, 1), muls=((-1, 1, 2),), divs=((1, 1, 1), (2, 1, 1)))
+    factors = ((1, 1, 1, None), (-1, 3, 2, 4))
+    init = _random_init(random.Random(order), order, fractions)
+    got = ratio_sum(init, ratio, order, factors=factors)
+    _assert_same(got, _dense_sum(_times(init, factors), ratio, order, 0, 0), order)
+    # at order 0 no step reaches a coefficient, so no divide is applied
+    assert calls == ["_unmatched" if order == 0 else "_product"]
+
+
+def test_g_leaves_a_divide_over_and_divides(monkeypatch):
+    calls = []
+    _spy(monkeypatch, "_hensel_div", calls)
+    _spy(monkeypatch, "_unmatched", calls)
+    _assert_same(gen_family("G", 400), _inline_gen_family(FAMILIES["G"], 400), 400)
+    assert calls == ["_hensel_div"]
+
+
+def _refuse(*args):
+    raise AssertionError("called a kernel that a cancelled sum never needs")
+
+
+@pytest.mark.parametrize("name", ["F", "A", "A2", "B", "C", "D"])
+def test_gen_family_builds_no_product_and_divides_nothing(name, monkeypatch):
+    want = _inline_gen_family(FAMILIES[name], 300)
+    monkeypatch.setattr(products, "poch_infinite", _refuse)
+    monkeypatch.setattr(products, "_hensel_div", _refuse)
+    monkeypatch.setattr(QSeries, "invert", _refuse)
+    if name != "D":  # D's tail (q^(L/2);q)_inf^3 is one Kronecker product
+        monkeypatch.setattr(products, "_kronecker_mul", _refuse)
+        monkeypatch.setattr(QSeries, "__mul__", _refuse)
+    _assert_same(gen_family(name, 300), want, 300)
