@@ -170,11 +170,9 @@ _ALIASES = {"A''": "A2", "A′′": "A2"}
 
 
 def family(name: str) -> FamilySpec:
-    key = _ALIASES.get(name)
-    if key is None:
-        # primed names (F', B', ...) denote the signed counts of the same family
-        key = name.rstrip("'′")
-        key = key.upper() if len(key) == 1 else key
+    key = name.upper()
+    # primed names (F', B', ...) denote the signed counts of the same family
+    key = _ALIASES.get(key, key.rstrip("'′"))
     try:
         return FAMILIES[key]
     except KeyError:

@@ -9,38 +9,48 @@ every realized factor exponent grows without bound.
 
 A Pochhammer product of L coefficients is built factor by factor on one
 integer x: coefficient i sits in slot i of w bits, as series._pack lays it
-out, so x = P(2^w) for the product P so far, and multiplying by (1 + c*q^e)
-is x + c*(x << w*e).  Only x modulo 2^(w*L) is kept: q -> 2^w maps the
+out, so x = P(2^w) for the product P so far, and multiplying by (1 - c*q^e)
+is x - c*(x << w*e).  Only x modulo 2^(w*L) is kept: q -> 2^w maps the
 series truncated after q^(L-1) into the integers modulo 2^(w*L), sums and
 products alike, so the slots above q^(L-1) never reach the ones below.
 
 Exactness rests on one invariant: a bound b <= w - 1 with every
 coefficient below 2^b in size, so that series._unpack reads every slot
-back exactly.  The product 1 starts with b = 1 in 4-byte slots.  A factor
-makes each coefficient the sum or difference of two, so it raises b by 1.
-Before a factor that would raise b to w, one test certifies a smaller
-bound.  With t = w - 1 - min(w/4, 16), add 2^t to every slot of x and AND
-with the slot bits t+1 .. w-1.  The result is 0 exactly when every
-coefficient c lies in [-2^t, 2^t).  If they all do, each slot holds
-c + 2^t in [0, 2^(t+1)), with no borrow between slots.  If the result is
-0, its slots and the c + 2^t agree modulo 2^(w*L) and differ by less than
-2^b + 2^t < 2^w each, so they are equal: the lowest slot where they
-differed would differ by a multiple of 2^w.  The test proves |c| <= 2^t,
-so b becomes t + 1, not t.  If it fails, the product is decoded, still
-exact under the invariant, and packed again with b the largest
-coefficient's bit length, in slots of the fewest whole bytes that leave 32
-bits of room above b.  Those are at least 16 bits wider than before, and
-tracking the coefficients this closely keeps a product at order 8002,
-whose coefficients reach 221 bits, no slower than one list update per
-factor; doubling the width instead made it up to 2x slower than that.
+back exactly.  A binomial (1 - c*q^e) raises b by the bit length of c,
+and the sum of two packed integers raises it by 1.  A _Slots layout of L
+slots keeps the invariant for every integer packed in it: a value starts
+at 1 with b = 1 in 4-byte slots, and before a step that can raise b by g,
+reserve(b, g, ...) makes b + g <= w - 1.  If it does not hold yet, one
+test certifies a smaller bound.  With t = w - 1 - min(w/4, 16), add 2^t to
+every slot of x and AND with the slot bits t+1 .. w-1.  The result is 0
+exactly when every coefficient c lies in [-2^t, 2^t).  If they all do,
+each slot holds c + 2^t in [0, 2^(t+1)), with no borrow between slots.
+If the result is 0, its slots and the c + 2^t agree modulo 2^(w*L) and
+differ by less than 2^b + 2^t < 2^w each, so they are equal: the lowest
+slot where they differed would differ by a multiple of 2^w.  The test
+proves |c| <= 2^t, so b becomes t + 1, not t.  If the test fails for any
+of the integers, or t + 1 + g >= w, each is decoded, still exact under
+the invariant, and packed again with b the largest coefficient's bit
+length, in slots of the fewest whole bytes that leave 32 bits of room
+above b + g.  Those are at least 16 bits wider than before, and tracking
+the coefficients this closely keeps a product at order 8002, whose
+coefficients reach 221 bits, no slower than one list update per factor;
+doubling the width instead made it up to 2x slower than that.
+
+One layout also serves an integer reduced modulo 2^(w*l), l < L, as
+ratio_sum's numerator is.  Read as L slots it holds its l coefficients,
+then 0 or 1 (a borrow from below), then zeros: the test passes on it
+exactly when its l coefficients pass, as 2^t + 1 < 2^(t+1), and packed
+again it still holds them, with at most that 1 above, which the walk's
+next shift and reduction drop.
 
 Every q-hypergeometric sum over n in the package is an initial term plus a
 Ratio table: term(n+1)/term(n) is a signed power of q times binomial
 factors multiplied in or divided out.  ratio_sum sums such a table; phi32
 is the 3-phi-2 instance.  Its walk runs on the same packing and never
 divides: it carries the sum's numerator U and denominator P, two packed
-integers under one bound b <= w - 1 kept by the same test, and divides
-once at the end, exactly (see ratio_sum).
+integers in one layout under one bound, and divides once at the end,
+exactly (see ratio_sum).
 
 An initial term may come as factors, runs (c*q^e; q)_n^m of binomials
 (1 - c*q^e) with c = +-1 and e >= 1, which ratio_sum nets against the
@@ -49,7 +59,7 @@ constant term 1, so it is a unit of the series truncated to any length,
 and one that is both a factor and a divide cancels exactly: the sum is
 unchanged whichever way the factors and divides are paired.  A sum whose
 every divide cancels needs no product and no division; one that leaves a
-divide over builds the factors and divides as before.
+divide over builds the factors as one packed product and divides.
 
 A builder marked @shared runs once per argument set inside a sharing()
 scope and hands every later caller in the scope that same immutable
@@ -166,31 +176,41 @@ class Monomial:
         return f"{s}q^{self.e}"
 
 
-def _certifier(width: int, length: int) -> Callable[[int], Optional[int]]:
-    """For a packed product of length slots of width bytes whose
-    coefficients are all below 2^(w-1) in size, w = 8*width: a test that
-    returns a proven smaller bound b, with every coefficient below 2^b in
-    size, or None when one test cannot show one (see the module docstring)."""
-    w = 8 * width
-    t = w - 1 - min(w // 4, 16)
-    low = int.from_bytes((1 << t).to_bytes(width, "little") * length, "little")
-    high = int.from_bytes(((1 << w) - (2 << t)).to_bytes(width, "little") * length, "little")
+class _Slots:
+    """length slots of width bytes, as series._pack lays them out: the mask
+    that keeps a packed integer to them, the two constants of the test that
+    certifies a bound, and the bound it certifies (see the module
+    docstring)."""
 
-    def certify(x: int) -> Optional[int]:
-        return None if (x + low) & high else t + 1
+    __slots__ = ("length", "width", "mask", "low", "high", "certified")
 
-    return certify
+    def __init__(self, length: int, width: int):
+        w = 8 * width
+        t = w - 1 - min(w // 4, 16)
+        self.length, self.width, self.certified = length, width, t + 1
+        self.mask = (1 << (w * length)) - 1
+        self.low = int.from_bytes((1 << t).to_bytes(width, "little") * length, "little")
+        self.high = int.from_bytes(((1 << w) - (2 << t)).to_bytes(width, "little") * length, "little")
 
-
-def _widened(packed: Iterable[tuple[int, int]], width: int, room: int) -> tuple[int, int, list]:
-    """Decode each (x, length) packed in slots of width bytes, exact under
-    the bound invariant, and pack it again, masked, in the fewest whole
-    bytes that leave room bits above the largest coefficient's bit length
-    b.  Returns the new width, b, and the packed integers."""
-    lists = [(_unpack(x, width, length), length) for x, length in packed]
-    bound = max(max(map(abs, cs)).bit_length() for cs, _ in lists)
-    width = (bound + room + 7) // 8
-    return width, bound, [_pack(cs, width) & ((1 << (8 * width * n)) - 1) for cs, n in lists]
+    def reserve(self, bound: int, grow: int, *packed: int) -> tuple["_Slots", int, tuple]:
+        """The layout, the bound and the packed integers, every coefficient
+        of which is below 2^bound in size, with room for grow more bits
+        below the slot top: unchanged, with the smaller bound the one test
+        certifies, or packed again in wider slots."""
+        w = 8 * self.width
+        if bound + grow < w:
+            return self, bound, packed
+        low, high = self.low, self.high
+        for x in packed:
+            if (x + low) & high:
+                break
+        else:
+            if self.certified + grow < w:
+                return self, self.certified, packed
+        lists = [_unpack(x, self.width, self.length) for x in packed]
+        bound = max(max(map(abs, cs)).bit_length() for cs in lists)
+        wider = _Slots(self.length, (bound + grow + 32 + 7) // 8)
+        return wider, bound, tuple(_pack(cs, wider.width) & wider.mask for cs in lists)
 
 
 def _bits(factors: Iterable[tuple]) -> int:
@@ -208,23 +228,21 @@ def _shift_add(x: int, c: int, shift: int) -> int:
     return x - c * (x << shift)
 
 
-def _binomial_product(c: int, exponents: Iterable[int], length: int) -> list:
-    """The first length coefficients of the product of (1 + c*q^e) over the
-    exponents, for c = +-1 and exponents e >= 0, on one packed integer
-    whose slots start at 4 bytes and widen when the bound needs it."""
-    width, bound, x = 4, 1, 1
-    mask = (1 << (8 * width * length)) - 1
-    certify = _certifier(width, length)
-    for e in exponents:
-        if bound == 8 * width - 1:
-            bound = certify(x)
-            if bound is None:
-                width, bound, (x,) = _widened(((x, length),), width, 32)
-                mask = (1 << (8 * width * length)) - 1
-                certify = _certifier(width, length)
-        x = _shift_add(x, -c, 8 * width * e) & mask
-        bound += 1
-    return _unpack(x, width, length)
+def _binomial_product(runs: Iterable[tuple[int, Iterable[int]]], length: int) -> list:
+    """The first length coefficients of the product of the binomials
+    (1 - c*q^e) over the runs (c, exponents), c = +-1 and every e >= 0, on
+    one packed integer whose slots start at 4 bytes and widen when the
+    bound needs it."""
+    slots, bound, x = _Slots(length, 4), 1, 1
+    w, mask = 8 * slots.width, slots.mask
+    for c, exponents in runs:
+        for e in exponents:
+            if bound + 1 >= w:
+                slots, bound, (x,) = slots.reserve(bound, 1, x)
+                w, mask = 8 * slots.width, slots.mask
+            x = _shift_add(x, c, w * e) & mask
+            bound += 1
+    return _unpack(x, slots.width, length)
 
 
 def poch_finite(a: Monomial, base: int, n: int, order: int) -> QSeries:
@@ -245,7 +263,7 @@ def poch_finite(a: Monomial, base: int, n: int, order: int) -> QSeries:
         exponents.append(ex)
         if ex == 0 and a.c == 1:
             break  # the factor (1 - q^0) zeroed the whole product
-    return QSeries(_binomial_product(-a.c, exponents, order + 1), order)
+    return QSeries(_binomial_product(((a.c, exponents),), order + 1), order)
 
 
 @shared
@@ -258,7 +276,8 @@ def poch_infinite(a: Monomial, base: int, order: int) -> QSeries:
         raise NonconvergentProduct(
             f"({a}; q^{base})_inf needs a positive leading exponent"
         )
-    return QSeries(_binomial_product(-a.c, range(a.e, order + 1, base), order + 1), order)
+    runs = ((a.c, range(a.e, order + 1, base)),)
+    return QSeries(_binomial_product(runs, order + 1), order)
 
 
 @dataclass(frozen=True)
@@ -358,26 +377,6 @@ def _counts(factors: Iterable[tuple], full: int) -> dict[int, list]:
     return counts
 
 
-def _product(factors: Iterable[tuple], order: int, full: int) -> list:
-    """The first full coefficients of the product of the factors
-    (c, e, m, n) of _counts, the infinite ones by poch_infinite at the
-    order."""
-    cs = None
-    for c, e, m, n in factors:
-        if n is None:
-            p = list(poch_infinite(Monomial(c, e), 1, order).coeffs[:full])
-            for _ in range(m):
-                cs = p if cs is None else _kronecker_mul(cs, p, full - 1)
-    if cs is None:
-        cs = [1] + [0] * (full - 1)
-    for c, e, m, n in factors:
-        for j in range(0 if n is None else min(n, full)):
-            for _ in range(m):
-                if e + j < full:
-                    _mul_binomial_inplace(cs, -c, e + j)
-    return cs
-
-
 def _unmatched(cs: list, counts: dict[int, list]) -> list:
     """cs times the binomials (1 - c*q^e) that counts still holds, to
     len(cs) coefficients.  Those with 2e >= len(cs) multiply out to
@@ -426,17 +425,14 @@ def ratio_sum(
 
         U_n = P_n + sign * q^step * M_n * U_(n+1).
 
-    Both are shift-and-add on packed integers in one slot width, laid out
-    as for the Pochhammer products, with one bound b <= w - 1 on every
-    coefficient of U and P.  A factor (1 - c*q^e) raises b by the bit
-    length of c and the add by 1, so a step raises it by at most g, 1 plus
-    the larger of the table's multiply and divide bit lengths.  Before a
-    step that would pass w - 1, _certifier proves a smaller bound for both,
-    or both are packed again wider.  A certifier for P's L slots also
-    serves U's l <= L: as L slots, U's residue holds its l coefficients,
-    then 0 or 1, then zeros.  U_n keeps only the l slots that still reach
-    the order and P keeps all L, which the quotient needs; a mask reduces
-    modulo 2^(w*l), a ring map, so one mask a step is enough.
+    Both are shift-and-add on packed integers in one _Slots layout of P's
+    L slots, under one bound on every coefficient of U and P, kept as the
+    module docstring proves: a step raises it by at most g, 1 plus the
+    larger of the table's multiply and divide bit lengths, so each step
+    that could pass w - 1 first reserves g bits.  U_n keeps only the
+    l <= L slots that still reach the order and P keeps all L, which the
+    quotient needs; a mask reduces modulo 2^(w*l), a ring map, so one mask
+    a step is enough.
 
     The sum is init * F * U_start / P_start.  Every factor of F has
     constant term 1, so it is a unit of the integer series truncated to L
@@ -474,22 +470,15 @@ def ratio_sum(
     # factors, _paired and the length tests below only drop binomials, or
     # swap one with |c| = 1 for another, so the table's rows bound each step
     grow = 1 + max(_bits(ratio.muls), _bits(ratio.divs))
-    width, bound, u, p, scale = 4, 1, 1, 1, 1
-    mask = (1 << (8 * width * full)) - 1
-    certify = _certifier(width, full)
+    slots, bound, u, p, scale = _Slots(full, 4), 1, 1, 1, 1
+    w, mask = 8 * slots.width, slots.mask
     # F's binomials by sign and exponent; None once a divide is not one
     counts = _counts(factors, full) if factors else None
     for k in range(n - 2, start - 1, -1):
         muls, divs = _paired(*ratio.factors(k))
-        if bound + grow >= 8 * width:
-            proven = certify(p) and certify(u)
-            if proven:
-                bound = proven
-            if bound + grow >= 8 * width:
-                width, bound, (p, u) = _widened(((p, full), (u, size)), width, 32 + grow)
-                mask = (1 << (8 * width * full)) - 1
-                certify = _certifier(width, full)
-        w = 8 * width
+        if bound + grow >= w:
+            slots, bound, (p, u) = slots.reserve(bound, grow, p, u)
+            w, mask = 8 * slots.width, slots.mask
         for c, e in divs:
             if e == 0:
                 scale *= 1 - c
@@ -511,17 +500,22 @@ def ratio_sum(
         u = (p + shifted if sign == 1 else p - shifted) & (mask >> (w * (full - size)))
         bound += grow
     top = full - 1
-    s = _unpack(u, width, full)
+    s = _unpack(u, slots.width, full)
     if counts:
         s = _unmatched(s, counts)
     elif factors:
-        s = _kronecker_mul(_product(factors, order, full), s, top)
+        runs = [
+            (c, range(e, full if n is None else min(full, e + n)))
+            for c, e, m, n in factors
+            for _ in range(m)
+        ]
+        s = _kronecker_mul(_binomial_product(runs, full), s, top)
     s = QSeries(s, top)
     head = init.coeffs[:full]
     if head[0] != 1 or any(head[1:]):
         s = QSeries(head, top) * s
     if not counts and p != 1:
-        den = _unpack(p, width, full)
+        den = _unpack(p, slots.width, full)
         if scale != 1:
             den = [x // scale for x in den]
         if s.is_integral():

@@ -87,6 +87,15 @@ def test_verify_theorem_ok(capsys):
     assert "theorem:B" in out and "ok" in out
 
 
+@pytest.mark.parametrize("name", ["a''", "a′′", "a2", "a2'"])
+def test_verify_theorem_folds_a_lower_case_alias(capsys, name):
+    code, out, _ = run(
+        capsys, "verify", "--target", f"theorem:{name}", "--order", "30", "--format", "json"
+    )
+    assert code == 0
+    assert [doc["name"] for doc in json.loads(out)] == ["theorem:A2"]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--target", "classical:gauss", "--order", "80",

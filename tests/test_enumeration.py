@@ -280,6 +280,12 @@ def test_family_name_resolution():
         enumerate_family("F", -1)
 
 
+@pytest.mark.parametrize("name", ["a''", "a′′", "a2", "a2'", "A2'", "A′′"])
+def test_family_folds_case_before_the_alias(name):
+    # the paper's A'' in any case, primed or not, is family A2, never A
+    assert family(name) is FAMILIES["A2"]
+
+
 def test_overpartition_validation():
     with pytest.raises(ValueError):
         Overpartition.of([0])

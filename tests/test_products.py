@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from overq.series import QSeries, _mul_binomial_inplace, _pack, monomial, one
+from overq.series import QSeries, _mul_binomial_inplace, _pack, _unpack, monomial, one
 from overq.products import (
     Monomial,
     NegativeExponentFactor,
@@ -14,7 +14,8 @@ from overq.products import (
     Theta1D,
     Theta2D,
     ZeroDenominator,
-    _certifier,
+    _binomial_product,
+    _Slots,
     lattice_sum,
     phi32,
     poch_finite,
@@ -423,7 +424,7 @@ def test_certified_bound_holds_and_frees_slot_bits(width):
     # -2^t exactly on the edge of the [-2^t, 2^t) it tests
     w = 8 * width
     rng = random.Random(8093 + width)
-    certify = _certifier(width, 6)
+    slots = _Slots(6, width)
     top = (1 << (w - 1)) - 1
     values = {0, 1, -1, top, -top}
     for k in range(w - 1):
@@ -434,8 +435,54 @@ def test_certified_bound_holds_and_frees_slot_bits(width):
         for slot in range(6):
             cs = [rng.choice((0, 1, -1)) for _ in range(6)]
             cs[slot] = v
-            bound = certify(_pack(cs, width))
-            if bound is not None:
+            x = _pack(cs, width)
+            layout, bound, (y,) = slots.reserve(w - 1, 1, x)
+            if layout is slots:
+                assert y == x
                 assert bound <= w - 2, (v, slot)
                 assert all(abs(c) < 1 << bound for c in cs), (v, slot, bound)
-    assert certify(_pack([1, -1, 0, 1, 0, -1], width)) is not None
+            else:
+                # packed again wider, with the largest coefficient's bound
+                assert layout.width > width and bound + 1 < 8 * layout.width
+                assert _unpack(y, layout.width, 6) == cs
+                assert bound == max(abs(c) for c in cs).bit_length()
+    assert slots.reserve(w - 1, 1, _pack([1, -1, 0, 1, 0, -1], width))[0] is slots
+
+
+def _list_binomial_product(runs, length):
+    """The product of (1 - c*q^e) over the runs by one list update per
+    binomial."""
+    cs = [1] + [0] * (length - 1)
+    for c, exponents in runs:
+        for e in exponents:
+            if e < length:
+                _mul_binomial_inplace(cs, -c, e)
+    return cs
+
+
+@pytest.mark.parametrize("order", (0, 1, 60, 1000))
+def test_binomial_product_over_mixed_sign_runs(order, monkeypatch):
+    # (-q;q)_inf (q^2;q^2)_inf (-q^3;q^3)_40 (1 + q^0), an empty run and a
+    # binomial past the end: the distinct-part counts widen the slots at
+    # least twice by order 1000
+    length = order + 1
+    runs = (
+        (-1, range(1, length)),
+        (1, range(2, length, 2)),
+        (-1, range(3, 3 * 40 + 1, 3)),
+        (-1, (0,)),
+        (1, ()),
+        (1, (length + 2,)),
+    )
+    widened = []
+    real = _Slots.reserve
+
+    def counted(self, bound, grow, *packed):
+        got = real(self, bound, grow, *packed)
+        if got[0] is not self:
+            widened.append(got[0].width)
+        return got
+
+    monkeypatch.setattr(_Slots, "reserve", counted)
+    assert _binomial_product(runs, length) == _list_binomial_product(runs, length)
+    assert len(widened) >= 2 or order < 1000

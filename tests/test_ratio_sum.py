@@ -414,13 +414,15 @@ def test_the_walk_widens_its_slots(monkeypatch):
     # (q;q)_n^3 over n: U and P pass the first 32-bit slots, and pass the
     # certifier's bound there, by order 300
     widened = []
-    real = products._widened
+    real = products._Slots.reserve
 
-    def counted(packed, width, room):
-        widened.append(width)
-        return real(packed, width, room)
+    def counted(slots, bound, grow, *packed):
+        got = real(slots, bound, grow, *packed)
+        if got[0] is not slots:
+            widened.append(slots.width)
+        return got
 
-    monkeypatch.setattr(products, "_widened", counted)
+    monkeypatch.setattr(products._Slots, "reserve", counted)
     ratio = Ratio((-1, 0, 1), muls=((-1, 1, 3),), divs=((1, 1, 1),) * 3)
     init = _random_init(random.Random(3), 300, False)
     got = ratio_sum(init, ratio, 300, start=1)
@@ -502,7 +504,7 @@ def _spy(monkeypatch, name, calls):
 def test_factors_match_the_initial_term_times_their_product(order, fractions, monkeypatch):
     calls = []
     _spy(monkeypatch, "_unmatched", calls)
-    _spy(monkeypatch, "_product", calls)
+    _spy(monkeypatch, "_binomial_product", calls)
     rng = random.Random(16016 + order + 1000 * fractions)
     for sweep in range(2 * SWEEPS):
         ratio = _random_ratio(rng, sign=-1 if sweep % 2 else 1)
@@ -513,7 +515,7 @@ def test_factors_match_the_initial_term_times_their_product(order, fractions, mo
             want = _dense_sum(_times(init, factors), ratio, order, start, at)
             _assert_same(got, want, order)
     # both ends are reached: every divide cancelled, and some divide left over
-    assert {"_unmatched", "_product"} <= set(calls) or order < 60
+    assert {"_unmatched", "_binomial_product"} <= set(calls) or order < 60
 
 
 @pytest.mark.parametrize("case", range(len(REFUSED)))
@@ -545,22 +547,24 @@ def test_a_divide_with_c_2_is_left_over(order, fractions, monkeypatch):
     # divides, as it does for a table without factors
     calls = []
     _spy(monkeypatch, "_unmatched", calls)
-    _spy(monkeypatch, "_product", calls)
+    _spy(monkeypatch, "_binomial_product", calls)
     ratio = Ratio((1, 1, 1), muls=((-1, 1, 2),), divs=((1, 1, 1), (2, 1, 1)))
     factors = ((1, 1, 1, None), (-1, 3, 2, 4))
     init = _random_init(random.Random(order), order, fractions)
     got = ratio_sum(init, ratio, order, factors=factors)
     _assert_same(got, _dense_sum(_times(init, factors), ratio, order, 0, 0), order)
     # at order 0 no step reaches a coefficient, so no divide is applied
-    assert calls == ["_unmatched" if order == 0 else "_product"]
+    assert calls == ["_unmatched" if order == 0 else "_binomial_product"]
 
 
 def test_g_leaves_a_divide_over_and_divides(monkeypatch):
+    want = _inline_gen_family(FAMILIES["G"], 400)
     calls = []
     _spy(monkeypatch, "_hensel_div", calls)
     _spy(monkeypatch, "_unmatched", calls)
-    _assert_same(gen_family("G", 400), _inline_gen_family(FAMILIES["G"], 400), 400)
-    assert calls == ["_hensel_div"]
+    _spy(monkeypatch, "_binomial_product", calls)
+    _assert_same(gen_family("G", 400), want, 400)
+    assert calls == ["_binomial_product", "_hensel_div"]
 
 
 def _refuse(*args):
@@ -577,3 +581,9 @@ def test_gen_family_builds_no_product_and_divides_nothing(name, monkeypatch):
         monkeypatch.setattr(products, "_kronecker_mul", _refuse)
         monkeypatch.setattr(QSeries, "__mul__", _refuse)
     _assert_same(gen_family(name, 300), want, 300)
+
+
+def test_g_builds_its_left_over_product_without_poch_infinite(monkeypatch):
+    want = _inline_gen_family(FAMILIES["G"], 1000)
+    monkeypatch.setattr(products, "poch_infinite", _refuse)
+    _assert_same(gen_family("G", 1000), want, 1000)

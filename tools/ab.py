@@ -23,8 +23,10 @@ exit 1.  The workloads mirror bench/workloads.py:
 The output gives each side's median and quartiles over the rounds, the
 ratio of the medians (change / base), and in how many rounds the change
 was faster.  One more untimed call per side, after the rounds, runs under
-tracemalloc and gives the side's peak of traced memory: the memory a pass
-allocates, apart from the interpreter and the imported modules.
+tracemalloc and gives the side's peak of traced memory, in bytes: the
+memory a pass allocates, apart from the interpreter and the imported
+modules.  It moves by some hundreds of bytes between calls on one tree,
+with what earlier calls left on the allocator's free lists.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         f"change faster in {wins} of {args.rounds} rounds"
     )
     print(
-        f"traced peak of one call: base {peaks['base'] / 1024:.0f} KB, "
-        f"change {peaks['change'] / 1024:.0f} KB"
+        f"traced peak of one call: base {peaks['base']:,} B, "
+        f"change {peaks['change']:,} B"
     )
     return 0
 
