@@ -9,40 +9,49 @@ every realized factor exponent grows without bound.
 
 A Pochhammer product of L coefficients is built factor by factor on one
 integer x: coefficient i sits in slot i of w bits, as series._pack lays it
-out, so x = P(2^w) for the product P so far, and multiplying by (1 - c*q^e)
-is x - c*(x << w*e).  Only x modulo 2^(w*L) is kept: q -> 2^w maps the
-series truncated after q^(L-1) into the integers modulo 2^(w*L), sums and
-products alike, so the slots above q^(L-1) never reach the ones below.
+out, so x = P(2^w) for the product P so far.  Only x modulo 2^(w*L) is
+kept: q -> 2^w maps the series truncated after q^(L-1) into the integers
+modulo 2^(w*L), sums and products alike, so the slots above q^(L-1) never
+reach the ones below.  Multiplying by (1 - c*q^e) is x - c*(y << w*e) with
+y = x & (mask >> w*e), the low L - e slots of x: y and x differ by a
+multiple of 2^(w*(L-e)), so the two shifts differ by a multiple of
+2^(w*L) and the result is the same residue, while the shift moves only
+the L - e slots that stay instead of building L + e.
 
 Exactness rests on one invariant: a bound b <= w - 1 with every
 coefficient below 2^b in size, so that series._unpack reads every slot
 back exactly.  A binomial (1 - c*q^e) raises b by the bit length of c,
 and the sum of two packed integers raises it by 1.  A _Slots layout of L
-slots keeps the invariant for every integer packed in it: a value starts
-at 1 with b = 1 in 4-byte slots, and before a step that can raise b by g,
-reserve(b, g, ...) makes b + g <= w - 1.  If it does not hold yet, one
-test certifies a smaller bound.  With t = w - 1 - min(w/4, 16), add 2^t to
-every slot of x and AND with the slot bits t+1 .. w-1.  The result is 0
-exactly when every coefficient c lies in [-2^t, 2^t).  If they all do,
-each slot holds c + 2^t in [0, 2^(t+1)), with no borrow between slots.
-If the result is 0, its slots and the c + 2^t agree modulo 2^(w*L) and
-differ by less than 2^b + 2^t < 2^w each, so they are equal: the lowest
-slot where they differed would differ by a multiple of 2^w.  The test
-proves |c| <= 2^t, so b becomes t + 1, not t.  If the test fails for any
-of the integers, or t + 1 + g >= w, each is decoded, still exact under
-the invariant, and packed again with b the largest coefficient's bit
-length, in slots of the fewest whole bytes that leave 32 bits of room
-above b + g.  Those are at least 16 bits wider than before, and tracking
-the coefficients this closely keeps a product at order 8002, whose
-coefficients reach 221 bits, no slower than one list update per factor;
-doubling the width instead made it up to 2x slower than that.
+slots keeps the invariant for every integer packed in it: before a step
+that can raise b by g, reserve(b, g, ...) makes b + g <= w - 1.  If it
+does not hold yet, one test certifies a smaller bound.  For a threshold
+t <= w - 2, add 2^t to every slot of x and AND with the slot bits
+t+1 .. w-1, at least one bit.  The result is 0 exactly when every
+coefficient c lies in [-2^t, 2^t).  If they all do, each slot holds
+c + 2^t in [0, 2^(t+1)), with no borrow between slots.  If the result is
+0, every slot holds some v in [0, 2^(t+1)), the v and the c + 2^t agree
+modulo 2^(w*L), and each v differs from its c + 2^t by less than
+2^b + 2^t <= 2^(w-1) + 2^(w-2) < 2^w, so they are equal: the lowest slot
+where they differed would differ by a multiple of 2^w.  The test proves
+|c| <= 2^t, so b becomes t + 1, not t.
+
+A layout holds one threshold t and its two constants.  reserve tests at
+the last t that passed, steps t up by 1 after a failure and tests again,
+and widens only once t + 1 + g >= w: each integer is decoded, still exact
+under the invariant, and packed again with b the largest coefficient's
+bit length, in slots of the fewest whole bytes that leave _ROOM bits
+above b + g, with t = b.  A value starts at 1 with b = t = 1 in slots of
+_START_WIDTH bytes.  So the width and t follow the coefficients the
+integers hold, which in a ratio_sum walk stay at a few bits for hundreds
+of steps while the bound grows by g every step.
 
 One layout also serves an integer reduced modulo 2^(w*l), l < L, as
 ratio_sum's numerator is.  Read as L slots it holds its l coefficients,
-then 0 or 1 (a borrow from below), then zeros: the test passes on it
-exactly when its l coefficients pass, as 2^t + 1 < 2^(t+1), and packed
-again it still holds them, with at most that 1 above, which the walk's
-next shift and reduction drop.
+then 0 or 1 (a borrow from below), then zeros: for t >= 1 the test passes
+on it exactly when its l coefficients pass, as 2^t + 1 < 2^(t+1), and a
+failed test is always safe, it only steps t up.  Packed again it still
+holds them, with at most that 1 above, which the walk's next shift and
+reduction drop.
 
 Every q-hypergeometric sum over n in the package is an initial term plus a
 Ratio table: term(n+1)/term(n) is a signed power of q times binomial
@@ -75,6 +84,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import neg
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -176,21 +186,37 @@ class Monomial:
         return f"{s}q^{self.e}"
 
 
+#: the slot width, in bytes, that every packed value starts in
+_START_WIDTH = 2
+#: the bits a widened layout leaves above the largest coefficient and a step
+_ROOM = 16
+
+
 class _Slots:
     """length slots of width bytes, as series._pack lays them out: the mask
-    that keeps a packed integer to them, the two constants of the test that
-    certifies a bound, and the bound it certifies (see the module
+    that keeps a packed integer to them, and the threshold t of the test
+    that certifies a bound with its two constants (see the module
     docstring)."""
 
-    __slots__ = ("length", "width", "mask", "low", "high", "certified")
+    __slots__ = ("length", "width", "mask", "t", "low", "high")
 
-    def __init__(self, length: int, width: int):
-        w = 8 * width
-        t = w - 1 - min(w // 4, 16)
-        self.length, self.width, self.certified = length, width, t + 1
-        self.mask = (1 << (w * length)) - 1
+    def __init__(self, length: int, width: int, t: int = 1):
+        self.length, self.width = length, width
+        self.mask = (1 << (8 * width * length)) - 1
+        self.threshold(t)
+
+    def threshold(self, t: int) -> None:
+        """Test against [-2^t, 2^t) from now on, t <= w - 2."""
+        width, length = self.width, self.length
+        self.t = t
         self.low = int.from_bytes((1 << t).to_bytes(width, "little") * length, "little")
-        self.high = int.from_bytes(((1 << w) - (2 << t)).to_bytes(width, "little") * length, "little")
+        top = (1 << (8 * width)) - (2 << t)
+        self.high = int.from_bytes(top.to_bytes(width, "little") * length, "little")
+
+    def holds(self, *packed: int) -> bool:
+        """Whether every coefficient of the packed integers lies in [-2^t, 2^t)."""
+        low, high = self.low, self.high
+        return not any((x + low) & high for x in packed)
 
     def reserve(self, bound: int, grow: int, *packed: int) -> tuple["_Slots", int, tuple]:
         """The layout, the bound and the packed integers, every coefficient
@@ -200,16 +226,13 @@ class _Slots:
         w = 8 * self.width
         if bound + grow < w:
             return self, bound, packed
-        low, high = self.low, self.high
-        for x in packed:
-            if (x + low) & high:
-                break
-        else:
-            if self.certified + grow < w:
-                return self, self.certified, packed
+        while self.t + 1 + grow < w:
+            if self.holds(*packed):
+                return self, self.t + 1, packed
+            self.threshold(self.t + 1)
         lists = [_unpack(x, self.width, self.length) for x in packed]
         bound = max(max(map(abs, cs)).bit_length() for cs in lists)
-        wider = _Slots(self.length, (bound + grow + 32 + 7) // 8)
+        wider = _Slots(self.length, (bound + grow + _ROOM + 7) // 8, bound)
         return wider, bound, tuple(_pack(cs, wider.width) & wider.mask for cs in lists)
 
 
@@ -219,28 +242,29 @@ def _bits(factors: Iterable[tuple]) -> int:
     return sum(abs(f[0]).bit_length() for f in factors)
 
 
-def _shift_add(x: int, c: int, shift: int) -> int:
-    """x - c*(x << shift): a packed series times (1 - c*q^e), shift = w*e."""
+def _shift_add(x: int, y: int, c: int, shift: int) -> int:
+    """x - c*(y << shift): a packed series x times (1 - c*q^e), shift = w*e,
+    with y = x or y = x modulo 2^(w*L - shift)."""
     if c == 1:
-        return x - (x << shift)
+        return x - (y << shift)
     if c == -1:
-        return x + (x << shift)
-    return x - c * (x << shift)
+        return x + (y << shift)
+    return x - c * (y << shift)
 
 
 def _binomial_product(runs: Iterable[tuple[int, Iterable[int]]], length: int) -> list:
     """The first length coefficients of the product of the binomials
     (1 - c*q^e) over the runs (c, exponents), c = +-1 and every e >= 0, on
-    one packed integer whose slots start at 4 bytes and widen when the
-    bound needs it."""
-    slots, bound, x = _Slots(length, 4), 1, 1
+    one packed integer whose slots widen when the bound needs it."""
+    slots, bound, x = _Slots(length, _START_WIDTH), 1, 1
     w, mask = 8 * slots.width, slots.mask
     for c, exponents in runs:
         for e in exponents:
             if bound + 1 >= w:
                 slots, bound, (x,) = slots.reserve(bound, 1, x)
                 w, mask = 8 * slots.width, slots.mask
-            x = _shift_add(x, c, w * e) & mask
+            shift = w * e
+            x = _shift_add(x, x & (mask >> shift), c, shift) & mask
             bound += 1
     return _unpack(x, slots.width, length)
 
@@ -363,6 +387,49 @@ def _paired(muls: list, divs: list) -> tuple[list, list]:
     return muls, unpaired
 
 
+@functools.lru_cache(maxsize=None)
+def _compiled(ratio: Ratio) -> Optional[tuple[int, frozenset, tuple, tuple]]:
+    """(low, special, muls, divs): _paired(*ratio.factors(n)) as rows
+    (c, a, b), each (1 - c*q^(a*n + b)), the same for every n >= low that
+    is not in special, where factors raises nothing.  None for a table with
+    a negative slope or a constant row that is negative or the zero divide
+    (1 - q^0), which takes factors and _paired at every n.
+
+    factors and _paired only compare binomials at one n: each divide with
+    the multiplies, and (1 - q^(2e)) for a divide (1 - c*q^e), c = +-1,
+    with the multiplies and the (1 + c*q^e) paired before it.  Two rows
+    with one c realize one exponent at every n if they are equal, at no n
+    if they differ only in b, and at one n at most otherwise.  special
+    holds every such n for any two of the multiplies, the divides, and the
+    (-c, a, b) and (1, 2a, 2b) of the unit divides, so at any n >= low
+    outside it every comparison agrees with the comparison of the rows,
+    and factors and _paired take the same steps as at n = far, beyond
+    every special n and every |2b|: the lists at n are those at far, with
+    each exponent a*far + b read back as the row (c, a, b).  A divide
+    (1, a, b) with a > 0 meets its own (1, 2a, 2b) where a*n + b = 0, so
+    special also holds each n where it is the zero divide; below low some
+    row is negative."""
+    rows = ratio.muls + ratio.divs
+    if any(a < 0 or a == 0 and b < 0 for c, a, b in rows) or (1, 0, 0) in ratio.divs:
+        return None
+    units = [(c, a, b) for c, a, b in ratio.divs if c in (1, -1)]
+    seen = set(rows) | {(-c, a, b) for c, a, b in units} | {(1, 2 * a, 2 * b) for c, a, b in units}
+    special = frozenset(
+        (b2 - b) // (a - a2)
+        for (c, a, b), (c2, a2, b2) in combinations(seen, 2)
+        if c == c2 and a != a2 and (b2 - b) % (a - a2) == 0
+    )
+    low = max((-(b // a) for c, a, b in rows if a), default=0)
+    far = 8 * (1 + max((abs(b) for c, a, b in rows), default=0))
+
+    def row(c: int, e: int) -> tuple[int, int, int]:
+        a = (e + far // 2) // far
+        return c, a, e - a * far
+
+    muls, divs = _paired(*ratio.factors(far))
+    return low, special, tuple(row(*f) for f in muls), tuple(row(*f) for f in divs)
+
+
 def _counts(factors: Iterable[tuple], full: int) -> dict[int, list]:
     """For each sign c = +-1, the multiplicity of (1 - c*q^e) for e < full
     in the product of the factors (c, e, m, n), each (c*q^e; q)_n^m with
@@ -414,13 +481,14 @@ def ratio_sum(
     init needs only the coefficients that can reach the order from q^at.
     Every step must raise the term's leading exponent, so the sum stops
     once it passes the order.  A first walk over n finds the last term
-    that reaches the order and checks every ratio's factors, so it raises
-    what a term-by-term sum raises, at the same n.
+    that reaches the order and checks the ratio's factors at every n where
+    _compiled's rows do not stand for them, the only n where they can
+    raise, so it raises what a term-by-term sum raises, at the same n.
 
     The sum is q^at * init * F * S_start in Horner form, with
     S_n = 1 + R_n S_(n+1) and S_last = 1, and the second walk builds it
-    without dividing.  With
-    the ratio at n written sign * q^step * M_n / D_n (after _paired), let
+    without dividing.  With the ratio at n written sign * q^step * M_n / D_n
+    (after _paired, read from the compiled rows where they stand), let
     P_n = D_n P_(n+1) and U_n = P_n S_n, so P_last = U_last = 1 and
 
         U_n = P_n + sign * q^step * M_n * U_(n+1).
@@ -456,12 +524,14 @@ def ratio_sum(
         )
     full = order + 1 - at  # slots of P and of U_start
     sign, slope, offset = ratio.shift
+    low, special, fixed_muls, fixed_divs = _compiled(ratio) or (None, (), (), ())
     n = start
     while at <= order:
         step = slope * n + offset
         if step < 1:
             raise NonterminatingSum(f"step n={n} does not raise the term degree")
-        ratio.factors(n)  # raises what a term-by-term sum raises at this n
+        if low is None or n < low or n in special:
+            ratio.factors(n)  # raises what a term-by-term sum raises at this n
         at += step
         n += 1
     if n == start:
@@ -470,20 +540,27 @@ def ratio_sum(
     # factors, _paired and the length tests below only drop binomials, or
     # swap one with |c| = 1 for another, so the table's rows bound each step
     grow = 1 + max(_bits(ratio.muls), _bits(ratio.divs))
-    slots, bound, u, p, scale = _Slots(full, 4), 1, 1, 1, 1
+    slots, bound, u, p, scale = _Slots(full, _START_WIDTH), 1, 1, 1, 1
     w, mask = 8 * slots.width, slots.mask
     # F's binomials by sign and exponent; None once a divide is not one
     counts = _counts(factors, full) if factors else None
     for k in range(n - 2, start - 1, -1):
-        muls, divs = _paired(*ratio.factors(k))
+        if low is None or k < low or k in special:
+            muls, divs = _paired(*ratio.factors(k))
+            muls = [(c, 0, e) for c, e in muls]
+            divs = [(c, 0, e) for c, e in divs]
+        else:
+            muls, divs = fixed_muls, fixed_divs
         if bound + grow >= w:
             slots, bound, (p, u) = slots.reserve(bound, grow, p, u)
             w, mask = 8 * slots.width, slots.mask
-        for c, e in divs:
+        for c, a, b in divs:
+            e = a * k + b
             if e == 0:
                 scale *= 1 - c
             if e < full:
-                p = _shift_add(p, c, w * e)
+                shift = w * e
+                p = _shift_add(p, p & (mask >> shift), c, shift)
                 if counts:
                     row = counts.get(c)
                     if row and row[e]:
@@ -491,9 +568,10 @@ def ratio_sum(
                     else:
                         counts = None
         p &= mask
-        for c, e in muls:
+        for c, a, b in muls:
+            e = a * k + b
             if e < size:
-                u = _shift_add(u, c, w * e)
+                u = _shift_add(u, u, c, w * e)
         step = slope * k + offset
         shifted = u << (w * step)
         size += step

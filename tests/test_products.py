@@ -421,10 +421,11 @@ def test_packed_product_widens_its_slots():
 def test_certified_bound_holds_and_frees_slot_bits(width):
     # every coefficient below 2^(w-1) in size, as the product keeps them; a
     # bound the test returns must hold for every coefficient, with
-    # -2^t exactly on the edge of the [-2^t, 2^t) it tests
+    # -2^t exactly on the edge of the [-2^t, 2^t) it tests.  Each value
+    # gets a fresh layout at t = w - 3, the last threshold that leaves room
+    # for one more bit: one that failed there would widen on every call
     w = 8 * width
     rng = random.Random(8093 + width)
-    slots = _Slots(6, width)
     top = (1 << (w - 1)) - 1
     values = {0, 1, -1, top, -top}
     for k in range(w - 1):
@@ -436,6 +437,7 @@ def test_certified_bound_holds_and_frees_slot_bits(width):
             cs = [rng.choice((0, 1, -1)) for _ in range(6)]
             cs[slot] = v
             x = _pack(cs, width)
+            slots = _Slots(6, width, w - 3)
             layout, bound, (y,) = slots.reserve(w - 1, 1, x)
             if layout is slots:
                 assert y == x
@@ -446,7 +448,28 @@ def test_certified_bound_holds_and_frees_slot_bits(width):
                 assert layout.width > width and bound + 1 < 8 * layout.width
                 assert _unpack(y, layout.width, 6) == cs
                 assert bound == max(abs(c) for c in cs).bit_length()
-    assert slots.reserve(w - 1, 1, _pack([1, -1, 0, 1, 0, -1], width))[0] is slots
+    # a new layout's threshold, 1, certifies small coefficients as they are
+    slots, small = _Slots(6, width), _pack([1, -1, 0, 1, 0, -1], width)
+    assert slots.reserve(w - 1, 1, small) == (slots, 2, (small,))
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 4, 8, 11, 16))
+def test_the_threshold_test_is_exact_at_every_threshold(width):
+    # for every t <= w - 2 the one test passes exactly when every
+    # coefficient lies in [-2^t, 2^t): -2^t and 2^t - 1 pass and 2^t and
+    # -2^t - 1 fail, in any slot among coefficients that pass, whether the
+    # packed integer is reduced to its slots or not
+    w = 8 * width
+    rng = random.Random(18018 + width)
+    for t in range(w - 1):
+        slots = _Slots(5, width, t)
+        edges = ((-(1 << t), True), ((1 << t) - 1, True), (1 << t, False), (-(1 << t) - 1, False))
+        for v, holds in edges:
+            for slot in range(5):
+                cs = [rng.randint(-(1 << t), (1 << t) - 1) for _ in range(5)]
+                cs[slot] = v
+                x = _pack(cs, width)
+                assert slots.holds(x) is slots.holds(x & slots.mask) is holds, (t, v, slot)
 
 
 def _list_binomial_product(runs, length):

@@ -24,6 +24,7 @@ from overq.products import (
     NonterminatingSum,
     Ratio,
     ZeroDenominator,
+    _paired,
     poch_finite,
     ratio_sum,
 )
@@ -214,6 +215,14 @@ REFUSED = [
     (Ratio((1, -1, 2), muls=((1, 0, -1),)), 0, 0, 9),
     # a flat step and a zero divisor both at n = 2: the step is checked first
     (Ratio((1, -1, 2), divs=((1, -1, 2),)), 0, 0, 9),
+    # constant rows: the zero divisor at n = 0, the same zero divisor once
+    # the multiply (1 - q^n) that cancels it at n = 0 moves on at n = 1, and
+    # a negative constant exponent at the start
+    (Ratio((1, 0, 1), divs=((1, 0, 0),)), 0, 0, 9),
+    (Ratio((1, 0, 1), muls=((1, 1, 0),), divs=((1, 0, 0),)), 0, 0, 9),
+    (Ratio((1, 0, 1), muls=((1, 0, -1),)), 0, 0, 9),
+    # a divide of slope 1 that is the zero divisor at n = 2 only
+    (Ratio((1, 0, 1), divs=((1, 1, -2),)), 2, 0, 9),
 ]
 
 
@@ -411,8 +420,8 @@ def test_a_constant_divide_leaves_the_division_2_adic(order, sign, monkeypatch):
 
 
 def test_the_walk_widens_its_slots(monkeypatch):
-    # (q;q)_n^3 over n: U and P pass the first 32-bit slots, and pass the
-    # certifier's bound there, by order 300
+    # (q;q)_n^3 over n: U and P outgrow the slots the walk starts in, and
+    # the slots it widens to, by order 300
     widened = []
     real = products._Slots.reserve
 
@@ -426,7 +435,7 @@ def test_the_walk_widens_its_slots(monkeypatch):
     ratio = Ratio((-1, 0, 1), muls=((-1, 1, 3),), divs=((1, 1, 1),) * 3)
     init = _random_init(random.Random(3), 300, False)
     got = ratio_sum(init, ratio, 300, start=1)
-    assert widened and widened[0] == 4
+    assert len(widened) >= 2 and widened[0] == products._START_WIDTH
     _assert_same(got, _list_horner_sum(init, ratio, 300, 1), 300)
 
 
@@ -457,6 +466,85 @@ def test_every_package_table_matches_the_list_walk(monkeypatch):
     assert len(seen) == len(FAMILIES)
     assert cli.main(["verify", "--target", "all", "--order", "400", "--format", "json"]) == 0
     assert len(set(seen)) > 2 * len(FAMILIES)
+
+
+# -- each table compiled once, against its factors at every n ------------------
+
+
+#: (ratio, start) with a coincidence planted at one n: a multiply and a
+#: divide with one c and different slopes; a pairing that matches only
+#: there; a pair that cancels everywhere but is negative below n = 3; a
+#: zero divide cancelled at n = 2; and a divide that pairs, at n = 1 only,
+#: with the multiply an earlier divide's pairing made
+PLANTED = [
+    (Ratio((1, 1, 1), muls=((1, 2, 0), (-1, 1, 1)), divs=((1, 1, 3), (2, 1, 1))), 0),
+    (Ratio((-1, 0, 2), muls=((1, 1, 7), (1, 2, 1)), divs=((-1, 1, 2), (1, 2, 1))), 0),
+    (Ratio((1, 1, 1), muls=((1, 1, -3), (-1, 2, 0)), divs=((1, 1, -3), (1, 1, 1))), 0),
+    (Ratio((1, 0, 1), muls=((1, 2, -4), (-1, 1, 0)), divs=((1, 1, -2),)), 2),
+    (Ratio((1, 1, 2), muls=((1, 2, 6),), divs=((-1, 1, 3), (1, 1, 1))), 0),
+]
+
+
+def _tables_to_compile():
+    rng = random.Random(18018)
+    tables = [(_random_ratio(rng, sign=rng.choice((1, -1))), rng.randint(0, 2)) for _ in range(60)]
+    tables += [(_pairing_ratio(rng), rng.randint(0, 2)) for _ in range(20)]
+    return tables + PLANTED
+
+
+def test_a_compiled_table_gives_the_factors_at_every_n():
+    per_n = 0
+    for ratio, start in _tables_to_compile():
+        table = products._compiled(ratio)
+        if table is None:
+            per_n += 1
+            continue
+        low, special, muls, divs = table
+        for n in range(start, start + 41):
+            if n < low or n in special:
+                continue
+            want = _paired(*ratio.factors(n))
+            got = ([(c, a * n + b) for c, a, b in muls], [(c, a * n + b) for c, a, b in divs])
+            assert [sorted(x) for x in got] == [sorted(x) for x in want], (ratio, n)
+    assert per_n < 10  # random rows are never constant and negative
+    # every planted coincidence is on the per-n path, and only a few n are
+    for ratio, start in PLANTED:
+        low, special, _, _ = products._compiled(ratio)
+        assert len(special) <= 12 and low <= 3
+    assert 3 in products._compiled(PLANTED[0][0])[1]
+    assert 3 in products._compiled(PLANTED[1][0])[1]
+    assert products._compiled(PLANTED[2][0])[0] == 3
+    assert 2 in products._compiled(PLANTED[3][0])[1]
+    assert 1 in products._compiled(PLANTED[4][0])[1]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("fractions", (False, True), ids=("int", "fraction"))
+def test_compiled_tables_sum_as_the_list_walk(order, fractions):
+    rng = random.Random(18019 + order + 1000 * fractions)
+    for ratio, start in _tables_to_compile()[::4] + PLANTED:
+        at = rng.randint(0, 3)
+        init = _random_init(rng, order, fractions)
+        want = _raised(lambda: _list_horner_sum(init, ratio, order, start, at))
+        if want is not None:
+            assert _raised(lambda: ratio_sum(init, ratio, order, start=start, at=at)) == want
+            continue
+        got = ratio_sum(init, ratio, order, start=start, at=at)
+        _assert_same(got, _list_horner_sum(init, ratio, order, start, at), order)
+
+
+def test_a_family_walk_takes_the_factors_at_few_n(monkeypatch):
+    # gen_family's tables meet a coincidence only at their first few n
+    seen = []
+    real = Ratio.factors
+
+    def factors(ratio, n):
+        seen.append(n)
+        return real(ratio, n)
+
+    monkeypatch.setattr(Ratio, "factors", factors)
+    _assert_same(gen_family("A", 300), _inline_gen_family(FAMILIES["A"], 300), 300)
+    assert seen and max(seen) <= 2
 
 
 # -- the initial term's factors, cancelled against the walk's divides ----------
