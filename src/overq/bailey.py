@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import neg
 from typing import Callable, Iterator, Union
 
 from .identities import gen_family, jacobi_theta, mapped_inner_order, rhs_theorem
@@ -95,12 +96,24 @@ class BaileyPair:
 
     def betas(self, order: int) -> Iterator[QSeries]:
         """beta_0, beta_1, ... at the order, each advanced from the last."""
+        sign, slope, offset = self.beta_ratio.shift
+        # beta_n / q^at, in the order + 1 - at coefficients that reach the order
         term: list[Coeff] = [0] * (order + 1)
         term[0] = 1
         at = n = 0
         while True:
             yield QSeries(([0] * at + term)[: order + 1], order)
-            at = self.beta_ratio.advance(term, n, at, order)
+            at += slope * n + offset
+            del term[max(0, order + 1 - at):]
+            if sign == -1:
+                term[:] = map(neg, term)
+            muls, divs = self.beta_ratio.factors(n)
+            for c, _, e in muls:
+                if e < len(term):
+                    _mul_binomial_inplace(term, -c, e)
+            for c, _, e in divs:
+                if e < len(term):
+                    _div_binomial_inplace(term, -c, e)
             n += 1
 
     def beta(self, n: int, order: int) -> QSeries:

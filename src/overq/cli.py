@@ -55,9 +55,10 @@ MAX_WEIGHT = 30
 #: the largest order `verify` and `coeffs` accept, from --order or
 #: OVERQ_ORDER.  It is the q^(8n+2) scale's top exponent for 1000
 #: generating coefficients, so `verify --target theorem:C --order 8002`
-#: runs, in about 0.3 s.  A family on the plain scale builds 8003
-#: coefficients there: `verify --target theorem:B --order 8002` takes about
-#: 12 s and 26 MB.  Most work grows about 4x per doubling of the order.
+#: runs, in about 0.2 s as a command.  A family on the plain scale builds
+#: 8003 coefficients there: `verify --target theorem:B --order 8002` takes
+#: about 2 s and 21 MB (README has the timings).  Most work grows about 4x
+#: per doubling of the order.
 MAX_ORDER = 8002
 
 class UsageError(Exception):

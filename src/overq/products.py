@@ -55,11 +55,12 @@ reduction drop.
 
 Every q-hypergeometric sum over n in the package is an initial term plus a
 Ratio table: term(n+1)/term(n) is a signed power of q times binomial
-factors multiplied in or divided out.  ratio_sum sums such a table; phi32
-is the 3-phi-2 instance.  Its walk runs on the same packing and never
-divides: it carries the sum's numerator U and denominator P, two packed
-integers in one layout under one bound, and divides once at the end,
-exactly (see ratio_sum).
+factors multiplied in or divided out.  A factor is one row (c, a, b)
+everywhere, standing for (1 - c*q^(a*n + b)); a factor realized at one n
+is the row (c, 0, e).  ratio_sum sums such a table; phi32 is the 3-phi-2
+instance.  Its walk runs on the same packing and never divides: it carries
+the sum's numerator U and denominator P, two packed integers in one layout
+under one bound, and divides once at the end, exactly (see ratio_sum).
 
 An initial term may come as factors, runs (c*q^e; q)_n^m of binomials
 (1 - c*q^e) with c = +-1 and e >= 1, which ratio_sum nets against the
@@ -85,14 +86,13 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import neg
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .series import (
     Coeff,
     OrderExceededError,
     QSeries,
-    _div_binomial_inplace,
+    _div_binomial_inplace,  # unused here; bench/spans.py traces this binding
     _hensel_div,
     _kronecker_mul,
     _mul_binomial_inplace,
@@ -324,91 +324,71 @@ class Ratio:
         return Ratio((s1 * s2, a1 + a2, b1 + b2), self.muls + other.muls, self.divs + other.divs)
 
     def factors(self, n: int) -> tuple[list, list]:
-        """The (c, e) binomials (1 - c*q^e) the ratio at n multiplies in and
-        divides out.  A multiply and a divide that realize the same factor
-        cancel; no factor left may have a negative exponent, and no divide
-        may be the zero factor (1 - q^0)."""
-        muls = [(c, a * n + b) for c, a, b in self.muls]
-        divs = []
-        for c, a, b in self.divs:
-            f = (c, a * n + b)
-            if f in muls:
-                muls.remove(f)
-            else:
-                divs.append(f)
-        for c, e in muls + divs:
+        """The rows (c, 0, e), each the binomial (1 - c*q^e), that the ratio
+        at n multiplies in and divides out, after _cancelled.  No factor left
+        may have a negative exponent, and no divide may be the zero factor
+        (1 - q^0)."""
+        muls, divs = _cancelled(
+            [(c, 0, a * n + b) for c, a, b in self.muls],
+            [(c, 0, a * n + b) for c, a, b in self.divs],
+        )
+        for c, _, e in muls + divs:
             if e < 0:
                 raise NegativeExponentFactor(f"factor (1 - {c}*q^{e}) at n={n}")
-        if (1, 0) in divs:
+        if (1, 0, 0) in divs:
             raise ZeroDenominator(f"divisor (1 - q^0) at n={n}")
         return muls, divs
 
-    def apply(self, cs: list, muls: list, divs: list) -> None:
-        """Multiply cs in place by the sign and the factors muls and divs,
-        as factors returns them; a factor whose exponent is past the end of
-        cs leaves it unchanged.
 
-        A divide (1 - c*q^e) with c = +-1 and a multiply (1 - q^(2e)) run
-        as the one multiply (1 + c*q^e), their exact quotient since c*c = 1,
-        also when 2e is past the end of cs."""
-        if self.shift[0] == -1:
-            cs[:] = map(neg, cs)
-        muls, divs = _paired(muls, divs)
-        for c, e in muls:
-            if e < len(cs):
-                _mul_binomial_inplace(cs, -c, e)
-        for c, e in divs:
-            if e < len(cs):
-                _div_binomial_inplace(cs, -c, e)
-
-    def advance(self, term: list, n: int, at: int, order: int) -> int:
-        """Turn term = term(n)/q^at into term(n+1)/q^at' in place and return
-        at'.  The list keeps only the order + 1 - at' coefficients that can
-        still reach the order."""
-        _, slope, offset = self.shift
-        at += slope * n + offset
-        del term[max(0, order + 1 - at):]
-        self.apply(term, *self.factors(n))
-        return at
+def _cancelled(muls: Iterable[tuple], divs: Iterable[tuple]) -> tuple[list, list]:
+    """The rows muls and divs with each divide that equals a multiply left
+    out, together with that multiply."""
+    muls = list(muls)
+    left = []
+    for f in divs:
+        if f in muls:
+            muls.remove(f)
+        else:
+            left.append(f)
+    return muls, left
 
 
-def _paired(muls: list, divs: list) -> tuple[list, list]:
-    """muls and divs with each divide (1 - c*q^e), c = +-1, that meets a
-    multiply (1 - q^(2e)) replaced, with that multiply, by the multiply
-    (1 + c*q^e): their exact quotient, since c*c = 1."""
+def _paired(muls: Iterable[tuple], divs: Iterable[tuple]) -> tuple[list, list]:
+    """The rows muls and divs with each divide (c, a, b), c = +-1, that
+    meets a multiply (1, 2a, 2b) replaced, with that multiply, by the
+    multiply (-c, a, b): their exact quotient, since c*c = 1."""
     muls = list(muls)
     unpaired = []
-    for c, e in divs:
-        if c in (1, -1) and (1, 2 * e) in muls:
-            muls.remove((1, 2 * e))
-            muls.append((-c, e))
+    for c, a, b in divs:
+        if c in (1, -1) and (1, 2 * a, 2 * b) in muls:
+            muls.remove((1, 2 * a, 2 * b))
+            muls.append((-c, a, b))
         else:
-            unpaired.append((c, e))
+            unpaired.append((c, a, b))
     return muls, unpaired
 
 
 @functools.lru_cache(maxsize=None)
 def _compiled(ratio: Ratio) -> Optional[tuple[int, frozenset, tuple, tuple]]:
-    """(low, special, muls, divs): _paired(*ratio.factors(n)) as rows
-    (c, a, b), each (1 - c*q^(a*n + b)), the same for every n >= low that
-    is not in special, where factors raises nothing.  None for a table with
-    a negative slope or a constant row that is negative or the zero divide
-    (1 - q^0), which takes factors and _paired at every n.
+    """(low, special, muls, divs): the rows _paired(*_cancelled(ratio.muls,
+    ratio.divs)), which realized at n are _paired(*ratio.factors(n)) for
+    every n >= low that is not in special, where factors raises nothing.
+    None for a table with a negative slope or a constant row that is
+    negative or the zero divide (1 - q^0), which takes factors and _paired
+    at every n.
 
-    factors and _paired only compare binomials at one n: each divide with
-    the multiplies, and (1 - q^(2e)) for a divide (1 - c*q^e), c = +-1,
-    with the multiplies and the (1 + c*q^e) paired before it.  Two rows
-    with one c realize one exponent at every n if they are equal, at no n
-    if they differ only in b, and at one n at most otherwise.  special
+    At one n, _cancelled and _paired compare binomials only: each divide
+    with the multiplies, and (1 - q^(2e)) for a divide (1 - c*q^e),
+    c = +-1, with the multiplies and the (1 + c*q^e) paired before it.  Two
+    rows with one c realize one exponent at every n if they are equal, at
+    no n if they differ only in b, and at one n at most otherwise.  special
     holds every such n for any two of the multiplies, the divides, and the
     (-c, a, b) and (1, 2a, 2b) of the unit divides, so at any n >= low
-    outside it every comparison agrees with the comparison of the rows,
-    and factors and _paired take the same steps as at n = far, beyond
-    every special n and every |2b|: the lists at n are those at far, with
-    each exponent a*far + b read back as the row (c, a, b).  A divide
-    (1, a, b) with a > 0 meets its own (1, 2a, 2b) where a*n + b = 0, so
-    special also holds each n where it is the zero divide; below low some
-    row is negative."""
+    outside it every comparison of binomials agrees with the comparison of
+    their rows, and both take the same steps on the rows as on the
+    binomials at n.  A divide (1, a, b) with a > 0 meets its own (1, 2a, 2b)
+    where a*n + b = 0, so special also holds each n where it is the zero
+    divide; below low some row is negative."""
     rows = ratio.muls + ratio.divs
     if any(a < 0 or a == 0 and b < 0 for c, a, b in rows) or (1, 0, 0) in ratio.divs:
         return None
@@ -420,14 +400,8 @@ def _compiled(ratio: Ratio) -> Optional[tuple[int, frozenset, tuple, tuple]]:
         if c == c2 and a != a2 and (b2 - b) % (a - a2) == 0
     )
     low = max((-(b // a) for c, a, b in rows if a), default=0)
-    far = 8 * (1 + max((abs(b) for c, a, b in rows), default=0))
-
-    def row(c: int, e: int) -> tuple[int, int, int]:
-        a = (e + far // 2) // far
-        return c, a, e - a * far
-
-    muls, divs = _paired(*ratio.factors(far))
-    return low, special, tuple(row(*f) for f in muls), tuple(row(*f) for f in divs)
+    muls, divs = _paired(*_cancelled(ratio.muls, ratio.divs))
+    return low, special, tuple(muls), tuple(divs)
 
 
 def _counts(factors: Iterable[tuple], full: int) -> dict[int, list]:
@@ -481,14 +455,16 @@ def ratio_sum(
     init needs only the coefficients that can reach the order from q^at.
     Every step must raise the term's leading exponent, so the sum stops
     once it passes the order.  A first walk over n finds the last term
-    that reaches the order and checks the ratio's factors at every n where
-    _compiled's rows do not stand for them, the only n where they can
-    raise, so it raises what a term-by-term sum raises, at the same n.
+    that reaches the order and works out the ratio's rows at n, with
+    factors and _paired, at every n where _compiled's rows do not stand for
+    them, the only n where factors can raise, so it raises what a
+    term-by-term sum raises, at the same n.  It keeps those rows for the
+    second walk, so each n's rows are worked out once per sum.
 
     The sum is q^at * init * F * S_start in Horner form, with
     S_n = 1 + R_n S_(n+1) and S_last = 1, and the second walk builds it
-    without dividing.  With the ratio at n written sign * q^step * M_n / D_n
-    (after _paired, read from the compiled rows where they stand), let
+    without dividing.  With the ratio at n written sign * q^step * M_n / D_n,
+    M_n and D_n the products of the multiply and divide rows at n, let
     P_n = D_n P_(n+1) and U_n = P_n S_n, so P_last = U_last = 1 and
 
         U_n = P_n + sign * q^step * M_n * U_(n+1).
@@ -505,8 +481,8 @@ def ratio_sum(
     The sum is init * F * U_start / P_start.  Every factor of F has
     constant term 1, so it is a unit of the integer series truncated to L
     coefficients, a ring in which a factor of F and an equal divide of P
-    cancel exactly.  So the walk nets each divide (c, e) it applies to P,
-    e < L, against F's binomials, kept as one list of multiplicities per
+    cancel exactly.  So the walk nets each divide (1 - c*q^e) it applies to
+    P, e < L, against F's binomials, kept as one list of multiplicities per
     sign.  If every applied divide is netted, P_start is a factor of F and
     the sum is init * F' * U_start, where F' is what F has left: F itself
     is never built and nothing is divided (see _unmatched for F').
@@ -524,14 +500,16 @@ def ratio_sum(
         )
     full = order + 1 - at  # slots of P and of U_start
     sign, slope, offset = ratio.shift
-    low, special, fixed_muls, fixed_divs = _compiled(ratio) or (None, (), (), ())
+    low, special, *compiled = _compiled(ratio) or (None, (), (), ())
+    per_n = {}  # the rows at each n the compiled rows do not stand for
     n = start
     while at <= order:
         step = slope * n + offset
         if step < 1:
             raise NonterminatingSum(f"step n={n} does not raise the term degree")
         if low is None or n < low or n in special:
-            ratio.factors(n)  # raises what a term-by-term sum raises at this n
+            # raises what a term-by-term sum raises at this n
+            per_n[n] = _paired(*ratio.factors(n))
         at += step
         n += 1
     if n == start:
@@ -545,12 +523,7 @@ def ratio_sum(
     # F's binomials by sign and exponent; None once a divide is not one
     counts = _counts(factors, full) if factors else None
     for k in range(n - 2, start - 1, -1):
-        if low is None or k < low or k in special:
-            muls, divs = _paired(*ratio.factors(k))
-            muls = [(c, 0, e) for c, e in muls]
-            divs = [(c, 0, e) for c, e in divs]
-        else:
-            muls, divs = fixed_muls, fixed_divs
+        muls, divs = per_n.get(k, compiled)
         if bound + grow >= w:
             slots, bound, (p, u) = slots.reserve(bound, grow, p, u)
             w, mask = 8 * slots.width, slots.mask

@@ -24,8 +24,10 @@ a ratio sum ends in one exact division (_hensel_div): a 2-adic quotient
 that b*c == a accepts, else a times the Newton inverse.
 
 The two in-place binomial kernels multiply or divide a coefficient list by
-(1 + c*q^e).  The Bailey pairs' terms and relation sums, gen_family's first
-summand and QSeries.mul_binomial/div_binomial run on them.  Each runs as
+(1 + c*q^e).  The Bailey pairs' betas, relation sums and lemma right
+side, the initial-term factors a ratio_sum walk does not cancel
+(products._unmatched), one initial term in identities and
+QSeries.mul_binomial/div_binomial run on them.  Each runs as
 C-level builtins over slices (map, itertools.accumulate) rather than one
 Python step per coefficient.  The multiply is one map: every coefficient
 reads one e below it, none of them updated yet.  The divide reads

@@ -18,7 +18,7 @@ from overq.bailey import (
     verify_chain,
     verify_lemma,
 )
-from overq.products import Monomial, poch_finite, sharing
+from overq.products import Monomial, Ratio, poch_finite, sharing
 from overq.report import SAME_OBJECT_NOTE, check
 from overq.series import (
     QSeries,
@@ -78,6 +78,46 @@ def test_relation_against_naive_products(name):
     order = 40
     for n in range(7):
         assert p.beta(n, order).equal_up_to(_beta_naive(p, n, order), order), n
+
+
+def _closed_beta(name, n, order):
+    """beta_n in closed form, from poch_finite and invert: 1/((q;q)_n (q^2;q)_n)
+    for lovejoy-q2 and q^n/(q;q)_n^2 for slater-h1."""
+    qq = poch_finite(Q, 1, n, order)
+    if name == "lovejoy-q2":
+        return (qq * poch_finite(Monomial(1, 2), 1, n, order)).invert()
+    return monomial(1, n, order) * (qq * qq).invert()
+
+
+def _assert_same(got, want):
+    assert got.order == want.order
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("order", (0, 1, 60, 400))
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_betas_match_their_closed_forms(name, order):
+    for n, beta in zip(range(41), pair(name).betas(order)):
+        _assert_same(beta, _closed_beta(name, n, order))
+
+
+def _factor(c, e, order):
+    """1 - c*q^e as an explicit series."""
+    return one(order) - monomial(c, e, order)
+
+
+@pytest.mark.parametrize("order", (0, 1, 60, 400))
+def test_betas_take_a_sign_and_a_multiply(order):
+    # beta_(n+1)/beta_n = -q^(n+1) (1 - q^(2n+2)) / ((1 - q^(n+1)) (1 + q^(n+1))):
+    # the package pairs' tables have neither a sign -1 nor a multiply
+    ratio = Ratio((-1, 1, 1), muls=((1, 2, 2),), divs=((1, 1, 1), (-1, 1, 1)))
+    synthetic = BaileyPair("synthetic", Monomial(1, 0), lambda n, o: one(o), ratio)
+    want = one(order)
+    for n, beta in zip(range(41), synthetic.betas(order)):
+        _assert_same(beta, want)
+        want = want * monomial(-1, n + 1, order) * _factor(1, 2 * n + 2, order)
+        want = want * _factor(1, n + 1, order).invert() * _factor(-1, n + 1, order).invert()
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))

@@ -286,20 +286,21 @@ def test_gen_family_matches_the_inline_product_loop(name, order):
 
 
 def _unpaired_apply(ratio, cs, muls, divs):
-    """Ratio.apply without the pairing of a divide (1 - c*q^e) with a
-    multiply (1 - q^(2e)): every factor runs on its own."""
+    """Multiply cs in place by the ratio's sign and the rows (c, 0, e) muls
+    and divs, each on its own; a factor past the end of cs leaves it as it
+    is.  Given _paired lists it applies the pairing too."""
     if ratio.shift[0] == -1:
         cs[:] = [-v for v in cs]
-    for c, e in muls:
+    for c, _, e in muls:
         if e < len(cs):
             _mul_binomial_inplace(cs, -c, e)
-    for c, e in divs:
+    for c, _, e in divs:
         if e < len(cs):
             _div_binomial_inplace(cs, -c, e)
 
 
 def _pairable(muls, divs):
-    return any(c in (1, -1) and (1, 2 * e) in muls for c, e in divs)
+    return any(c in (1, -1) and (1, 0, 2 * e) in muls for c, _, e in divs)
 
 
 def _pairing_ratio(rng):
@@ -325,7 +326,7 @@ def test_paired_apply_matches_the_unpaired(order, fractions):
             muls, divs = ratio.factors(n)
             paired_somewhere |= _pairable(muls, divs)
             got, want = list(cs), list(cs)
-            ratio.apply(got, muls, divs)
+            _unpaired_apply(ratio, got, *_paired(muls, divs))
             _unpaired_apply(ratio, want, muls, divs)
             assert QSeries(got).coeffs == QSeries(want).coeffs, (ratio, n, length)
     assert paired_somewhere
@@ -333,7 +334,7 @@ def test_paired_apply_matches_the_unpaired(order, fractions):
 
 def _applied(ratio, order):
     cs = [1] + [0] * order
-    ratio.apply(cs, *ratio.factors(0))
+    _unpaired_apply(ratio, cs, *_paired(*ratio.factors(0)))
     return list(QSeries(cs).coeffs)
 
 
@@ -382,7 +383,7 @@ def _list_horner_sum(init, ratio, order, start=0, at=0):
     at -= slope * last + offset
     s = [1] + [0] * (order - at)
     for k in range(last - 1, start - 1, -1):
-        ratio.apply(s, *ratio.factors(k))
+        _unpaired_apply(ratio, s, *ratio.factors(k))
         step = slope * k + offset
         s = [1] + [0] * (step - 1) + s
         at -= step
@@ -504,7 +505,7 @@ def test_a_compiled_table_gives_the_factors_at_every_n():
             if n < low or n in special:
                 continue
             want = _paired(*ratio.factors(n))
-            got = ([(c, a * n + b) for c, a, b in muls], [(c, a * n + b) for c, a, b in divs])
+            got = ([(c, 0, a * n + b) for c, a, b in muls], [(c, 0, a * n + b) for c, a, b in divs])
             assert [sorted(x) for x in got] == [sorted(x) for x in want], (ratio, n)
     assert per_n < 10  # random rows are never constant and negative
     # every planted coincidence is on the per-n path, and only a few n are
@@ -545,6 +546,30 @@ def test_a_family_walk_takes_the_factors_at_few_n(monkeypatch):
     monkeypatch.setattr(Ratio, "factors", factors)
     _assert_same(gen_family("A", 300), _inline_gen_family(FAMILIES["A"], 300), 300)
     assert seen and max(seen) <= 2
+
+
+#: a table with a negative slope, which _compiled refuses, so every n takes
+#: the per-n path
+NEGATIVE_SLOPE = Ratio((-1, 1, 1), muls=((1, -1, 40), (-1, 1, 2)), divs=((1, 1, 1),))
+
+
+def test_each_n_s_factors_are_worked_out_once(monkeypatch):
+    seen = []
+    real = Ratio.factors
+
+    def factors(ratio, n):
+        seen.append(n)
+        return real(ratio, n)
+
+    monkeypatch.setattr(Ratio, "factors", factors)
+    assert products._compiled(NEGATIVE_SLOPE) is None
+    sums = [lambda r=r, s=s: ratio_sum(one(60), r, 60, start=s) for r, s in PLANTED]
+    sums.append(lambda: ratio_sum(one(60), NEGATIVE_SLOPE, 60))
+    sums.append(lambda: gen_family("A", 300))
+    for run in sums:
+        seen.clear()
+        run()
+        assert seen and len(seen) == len(set(seen)), seen
 
 
 # -- the initial term's factors, cancelled against the walk's divides ----------
