@@ -7,8 +7,13 @@ A Bailey pair relative to a is a sequence pair (alpha_n, beta_n) with
 
 Each pair stores its closed beta as a term-ratio table (beta_ratio), so
 BaileyPair.beta, bailey_check and the lemma all advance beta by the same
-step.  bailey_check verifies the defining relation directly.  lemma_sides
-builds both sides of the conjugate Bailey lemma: for a pair relative to a^2,
+step.  It stores alpha as rows: alpha_terms(r) gives alpha_r's nonzero
+(exponent, coefficient) terms, and alpha_low(r) a lower bound on their
+exponents that does not decrease in r, so every sum over r stops at the
+first r whose bound passes the order instead of building each alpha_r as
+a series.  bailey_check verifies the defining relation directly, its inner
+sum over r a Horner walk on one packed integer.  lemma_sides builds both
+sides of the conjugate Bailey lemma: for a pair relative to a^2,
 
     (q;q)_inf (-a*q;q)_inf^2
         * sum_n q^n (a;q)_n (a^2 q;q^2)_n / (-a*q;q)_n * beta_n
@@ -21,7 +26,11 @@ The right side is therefore integral, even at a = -1, where (1 - a) is 2.
 
 The lemma's left side sums the weight's ratio table chained with the
 pair's, through the same kernel (products.ratio_sum) as every other sum
-over n.
+over n, with the infinite products netted into that walk as its initial
+term's factors; for both lemma instances every divide nets, so nothing is
+multiplied or divided.  The right side adds the shifted copies of each
+nonzero alpha_r's (1 - a) alpha_r / (1 - a q^r) into one packed integer,
+in slots wide enough for the sum.
 
 verify_chain replays the two derivations that turn the lemma into the
 two-square identities, one displayed equality per stage, so a transcription
@@ -48,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import neg
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .identities import gen_family, jacobi_theta, mapped_inner_order, rhs_theorem
 from .products import (
@@ -57,6 +66,10 @@ from .products import (
     Ratio,
     Theta1D,
     Theta2D,
+    _shift_add,
+    _shift_div,
+    _Slots,
+    _START_WIDTH,
     lattice_sum,
     poch_finite,
     poch_infinite,
@@ -70,9 +83,10 @@ from .report import SidePair, VerificationReport, check, one_pair
 from .series import (
     Coeff,
     QSeries,
-    _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
+    _pack,
+    _unpack,
     one,
 )
 
@@ -85,14 +99,26 @@ class MismatchedRelativeError(ValueError):
 class BaileyPair:
     """A named Bailey pair with polynomial alpha and closed-form beta.
 
-    beta_ratio is the term ratio beta_(n+1)/beta_n; beta_0 = 1 for both
-    stored pairs.
+    alpha is data: alpha_terms(r) gives alpha_r's nonzero terms as
+    (exponent, integer coefficient) pairs, and alpha_low(r) a lower bound on
+    their exponents that does not decrease in r, so a sum over r stops at
+    the first r whose bound passes the order.  beta_ratio is the term ratio
+    beta_(n+1)/beta_n; beta_0 = 1 for both stored pairs.
     """
 
     name: str
     relative: Monomial
-    alpha: Callable[[int, int], QSeries]
+    alpha_terms: Callable[[int], Sequence[tuple[int, int]]]
+    alpha_low: Callable[[int], int]
     beta_ratio: Ratio
+
+    def alpha(self, r: int, order: int) -> QSeries:
+        """alpha_r as a series of the order, built from its terms."""
+        cs: list[Coeff] = [0] * (order + 1)
+        for e, c in self.alpha_terms(r):
+            if e <= order:
+                cs[e] += c
+        return QSeries(cs, order)
 
     def betas(self, order: int) -> Iterator[QSeries]:
         """beta_0, beta_1, ... at the order, each advanced from the last."""
@@ -120,33 +146,18 @@ class BaileyPair:
         return next(islice(self.betas(order), n, None))
 
 
-def _lovejoy_alpha(n: int, order: int) -> QSeries:
-    # alpha_n = q^(n^2+n) (1 - q^(2n+2)) / (1 - q^2) = sum_j q^(n^2+n+2j), j <= n
-    cs: list[Coeff] = [0] * (order + 1)
-    base = n * n + n
-    for j in range(n + 1):
-        e = base + 2 * j
-        if e > order:
-            break
-        cs[e] = 1
-    return QSeries(cs, order)
+def _lovejoy_alpha(r: int) -> tuple[tuple[int, int], ...]:
+    # alpha_r = q^(r^2+r) (1 - q^(2r+2)) / (1 - q^2) = sum_j q^(r^2+r+2j), j <= r
+    return tuple((r * r + r + 2 * j, 1) for j in range(r + 1))
 
 
 #: beta_n = 1 / ((q;q)_n (q^2;q)_n)
 _LOVEJOY_BETA = Ratio((1, 0, 0), divs=((1, 1, 1), (1, 1, 2)))
 
 
-def _slater_alpha(n: int, order: int) -> QSeries:
-    # alpha_0 = 1; alpha_n = q^(n^2+n) - q^(n^2-n) for n >= 1
-    cs: list[Coeff] = [0] * (order + 1)
-    if n == 0:
-        cs[0] = 1
-        return QSeries(cs, order)
-    if n * n - n <= order:
-        cs[n * n - n] -= 1
-    if n * n + n <= order:
-        cs[n * n + n] += 1
-    return QSeries(cs, order)
+def _slater_alpha(r: int) -> tuple[tuple[int, int], ...]:
+    # alpha_0 = 1; alpha_r = q^(r^2+r) - q^(r^2-r) for r >= 1
+    return ((0, 1),) if r == 0 else ((r * r - r, -1), (r * r + r, 1))
 
 
 #: beta_n = q^n / (q;q)_n^2
@@ -154,8 +165,12 @@ _SLATER_BETA = Ratio((1, 0, 1), divs=((1, 1, 1), (1, 1, 1)))
 
 
 PAIRS: dict[str, BaileyPair] = {
-    "lovejoy-q2": BaileyPair("lovejoy-q2", Monomial(1, 2), _lovejoy_alpha, _LOVEJOY_BETA),
-    "slater-h1": BaileyPair("slater-h1", Monomial(1, 0), _slater_alpha, _SLATER_BETA),
+    "lovejoy-q2": BaileyPair(
+        "lovejoy-q2", Monomial(1, 2), _lovejoy_alpha, lambda r: r * r + r, _LOVEJOY_BETA
+    ),
+    "slater-h1": BaileyPair(
+        "slater-h1", Monomial(1, 0), _slater_alpha, lambda r: r * r - r, _SLATER_BETA
+    ),
 }
 
 PairLike = Union[str, BaileyPair]
@@ -193,42 +208,64 @@ def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]
         1/((q;q)_n (aq;q)_n) * sum_r alpha_r * rho_1 * ... * rho_r,
 
     and the inner sum runs in Horner form, h <- alpha_r + rho_(r+1) * h from
-    the last nonzero alpha_r down to r = 0.  h is kept from its lowest
-    possible exponent, the smallest one of the alpha_r summed so far, so it
-    holds only the coefficients that can reach the order.  The prefactor
-    advances by two binomial divides per n and multiplies in once per n.
+    the last alpha_r that reaches the order down to r = 0, on one packed
+    integer in a products._Slots layout of order + 1 slots: the multiply is
+    a _shift_add, the divide a _shift_div, and alpha_r's terms are added
+    into their slots.  Before each step the layout reserves that step's
+    growth: 1 for the multiply, bits(order // e) for the divide by
+    (1 - a*q^e), and 1 + bits(max |c|) for the terms about to be added, as
+    the products module docstring proves.  The prefactor advances by two
+    binomial divides per n and multiplies in once per n.
     """
     a = p.relative
-    # each alpha_r's nonzero (exponent, coefficient) terms, lowest first
-    alphas = [
-        [(e, c) for e, c in enumerate(p.alpha(r, order).coeffs) if c] for r in range(n_max + 1)
-    ]
-    p0: list[Coeff] = [0] * (order + 1)  # 1 / ((q;q)_n (aq;q)_n)
+    length = order + 1
+    # alpha_r's terms through the order, for each r <= n_max that reaches it
+    rows = []
+    for r in range(n_max + 1):
+        if p.alpha_low(r) > order:
+            break
+        rows.append([(e, c) for e, c in p.alpha_terms(r) if e <= order])
+    p0: list[Coeff] = [0] * length  # 1 / ((q;q)_n (aq;q)_n)
     p0[0] = 1
     for n, beta in zip(range(n_max + 1), p.betas(order)):
         if n:
             _div_binomial_inplace(p0, -1, n)
             _div_binomial_inplace(p0, -a.c, a.e + n)
-        h: list[Coeff] = []
-        at = order + 1  # h stands for q^at * h
-        for r in range(n, -1, -1):
-            if h:
-                _mul_binomial_inplace(h, -1, n - r)  # rho_(r+1)
-                _div_binomial_inplace(h, -a.c, a.e + n + r + 1)
-            terms = alphas[r]
-            if terms and terms[0][0] < at:
-                h = [0] * (at - terms[0][0]) + h
-                at = terms[0][0]
+        slots, bound, h = _Slots(length, _START_WIDTH), 0, 0
+        top = min(n, len(rows) - 1)
+        for r in range(top, -1, -1):
+            terms = rows[r]
+            grow = 1 + max(abs(c) for _, c in terms).bit_length() if terms else 0
+            if r < top:  # rho_(r+1)
+                grow += 1 + (order // (a.e + n + r + 1)).bit_length()
+            if bound + grow >= 8 * slots.width:
+                slots, bound, (h,) = slots.reserve(bound, grow, h)
+            w, mask = 8 * slots.width, slots.mask
+            if r < top:
+                shift = w * (n - r)
+                h = _shift_add(h, h & (mask >> shift), 1, shift) & mask
+                h = _shift_div(h, a.c, a.e + n + r + 1, w, mask)
             for e, c in terms:
-                h[e - at] += c
-        total = QSeries(p0, order) * QSeries([0] * at + h, order)
+                h += c << (w * e)
+            h &= mask
+            bound += grow
+        total = QSeries(p0, order) * QSeries(_unpack(h, slots.width, length), order)
         yield f"defining relation fails at n={n}", total, beta
 
 
 @shared
 def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]:
     """Both sides of the conjugate Bailey lemma for any monomial a whose
-    square is the pair's relative parameter."""
+    square is the pair's relative parameter.
+
+    The left side's walk nets the products (q;q)_inf (-aq;q)_inf^2 against
+    its divides.  The right side packs each nonzero alpha_r's
+    dr = (1 - a) alpha_r / (1 - a*q^r), cut to the order + 1 - r
+    coefficients that reach the order from q^r, once, and adds it into one
+    integer at every exponent of its n-sum.  Each coefficient of the sum is
+    at most adds terms of size max |dr| * |a.c|, so slots of
+    bits(max |dr|) + bits(|a.c|) + bits(adds) + 1 bits read it back
+    exactly."""
     p = pair(p)
     if a.squared() != p.relative:
         raise MismatchedRelativeError(
@@ -241,32 +278,44 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]
         muls=((a.c, 1, a.e), (1, 2, 2 * a.e + 1)),
         divs=((-a.c, 1, a.e + 1),),
     )
-    total = ratio_sum(one(order), weight * p.beta_ratio, order)
-    neg_aq = Monomial(-a.c, a.e + 1)
-    paren = poch_infinite(neg_aq, 1, order)
-    lhs = poch_infinite(Monomial(1, 1), 1, order) * paren * paren * total
+    prefix = ((1, 1, 1, None), (-a.c, a.e + 1, 2, None))  # (q;q)_inf (-aq;q)_inf^2
+    lhs = ratio_sum(one(order), weight * p.beta_ratio, order, factors=prefix)
 
-    acc: list[Coeff] = [0] * (order + 1)
-    r = 0
-    while r <= order:  # the summand exponent contains +r
-        alpha_r = p.alpha(r, order)
-        if not alpha_r.is_zero():
-            dr = list(alpha_r.coeffs)
-            if r:  # at r = 0, (1 - a q^r) cancels the normalization (1 - a)
-                _mul_binomial_inplace(dr, -a.c, a.e)
-                _div_binomial_inplace(dr, -a.c, a.e + r)
-            n = 0
-            while True:
-                e = 2 * n * n + 2 * n * r + n + r + 2 * n * a.e  # with a^(2n)
-                if e > order:
-                    break
-                _add_inplace(acc, dr, e)
-                hi = e + a.e + r + 2 * n + 1  # the (1 + a q^(r+2n+1)) partner
-                if hi <= order:
-                    _add_inplace(acc, dr, hi, a.c)
-                n += 1
-        r += 1
-    return lhs, QSeries(acc, order)
+    drs = []  # (dr, the (exponent, sign) of each of its adds)
+    for r in range(order + 1):
+        if p.alpha_low(r) + r > order:  # the summand exponent contains +r
+            break
+        terms = p.alpha_terms(r)
+        if not terms:
+            continue
+        dr: list[Coeff] = [0] * (order + 1 - r)
+        for e, c in terms:
+            if e <= order - r:
+                dr[e] += c
+        if r:  # at r = 0, (1 - a q^r) cancels the normalization (1 - a)
+            _mul_binomial_inplace(dr, -a.c, a.e)
+            _div_binomial_inplace(dr, -a.c, a.e + r)
+        adds = []
+        n = 0
+        while True:
+            e = 2 * n * n + 2 * n * r + n + r + 2 * n * a.e  # with a^(2n)
+            if e > order:
+                break
+            adds.append((e, 1))
+            hi = e + a.e + r + 2 * n + 1  # the (1 + a q^(r+2n+1)) partner
+            if hi <= order:
+                adds.append((hi, a.c))
+            n += 1
+        drs.append((dr, adds))
+    big = max((max(map(abs, dr)) for dr, _ in drs), default=0)
+    count = sum(len(adds) for _, adds in drs)
+    width = (big.bit_length() + abs(a.c).bit_length() + count.bit_length() + 1 + 7) // 8
+    acc = 0
+    for dr, adds in drs:
+        packed = _pack(dr, width)
+        for e, c in adds:
+            acc = _shift_add(acc, packed, -c, 8 * width * e)
+    return lhs, QSeries(_unpack(acc, width, order + 1), order)
 
 
 def verify_lemma(p: PairLike, a: Monomial, order: int) -> VerificationReport:

@@ -21,7 +21,13 @@ the L - e slots that stay instead of building L + e.
 Exactness rests on one invariant: a bound b <= w - 1 with every
 coefficient below 2^b in size, so that series._unpack reads every slot
 back exactly.  A binomial (1 - c*q^e) raises b by the bit length of c,
-and the sum of two packed integers raises it by 1.  A _Slots layout of L
+and the sum of two packed integers raises it by 1.  So does a divide by
+(1 - c*q^e), c = +-1 and e >= 1, as _shift_div makes it, modulo q^L:
+1/(1 - q^e) is the product of the (1 + q^(e*2^k)) with e*2^k < L, those
+past q^(L-1) being 1 modulo q^L, and 1/(1 + q^e) is (1 - q^e)/(1 - q^(2e)).
+Either way that is bits((L - 1) // e) binomials with c = +-1, each one
+shift and one sum, so the divide raises b by bits((L - 1) // e), and by 0
+when e >= L, where it leaves x as it is.  A _Slots layout of L
 slots keeps the invariant for every integer packed in it: before a step
 that can raise b by g, reserve(b, g, ...) makes b + g <= w - 1.  If it
 does not hold yet, one test certifies a smaller bound.  For a threshold
@@ -250,6 +256,24 @@ def _shift_add(x: int, y: int, c: int, shift: int) -> int:
     if c == -1:
         return x + (y << shift)
     return x - c * (y << shift)
+
+
+def _shift_div(x: int, c: int, e: int, w: int, mask: int) -> int:
+    """x / (1 - c*q^e) modulo 2^(w*L), for a packed series x of the L slots
+    of mask, c = +-1 and e >= 1, by doubling: 1/(1 - q^e) is
+    (1 + q^e)(1 + q^(2e))(1 + q^(4e))... up to the first factor past q^(L-1),
+    and 1/(1 + q^e) is (1 - q^e)/(1 - q^(2e)).  Each factor is one _shift_add,
+    so the bound rises by bits((L - 1) // e) in all (module docstring)."""
+    if c not in (1, -1) or e < 1:
+        raise ValueError(f"packed divide by (1 - {c}*q^{e}) needs c = +-1 and e >= 1")
+    shift, top = w * e, mask.bit_length()
+    if c == -1:
+        x = _shift_add(x, x & (mask >> shift), 1, shift) & mask
+        shift *= 2
+    while shift < top:
+        x = _shift_add(x, x & (mask >> shift), -1, shift) & mask
+        shift *= 2
+    return x
 
 
 def _binomial_product(runs: Iterable[tuple[int, Iterable[int]]], length: int) -> list:

@@ -13,25 +13,31 @@ has.  Nothing here extends a series silently.  Equality is only defined up
 to an explicit order; use equal_up_to / first_mismatch.
 
 The product of two integer series is one big-integer multiply by Kronecker
-substitution (_kronecker_mul), with a slot width proven wide enough to keep
-every coefficient exact; a product with a Fraction coefficient runs the
-schoolbook double loop (_schoolbook_mul), which the tests also use as the
-reference for the fast path.  _pack and _unpack move a coefficient list in
-and out of its packed integer: slots of 1, 2, 4 or 8 bytes go through
-struct in one C-level pass, wider slots one coefficient per step.  products
-builds its Pochhammer products and its ratio sums on the same packing, and
-a ratio sum ends in one exact division (_hensel_div): a 2-adic quotient
-that b*c == a accepts, else a times the Newton inverse.
+substitution (_kronecker_mul), with a slot width of w bits proven wide
+enough to keep every coefficient exact, unless the sparser operand has k
+nonzero terms with 2k <= w and w > 16: then it runs term by term
+(_sparse_mul), k C-level passes over the other operand.  The rule comes
+from timing every integer product of verify --target all at orders 400 and
+800 both ways: the multiply's cost grows with w, the passes' with k, and in
+slots of 2 bytes or fewer the multiply is cheapest.  A product with a
+Fraction coefficient runs the schoolbook double loop (_schoolbook_mul),
+which the tests also use as the reference for both fast paths.  _pack and
+_unpack move a coefficient list in and out of its packed integer: slots of
+1, 2, 4 or 8 bytes go through struct in one C-level pass, wider slots one
+coefficient per step.  products builds its Pochhammer products and its
+ratio sums on the same packing, and a ratio sum ends in one exact division
+(_hensel_div): a 2-adic quotient that b*c == a accepts, else a times the
+Newton inverse.
 
 The two in-place binomial kernels multiply or divide a coefficient list by
-(1 + c*q^e).  The Bailey pairs' betas, relation sums and lemma right
-side, the initial-term factors a ratio_sum walk does not cancel
-(products._unmatched), one initial term in identities and
-QSeries.mul_binomial/div_binomial run on them.  Each runs as
-C-level builtins over slices (map, itertools.accumulate) rather than one
-Python step per coefficient.  The multiply is one map: every coefficient
-reads one e below it, none of them updated yet.  The divide reads
-coefficients it has already updated, and the package divides only by
+(1 + c*q^e).  The Bailey pairs' betas, the relation sums' prefactor, the
+lemma's right-side terms before they are packed, the initial-term factors
+a ratio_sum walk does not cancel (products._unmatched), one initial term
+in identities and QSeries.mul_binomial/div_binomial run on them.  Each
+runs as C-level builtins over slices (map, itertools.accumulate) rather
+than one Python step per coefficient.  The multiply is one map: every
+coefficient reads one e below it, none of them updated yet.  The divide
+reads coefficients it has already updated, and the package divides only by
 (1 - q^e) and (1 + q^e), so it dispatches on c and on e against the list
 length L:
 
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -185,9 +191,15 @@ class QSeries:
         if isinstance(other, QSeries):
             n = min(self.order, other.order)
             a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-            if _all_int(a) and _all_int(b):
-                return QSeries(_kronecker_mul(a, b, n), n)
-            return QSeries(_schoolbook_mul(a, b, n), n)
+            if not (_all_int(a) and _all_int(b)):
+                return QSeries(_schoolbook_mul(a, b, n), n)
+            k, kb = len(a) - a.count(0), len(b) - b.count(0)
+            if k > kb:  # a is the sparser operand, with k nonzero terms
+                a, b, k = b, a, kb
+            bits = _slot_bits(a, b, n)
+            if bits > 16 and 2 * k <= bits:
+                return QSeries(_sparse_mul(a, b, n), n)
+            return QSeries(_kronecker_mul(a, b, n), n)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -311,6 +323,16 @@ def _schoolbook_mul(a: Sequence[Coeff], b: Sequence[Coeff], n: int) -> list:
     return out
 
 
+def _sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
+    """Coefficients q^0 .. q^n of a*b for integer a, b of n + 1 coefficients
+    each, term by term: b shifted to each nonzero a_i and added a_i times,
+    one C-level pass of _add_inplace per term."""
+    out: list = [0] * (n + 1)
+    for i in compress(range(n + 1), a):
+        _add_inplace(out, b, i, a[i])
+    return out
+
+
 #: a signed struct format code for each slot width in bytes, so slots of
 #: that width convert to and from ints in one C-level pass; "<" fixes both
 #: the sizes and the byte order on every platform
@@ -359,6 +381,17 @@ def _unpack(x: int, width: int, length: int) -> list:
     return list(struct.unpack(f"<{length}{lane}", data))
 
 
+def _slot_bits(a: Sequence[int], b: Sequence[int], n: int) -> int:
+    """bits(max|a|) + bits(max|b|) + bits(n+1) + 1: the slot width, in bits,
+    that keeps every coefficient of a*b exact (see _kronecker_mul)."""
+    return (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + (n + 1).bit_length()
+        + 1
+    )
+
+
 def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
     """Coefficients q^0 .. q^n of a*b for integer a, b of n + 1 coefficients
     each, by Kronecker substitution: evaluate both at q = 2^w, multiply the
@@ -372,13 +405,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
     inputs are below that bound too, so _pack and _unpack are exact.  The
     slots above q^n are dropped, which cannot disturb the ones below.
     """
-    bits = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + (n + 1).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
+    width = (_slot_bits(a, b, n) + 7) // 8
     return _unpack(_pack(a, width) * _pack(b, width), width, n + 1)
 
 

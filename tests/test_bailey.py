@@ -18,7 +18,7 @@ from overq.bailey import (
     verify_chain,
     verify_lemma,
 )
-from overq.products import Monomial, Ratio, poch_finite, sharing
+from overq.products import Monomial, Ratio, poch_finite, poch_infinite, ratio_sum, sharing
 from overq.report import SAME_OBJECT_NOTE, check
 from overq.series import (
     QSeries,
@@ -41,6 +41,45 @@ def _beta_naive(p, n, order):
         t = p.alpha(r, order) * den.invert()
         total = t if total is None else total + t
     return total
+
+
+def _dense_lovejoy_alpha(n, order):
+    # alpha_n = q^(n^2+n) (1 - q^(2n+2)) / (1 - q^2) = sum_j q^(n^2+n+2j), j <= n
+    cs = [0] * (order + 1)
+    base = n * n + n
+    for j in range(n + 1):
+        e = base + 2 * j
+        if e > order:
+            break
+        cs[e] = 1
+    return QSeries(cs, order)
+
+
+def _dense_slater_alpha(n, order):
+    # alpha_0 = 1; alpha_n = q^(n^2+n) - q^(n^2-n) for n >= 1
+    cs = [0] * (order + 1)
+    if n == 0:
+        cs[0] = 1
+        return QSeries(cs, order)
+    if n * n - n <= order:
+        cs[n * n - n] -= 1
+    if n * n + n <= order:
+        cs[n * n + n] += 1
+    return QSeries(cs, order)
+
+
+@pytest.mark.parametrize("order", (0, 1, 60, 400))
+def test_alpha_rows_match_the_dense_alphas(order):
+    for name, dense in (("lovejoy-q2", _dense_lovejoy_alpha), ("slater-h1", _dense_slater_alpha)):
+        p = pair(name)
+        low = 0
+        for r in range(201):
+            assert p.alpha(r, order).coeffs == dense(r, order).coeffs, (name, r)
+            terms = p.alpha_terms(r)
+            assert len({e for e, _ in terms}) == len(terms) and all(c for _, c in terms)
+            assert all(e >= p.alpha_low(r) for e, _ in terms)
+            assert p.alpha_low(r) >= low
+            low = p.alpha_low(r)
 
 
 def test_pair_lookup():
@@ -112,7 +151,7 @@ def test_betas_take_a_sign_and_a_multiply(order):
     # beta_(n+1)/beta_n = -q^(n+1) (1 - q^(2n+2)) / ((1 - q^(n+1)) (1 + q^(n+1))):
     # the package pairs' tables have neither a sign -1 nor a multiply
     ratio = Ratio((-1, 1, 1), muls=((1, 2, 2),), divs=((1, 1, 1), (-1, 1, 1)))
-    synthetic = BaileyPair("synthetic", Monomial(1, 0), lambda n, o: one(o), ratio)
+    synthetic = BaileyPair("synthetic", Monomial(1, 0), lambda r: ((0, 1),), lambda r: 0, ratio)
     want = one(order)
     for n, beta in zip(range(41), synthetic.betas(order)):
         _assert_same(beta, want)
@@ -165,6 +204,49 @@ def test_lemma_positive_specialization():
     assert lhs.coeffs[:8] == (1, 0, 1, 1, -1, 3, -1, 1)
 
 
+def _reference_lemma_sides(p, a, order):
+    """Both lemma sides built apart from lemma_sides' walks: the infinite
+    products times the divided ratio sum, and alpha_r for every r <= order
+    read as a dense series and added in shifted copies."""
+    weight = Ratio(
+        (1, 0, 1),
+        muls=((a.c, 1, a.e), (1, 2, 2 * a.e + 1)),
+        divs=((-a.c, 1, a.e + 1),),
+    )
+    total = ratio_sum(one(order), weight * p.beta_ratio, order)
+    paren = poch_infinite(Monomial(-a.c, a.e + 1), 1, order)
+    lhs = poch_infinite(Q, 1, order) * paren * paren * total
+    acc = [0] * (order + 1)
+    for r in range(order + 1):
+        alpha_r = p.alpha(r, order)
+        if alpha_r.is_zero():
+            continue
+        dr = list(alpha_r.coeffs)
+        if r:
+            _mul_binomial_inplace(dr, -a.c, a.e)
+            _div_binomial_inplace(dr, -a.c, a.e + r)
+        n = 0
+        while 2 * n * n + 2 * n * r + n + r + 2 * n * a.e <= order:
+            e = 2 * n * n + 2 * n * r + n + r + 2 * n * a.e
+            _add_inplace(acc, dr, e)
+            if e + a.e + r + 2 * n + 1 <= order:
+                _add_inplace(acc, dr, e + a.e + r + 2 * n + 1, a.c)
+            n += 1
+    return lhs, QSeries(acc, order)
+
+
+#: every lemma parameter the tests use: the derivations' two, a = +q and a = +1
+LEMMA_PARAMETERS = LEMMA_CASES + (("lovejoy-q2", Monomial(1, 1)), ("slater-h1", Monomial(1, 0)))
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 7, 60, 400, 800))
+def test_lemma_sides_match_the_products_and_the_dense_alphas(order):
+    for name, a in LEMMA_PARAMETERS:
+        for p in (pair(name), _gapped(pair(name)), _scrambled(pair(name), order, 10**6)):
+            for got, want in zip(lemma_sides(p, a, order), _reference_lemma_sides(p, a, order)):
+                _assert_same(got, want)
+
+
 def test_chain_stage_reports():
     reps = chain_stage_reports(120)
     assert len(reps) == len(CHAIN_STAGE_IDS)
@@ -212,27 +294,58 @@ def _shifted_add_relation(p, n_max, order):
     return sums
 
 
-def _scrambled(p, seed):
+def _scrambled(p, seed, amplitude=3):
     """p with a random integer alpha, so the relation sums differ from beta
-    and the comparison sees every term."""
+    and the comparison sees every term: alpha_r has up to 3r + 3 terms in
+    [-amplitude, amplitude] from q^(r^2-r) up, for r <= 40, the last r
+    whose terms reach order 1600, and none past it."""
 
-    def alpha(r, order):
+    def alpha_terms(r):
+        if r > 40:
+            return ()
         rng = random.Random(seed * 1000 + r)
-        lo = r * r - r
-        return QSeries(
-            [rng.randint(-3, 3) if lo <= i <= lo + 3 * r + 2 else 0 for i in range(order + 1)],
-            order,
-        )
+        terms = [(r * r - r + j, rng.randint(-amplitude, amplitude)) for j in range(3 * r + 3)]
+        return tuple((e, c) for e, c in terms if c)
 
-    return BaileyPair(f"{p.name}-scrambled", p.relative, alpha, p.beta_ratio)
+    return BaileyPair(
+        f"{p.name}-scrambled", p.relative, alpha_terms, lambda r: r * r - r, p.beta_ratio
+    )
+
+
+def _gapped(p):
+    """p with alpha_2 and alpha_5 zero between nonzero rows, so a sum over
+    r that stops at the first zero alpha_r misses alpha_3 and alpha_4."""
+    gaps = (2, 5)
+    return BaileyPair(
+        f"{p.name}-gapped",
+        p.relative,
+        lambda r: () if r in gaps else p.alpha_terms(r),
+        p.alpha_low,
+        p.beta_ratio,
+    )
+
+
+def _alternating(p):
+    """p with alpha_1 = sum (-1)^j 1000 q^j, j < 1000, and every other alpha_r
+    zero: a divide in the Horner walk can grow its coefficients by up to
+    the row's length, near the packed divide's worst case."""
+    row = tuple((j, (-1) ** j * 1000) for j in range(1000))
+    return BaileyPair(
+        f"{p.name}-alternating",
+        p.relative,
+        lambda r: row if r == 1 else (),
+        lambda r: 0,
+        p.beta_ratio,
+    )
 
 
 @pytest.mark.parametrize("order", (0, 1, 7, 60, 400))
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_horner_relation_sums_match_the_shifted_adds(name, order):
-    for p in (pair(name), _scrambled(pair(name), order)):
-        got = [lhs for _, lhs, _ in bailey._relation_pairs(p, 12, order)]
-        assert [s.coeffs for s in got] == [s.coeffs for s in _shifted_add_relation(p, 12, order)]
+    p = pair(name)
+    for q in (p, _scrambled(p, order), _scrambled(p, order, 10**6), _gapped(p), _alternating(p)):
+        got = [lhs for _, lhs, _ in bailey._relation_pairs(q, 12, order)]
+        assert [s.coeffs for s in got] == [s.coeffs for s in _shifted_add_relation(q, 12, order)]
 
 
 def test_a_stage_with_one_builder_on_both_sides_fails(monkeypatch):

@@ -57,8 +57,11 @@ def test_classical_second_pair(monkeypatch):
 
 def test_bailey_relation_at_n(monkeypatch):
     p = bailey.PAIRS["slater-h1"]
-    alpha = flipped(p.alpha, 13, lambda n, order: n == 3)
-    monkeypatch.setitem(bailey.PAIRS, "slater-h1", dataclasses.replace(p, alpha=alpha))
+
+    def alpha_terms(r):  # alpha_3's row gains the term q^13
+        return tuple(p.alpha_terms(r)) + (((13, 1),) if r == 3 else ())
+
+    monkeypatch.setitem(bailey.PAIRS, "slater-h1", dataclasses.replace(p, alpha_terms=alpha_terms))
     report = bailey.bailey_check("slater-h1", n_max=10, order=30)
     assert fields(report) == (
         "bailey:slater-h1", 30, False, (13, 222, 221), "defining relation fails at n=3"

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from overq.series import QSeries, _mul_binomial_inplace, _pack, _unpack, monomial, one
+from overq.series import (
+    QSeries,
+    _div_binomial_inplace,
+    _mul_binomial_inplace,
+    _pack,
+    _unpack,
+    monomial,
+    one,
+)
 from overq.products import (
     Monomial,
     NegativeExponentFactor,
@@ -15,6 +23,7 @@ from overq.products import (
     Theta2D,
     ZeroDenominator,
     _binomial_product,
+    _shift_div,
     _Slots,
     lattice_sum,
     phi32,
@@ -509,3 +518,34 @@ def test_binomial_product_over_mixed_sign_runs(order, monkeypatch):
     monkeypatch.setattr(_Slots, "reserve", counted)
     assert _binomial_product(runs, length) == _list_binomial_product(runs, length)
     assert len(widened) >= 2 or order < 1000
+
+
+@pytest.mark.parametrize("length", (1, 2, 7, 61, 401))
+def test_packed_divide_matches_the_list_kernel_within_its_bound(length):
+    # x / (1 - c*q^e) for c = +-1 and e from 1 to past the end, in slots
+    # that hold b + bits((L - 1) // e) bits for inputs below 2^b: the list
+    # kernel's quotient, below that bound, which constant and alternating
+    # inputs nearly reach
+    rng = random.Random(9011 + length)
+    for b in (1, 5, 30):
+        top = (1 << b) - 1
+        inputs = (
+            [top] * length,
+            [(-1) ** i * top for i in range(length)],
+            [rng.randint(-top, top) for _ in range(length)],
+        )
+        for cs in inputs:
+            for c in (1, -1):
+                for e in sorted({1, 2, 3, max(1, length // 2), max(1, length - 1), length, length + 3}):
+                    grow = ((length - 1) // e).bit_length()
+                    width = (b + grow + 1 + 7) // 8
+                    mask = (1 << (8 * width * length)) - 1
+                    x = _shift_div(_pack(cs, width) & mask, c, e, 8 * width, mask)
+                    want = list(cs)
+                    _div_binomial_inplace(want, -c, e)
+                    assert _unpack(x, width, length) == want, (b, c, e)
+                    assert max(map(abs, want)) < 1 << (b + grow)
+    with pytest.raises(ValueError):
+        _shift_div(1, 1, 0, 8, 255)
+    with pytest.raises(ValueError):
+        _shift_div(1, 2, 1, 8, 255)

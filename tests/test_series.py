@@ -331,6 +331,53 @@ def test_integer_products_take_the_kronecker_path(monkeypatch):
     assert s.is_integral() and not t.is_integral()
 
 
+# -- term-by-term products of a sparse operand ---------------------------------
+
+SPARSE_ORDERS = (0, 1, 60, 400)
+
+
+def _sparse_ints(rng, order, k, bound):
+    """k nonzero coefficients (fewer at small orders) of size 1 .. bound."""
+    cs = [0] * (order + 1)
+    for i in rng.sample(range(order + 1), min(k, order + 1)):
+        cs[i] = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return QSeries(cs, order)
+
+
+@pytest.mark.parametrize("order", SPARSE_ORDERS)
+def test_sparse_products_match_the_schoolbook(order, monkeypatch):
+    rng = random.Random(6007 + order)
+    dense = _random_ints(rng, order, 2**40)  # Kronecker slots of more than 16 bits
+    cases = [(zero(order), dense), (dense, zero(order + 3))]
+    for bound in (1, 2**70):  # c = +-1, and c far past one slot
+        sparse = _sparse_ints(rng, order, 3, bound)
+        longer = _sparse_ints(rng, order + 5, 2, bound)
+        cases += [(sparse, dense), (dense, sparse), (longer, dense), (dense, longer)]
+    wide = _sparse_ints(rng, order, 4, 2**70)
+    cases += [(wide, wide), (wide, _sparse_ints(rng, order, 3, 1))]
+    want = [_reference_product(s, t) for s, t in cases]
+    monkeypatch.setattr(series_module, "_kronecker_mul", None)
+    for (s, t), expected in zip(cases, want):
+        product = s * t
+        assert product.order == min(s.order, t.order)
+        assert list(product.coeffs) == expected
+
+
+@pytest.mark.parametrize("order", SPARSE_ORDERS)
+def test_narrow_and_rational_products_keep_their_paths(order, monkeypatch):
+    rng = random.Random(6011 + order)
+    sparse = _sparse_ints(rng, order, 3, 1)
+    narrow = _random_ints(rng, order, 3)  # slots of at most 16 bits: Kronecker
+    dense = _random_ints(rng, order, 2**40)
+    half = QSeries([Fraction(1, 2)] + [0] * order, order)  # sparse and rational
+    want_narrow = [_reference_product(sparse, narrow), _reference_product(narrow, sparse)]
+    want_half = [_reference_product(half, dense), _reference_product(dense, half)]
+    monkeypatch.setattr(series_module, "_sparse_mul", None)
+    assert [list((sparse * narrow).coeffs), list((narrow * sparse).coeffs)] == want_narrow
+    monkeypatch.setattr(series_module, "_kronecker_mul", None)
+    assert [list((half * dense).coeffs), list((dense * half).coeffs)] == want_half
+
+
 def test_fraction_operand_product_unchanged():
     rng = random.Random(4099)
     for order in (0, 1, 7, 60):
