@@ -11,9 +11,11 @@ step.  It stores alpha as rows: alpha_terms(r) gives alpha_r's nonzero
 (exponent, coefficient) terms, and alpha_low(r) a lower bound on their
 exponents that does not decrease in r, so every sum over r stops at the
 first r whose bound passes the order instead of building each alpha_r as
-a series.  bailey_check verifies the defining relation directly, its inner
-sum over r a Horner walk on one packed integer.  lemma_sides builds both
-sides of the conjugate Bailey lemma: for a pair relative to a^2,
+a series.  bailey_check verifies the defining relation multiplied through
+by the unit (q;q)_n (a*q;q)_n (its constant term is 1), so it holds or
+fails with the relation at every order; its sum over r is a Horner walk
+on one packed integer.  lemma_sides builds both sides of the conjugate
+Bailey lemma: for a pair relative to a^2,
 
     (q;q)_inf (-a*q;q)_inf^2
         * sum_n q^n (a;q)_n (a^2 q;q^2)_n / (-a*q;q)_n * beta_n
@@ -54,7 +56,7 @@ than poch_infinite, outside an audited list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from operator import neg
 from typing import Callable, Iterator, Sequence, Union
@@ -201,21 +203,24 @@ def bailey_check(p: PairLike, n_max: int, order: int) -> VerificationReport:
 
 
 def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]:
-    """(label, relation sum, beta_n) for n = 0 .. n_max, one n at a time.
+    """(label, relation sum, (q;q)_n (aq;q)_n beta_n) for n = 0 .. n_max:
+    the relation multiplied through by the unit (q;q)_n (aq;q)_n,
 
-    With rho_r = (1 - q^(n-r+1)) / (1 - a*q^(n+r)), the relation sum is
+        sum_r alpha_r * rho_1 * ... * rho_r = (q;q)_n (aq;q)_n beta_n,
 
-        1/((q;q)_n (aq;q)_n) * sum_r alpha_r * rho_1 * ... * rho_r,
-
-    and the inner sum runs in Horner form, h <- alpha_r + rho_(r+1) * h from
-    the last alpha_r that reaches the order down to r = 0, on one packed
-    integer in a products._Slots layout of order + 1 slots: the multiply is
-    a _shift_add, the divide a _shift_div, and alpha_r's terms are added
-    into their slots.  Before each step the layout reserves that step's
-    growth: 1 for the multiply, bits(order // e) for the divide by
-    (1 - a*q^e), and 1 + bits(max |c|) for the terms about to be added, as
-    the products module docstring proves.  The prefactor advances by two
-    binomial divides per n and multiplies in once per n.
+    rho_r = (1 - q^(n-r+1)) / (1 - a*q^(n+r)).  The unit is 1 + O(q), so the
+    relation's own difference is this one times its inverse: a failure shows
+    at the same n and exponent, with the same difference there.  The right
+    side is beta's walk with the unit's term ratio chained in; the left side
+    comes from the alpha rows and a alone, in Horner form,
+    h <- alpha_r + rho_(r+1) * h from the last alpha_r that reaches the
+    order down to r = 0, on one packed integer in a products._Slots layout
+    of order + 1 slots: the multiply is a _shift_add, the divide a
+    _shift_div, and alpha_r's terms are added into their slots.  Before each
+    step the layout reserves that step's growth: 1 for the multiply,
+    bits(order // e) for the divide by (1 - a*q^e), and 1 + bits(max |c|)
+    for the terms about to be added, as the products module docstring
+    proves.
     """
     a = p.relative
     length = order + 1
@@ -225,12 +230,9 @@ def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]
         if p.alpha_low(r) > order:
             break
         rows.append([(e, c) for e, c in p.alpha_terms(r) if e <= order])
-    p0: list[Coeff] = [0] * length  # 1 / ((q;q)_n (aq;q)_n)
-    p0[0] = 1
-    for n, beta in zip(range(n_max + 1), p.betas(order)):
-        if n:
-            _div_binomial_inplace(p0, -1, n)
-            _div_binomial_inplace(p0, -a.c, a.e + n)
+    # (q;q)_(n+1) (aq;q)_(n+1) / ((q;q)_n (aq;q)_n), times beta's own ratio
+    scaled = p.beta_ratio * Ratio((1, 0, 0), muls=((1, 1, 1), (a.c, 1, a.e + 1)))
+    for n, rhs in zip(range(n_max + 1), replace(p, beta_ratio=scaled).betas(order)):
         slots, bound, h = _Slots(length, _START_WIDTH), 0, 0
         top = min(n, len(rows) - 1)
         for r in range(top, -1, -1):
@@ -249,8 +251,8 @@ def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]
                 h += c << (w * e)
             h &= mask
             bound += grow
-        total = QSeries(p0, order) * QSeries(_unpack(h, slots.width, length), order)
-        yield f"defining relation fails at n={n}", total, beta
+        lhs = QSeries(_unpack(h, slots.width, length), order)
+        yield f"defining relation fails at n={n}", lhs, rhs
 
 
 @shared

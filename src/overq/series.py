@@ -19,8 +19,10 @@ nonzero terms with 2k <= w and w > 16: then it runs term by term
 (_sparse_mul), k C-level passes over the other operand.  The rule comes
 from timing every integer product of verify --target all at orders 400 and
 800 both ways: the multiply's cost grows with w, the passes' with k, and in
-slots of 2 bytes or fewer the multiply is cheapest.  A product with a
-Fraction coefficient runs the schoolbook double loop (_schoolbook_mul),
+slots of 2 bytes or fewer the multiply is cheapest.  120 of the 144
+products it sent term by term were the Bailey relation's, which now makes
+no product; 12 remain in each pass, at order 400 as at 800.  A product with
+a Fraction coefficient runs the schoolbook double loop (_schoolbook_mul),
 which the tests also use as the reference for both fast paths.  _pack and
 _unpack move a coefficient list in and out of its packed integer: slots of
 1, 2, 4 or 8 bytes go through struct in one C-level pass, wider slots one
@@ -30,16 +32,15 @@ ratio sums on the same packing, and a ratio sum ends in one exact division
 Newton inverse.
 
 The two in-place binomial kernels multiply or divide a coefficient list by
-(1 + c*q^e).  The Bailey pairs' betas, the relation sums' prefactor, the
-lemma's right-side terms before they are packed, the initial-term factors
-a ratio_sum walk does not cancel (products._unmatched), one initial term
-in identities and QSeries.mul_binomial/div_binomial run on them.  Each
-runs as C-level builtins over slices (map, itertools.accumulate) rather
-than one Python step per coefficient.  The multiply is one map: every
-coefficient reads one e below it, none of them updated yet.  The divide
-reads coefficients it has already updated, and the package divides only by
-(1 - q^e) and (1 + q^e), so it dispatches on c and on e against the list
-length L:
+(1 + c*q^e).  The Bailey pairs' betas, the lemma's right-side terms before
+they are packed, the initial-term factors a ratio_sum walk does not cancel
+(products._unmatched), one initial term in identities and
+QSeries.mul_binomial/div_binomial run on them.  Each runs as C-level
+builtins over slices (map, itertools.accumulate) rather than one Python
+step per coefficient.  The multiply is one map: every coefficient reads one
+e below it, none of them updated yet.  The divide reads coefficients it has
+already updated, and the package divides only by (1 - q^e) and (1 + q^e),
+so it dispatches on c and on e against the list length L:
 
 - (1 - q^e) with e*e < L: the quotient is a running sum along each residue
   class mod e, one accumulate per class, so e calls of about L/e steps;
@@ -229,16 +230,6 @@ class QSeries:
         n = self.order
         kept = max(0, n + 1 - e)
         return QSeries([0] * (n + 1 - kept) + list(self.coeffs[:kept]), n)
-
-    def dilate(self, k: int) -> "QSeries":
-        """Substitute q -> q^k keeping this order; exponents k*n > order drop."""
-        if k < 1:
-            raise ValueError("dilation factor must be >= 1")
-        n = self.order
-        out: list[Coeff] = [0] * (n + 1)
-        for i in range(n // k + 1):
-            out[k * i] = self.coeffs[i]
-        return QSeries(out, n)
 
     def stretch(self, k: int, shift: int = 0) -> "QSeries":
         """Substitute q -> q^k then multiply by q^shift, keeping every input

@@ -1,10 +1,11 @@
 """Bailey pairs, the lemma specialization, and the stagewise proof chains."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from overq import bailey
+from overq import bailey, products, series
 from overq.bailey import (
     CHAIN_STAGE_IDS,
     LEMMA_CASES,
@@ -267,22 +268,18 @@ def test_verify_chain_aggregate():
     assert "stages hold" in rep.note
 
 
-# -- the Horner relation sum against the shifted-add loop it replaced ----------
+# -- the relation multiplied through, against a shifted-add loop ----------------
 
 
 def _shifted_add_relation(p, n_max, order):
-    """The relation sums for n = 0 .. n_max: each denominator advanced from
-    the last, each alpha_r rebuilt and added term by shifted term."""
+    """The relation sums multiplied through by (q;q)_n (aq;q)_n, for
+    n = 0 .. n_max: each denominator started at 1, each alpha_r rebuilt and
+    added term by shifted term."""
     a = p.relative
-    p0 = [0] * (order + 1)
-    p0[0] = 1
     sums = []
     for n in range(n_max + 1):
-        if n:
-            _div_binomial_inplace(p0, -1, n)
-            _div_binomial_inplace(p0, -a.c, a.e + n)
         acc = [0] * (order + 1)
-        den = list(p0)
+        den = [1] + [0] * order
         for r in range(n + 1):
             if r:
                 _mul_binomial_inplace(den, -1, n - r + 1)
@@ -358,3 +355,73 @@ def test_a_stage_with_one_builder_on_both_sides_fails(monkeypatch):
     assert check("x", 30, [("", bailey._poch3(30), bailey._poch3(30))]).ok
     with sharing():
         assert not check("x", 30, [("", bailey._poch3(30), bailey._poch3(30))]).ok
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_bailey_check_makes_no_series_product(name, monkeypatch):
+    calls = []
+
+    def counted(f):
+        def run(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return run
+
+    monkeypatch.setattr(QSeries, "__mul__", counted(QSeries.__mul__))
+    for module, attr in ((series, "_kronecker_mul"), (series, "_sparse_mul"), (products, "_kronecker_mul")):
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+    assert bailey_check(name, 40, 400).ok
+    assert calls == []
+
+
+def _closed_relation_rhs(name, n, order):
+    """(q;q)_n (aq;q)_n beta_n coefficient by coefficient:
+    (1 - q^(n+2))/(1 - q^2) = sum_k q^(2k) - q^(n+2) sum_k q^(2k) for
+    lovejoy-q2, q^n for slater-h1."""
+    if name == "slater-h1":
+        return [int(e == n) for e in range(order + 1)]
+    return [(e % 2 == 0) - (e >= n + 2 and (e - n) % 2 == 0) for e in range(order + 1)]
+
+
+@pytest.mark.parametrize("order", (0, 1, 60, 400))
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_relation_right_sides_are_beta_times_the_unit(name, order):
+    p = pair(name)
+    aq = Monomial(p.relative.c, p.relative.e + 1)
+    sides = bailey._relation_pairs(p, 40, order)
+    for n, (_, _, rhs), beta in zip(range(41), sides, p.betas(order)):
+        assert rhs.order == order
+        assert list(rhs.coeffs) == _closed_relation_rhs(name, n, order), n
+        assert all(type(c) is int for c in rhs.coeffs)
+        unit = poch_finite(Q, 1, n, order) * poch_finite(aq, 1, n, order)
+        assert rhs.coeffs == (beta * unit).coeffs, n
+
+
+def _drop_alpha_7_last_term(p):
+    return BaileyPair(
+        f"{p.name}-slip",
+        p.relative,
+        lambda r: p.alpha_terms(r)[:-1] if r == 7 else p.alpha_terms(r),
+        p.alpha_low,
+        p.beta_ratio,
+    )
+
+
+#: (pair with a slip, n, mismatch): n, the exponent and lhs - rhs there are
+#: those of the relation before it is multiplied through
+SLIPS = (
+    (replace(PAIRS["lovejoy-q2"], beta_ratio=Ratio((1, 0, 0), divs=((1, 1, 1), (1, 1, 3)))), 1, (2, 1, 0)),
+    (replace(PAIRS["slater-h1"], beta_ratio=Ratio((1, 0, 1), divs=((1, 1, 1), (1, 1, 2)))), 1, (2, 0, -1)),
+    (replace(PAIRS["slater-h1"], beta_ratio=Ratio((-1, 0, 1), divs=((1, 1, 1), (1, 1, 1)))), 1, (1, 1, -1)),
+    (_drop_alpha_7_last_term(PAIRS["lovejoy-q2"]), 7, (70, 0, 1)),
+    (_drop_alpha_7_last_term(PAIRS["slater-h1"]), 7, (56, -1, 0)),
+)
+
+
+@pytest.mark.parametrize("slip, n, mismatch", SLIPS)
+def test_relation_slips_fail_at_their_n_and_exponent(slip, n, mismatch):
+    report = bailey_check(slip, 40, 120)
+    assert (report.ok, report.mismatch, report.note) == (
+        False, mismatch, f"defining relation fails at n={n}"
+    )

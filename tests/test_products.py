@@ -241,7 +241,7 @@ def test_phi32_q_analog_oracle_weighted():
         n,
     )
     theta = theta1d(Theta1D((1, 1, 0), weight=(2, 1)), n)
-    psi_q2 = theta1d(Theta1D((1, 1, 0), div=2), n).dilate(2)
+    psi_q2 = theta1d(Theta1D((1, 1, 0), div=2), n).stretch(2).truncate(n)
     assert got.equal_up_to(theta * psi_q2.invert(), n)
 
 

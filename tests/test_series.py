@@ -158,27 +158,6 @@ def test_partition_counts_via_invert():
     assert p.coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 
 
-def test_dilate():
-    s = QSeries([1, 1, 0], 2)
-    assert s.dilate(2).coeffs == (1, 0, 1)
-    rng = random.Random(37)
-    t = _random_series(rng)
-    assert t.dilate(1).equal_up_to(t, ORDER)
-    assert t.dilate(3).order == t.order
-    # exponents k*n beyond the order drop
-    u = QSeries([1, 2, 3], 2).dilate(2)
-    assert u.coeffs == (1, 0, 2)
-    with pytest.raises(ValueError):
-        t.dilate(0)
-
-
-def test_dilate_is_multiplicative():
-    rng = random.Random(41)
-    for k in (2, 3, 5):
-        s, t = _random_series(rng), _random_series(rng)
-        assert (s * t).dilate(k).equal_up_to(s.dilate(k) * t.dilate(k), ORDER)
-
-
 def test_stretch_keeps_every_coefficient():
     s = QSeries([5, 0, 7], 2)
     st = s.stretch(8, 2)
