@@ -18,6 +18,9 @@ whose parity the tally reads.  Agreement between these counts and the
 generating-series coefficients is checked in oracle_compare and
 throughout the test suite.
 
+The classical oracle distinct_parts_differences counts rather than lists,
+one (1 - q^k) pass per part size on a plain list.
+
 Every family here is a distinct-parts family: within one component a size
 appears at most once overlined and at most once plain.  Objects are
 returned in a fixed canonical order (larger parts first, overlined before
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product, repeat, starmap
-from operator import add, and_, attrgetter
+from operator import add, and_, attrgetter, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 
@@ -339,13 +342,15 @@ def signed_counts(name: str, max_n: int) -> list[tuple[int, int, int]]:
 
 
 def distinct_parts_differences(max_n: int) -> list[int]:
-    """distinct_parts_difference(n) for n = 0 .. max_n, from one knapsack
-    pass over the sizes 1 .. max_n; each partition into distinct parts is
-    one entry, its number of parts."""
+    """distinct_parts_difference(n) for n = 0 .. max_n, counted, not listed:
+    the pass for part size k multiplies by (1 - q^k), as taking part k adds
+    one part and flips the sign; O(max_n^2) time and O(max_n) memory."""
     if max_n < 0:
         raise ValueError("weight must be >= 0")
-    table = _knapsack(1, None, max_n, 0, lambda k: 1)
-    return [len(sizes) - 2 * sum(map(and_, sizes, repeat(1))) for sizes in table]
+    counts = [1] + [0] * max_n
+    for k in range(1, max_n + 1):
+        counts[k:] = map(sub, counts[k:], counts)
+    return counts
 
 
 def distinct_parts_difference(n: int) -> int:

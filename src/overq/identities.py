@@ -14,7 +14,8 @@ both printed forms, Jacobi's cube, Gauss's psi, Euler's reciprocal, the
 q-binomial theorem, Fine's identity, the Andrews-Warnaar sum, and the two
 Gasper-Rahman 3phi2 transformations III.9/III.10), each at the exact
 instantiation the derivations use, plus randomized checks of the three
-Pochhammer splitting laws and the Legendre signed count by enumeration.
+Pochhammer splitting laws and Legendre's signed count of partitions into
+distinct parts, counted in enumeration apart from the series machinery.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ def verify_theorem(fam: Family, order: int) -> VerificationReport:
 # -- classical identities ----------------------------------------------------
 #
 # Each builder returns labelled (lhs, rhs) pairs, all sides QSeries of the
-# requested order unless the pair is capped (legendre).  verify_classical
-# compares every pair and reports the first mismatching one.
+# requested order.  verify_classical compares every pair and reports the
+# first mismatching one.
 
 SidePairs = list[SidePair]
 
@@ -386,15 +387,9 @@ def _classical_basic_facts(order: int) -> SidePairs:
     return pairs
 
 
-#: Enumerating distinct-part partitions is exponential in n; the signed
-#: count check is capped regardless of the requested order.
-LEGENDRE_CAP = 40
-
-
 def _classical_legendre(order: int) -> SidePairs:
-    cap = min(order, LEGENDRE_CAP)
-    counted = QSeries(distinct_parts_differences(cap), cap)
-    return [("signed-count-vs-bilateral-sum", counted, _pentagonal_bilateral_sum(cap))]
+    counted = QSeries(distinct_parts_differences(order), order)
+    return [("signed-count-vs-bilateral-sum", counted, _pentagonal_bilateral_sum(order))]
 
 
 CLASSICAL: dict[str, Callable[[int], SidePairs]] = {

@@ -102,6 +102,7 @@ from .series import (
     _hensel_div,
     _kronecker_mul,
     _mul_binomial_inplace,
+    _ones,
     _pack,
     _unpack,
     one,
@@ -204,20 +205,20 @@ class _Slots:
     that certifies a bound with its two constants (see the module
     docstring)."""
 
-    __slots__ = ("length", "width", "mask", "t", "low", "high")
+    __slots__ = ("length", "width", "mask", "ones", "t", "low", "high")
 
     def __init__(self, length: int, width: int, t: int = 1):
         self.length, self.width = length, width
         self.mask = (1 << (8 * width * length)) - 1
+        self.ones = _ones(width, length)
         self.threshold(t)
 
     def threshold(self, t: int) -> None:
-        """Test against [-2^t, 2^t) from now on, t <= w - 2."""
-        width, length = self.width, self.length
+        """Test against [-2^t, 2^t) from now on, t <= w - 2: add 2^t to
+        every slot, AND with 2^w - 2^(t+1) in every slot."""
         self.t = t
-        self.low = int.from_bytes((1 << t).to_bytes(width, "little") * length, "little")
-        top = (1 << (8 * width)) - (2 << t)
-        self.high = int.from_bytes(top.to_bytes(width, "little") * length, "little")
+        self.low = self.ones << t
+        self.high = self.mask + self.ones - (self.ones << (t + 1))
 
     def holds(self, *packed: int) -> bool:
         """Whether every coefficient of the packed integers lies in [-2^t, 2^t)."""

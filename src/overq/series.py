@@ -25,11 +25,12 @@ no product; 12 remain in each pass, at order 400 as at 800.  A product with
 a Fraction coefficient runs the schoolbook double loop (_schoolbook_mul),
 which the tests also use as the reference for both fast paths.  _pack and
 _unpack move a coefficient list in and out of its packed integer: slots of
-1, 2, 4 or 8 bytes go through struct in one C-level pass, wider slots one
-coefficient per step.  products builds its Pochhammer products and its
-ratio sums on the same packing, and a ratio sum ends in one exact division
-(_hensel_div): a 2-adic quotient that b*c == a accepts, else a times the
-Newton inverse.
+1, 2, 4 or 8 bytes go through struct in one C-level pass; slots of 3, 5, 6
+or 7 bytes go through 8-byte struct lanes, one C-level copy per byte
+column; wider slots take one coefficient per step.  products builds its
+Pochhammer products and its ratio sums on the same packing, and a ratio
+sum ends in one exact division (_hensel_div): a 2-adic quotient that
+b*c == a accepts, else a times the Newton inverse.
 
 The two in-place binomial kernels multiply or divide a coefficient list by
 (1 + c*q^e).  The Bailey pairs' betas, the lemma's right-side terms before
@@ -328,11 +329,19 @@ def _sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
 #: that width convert to and from ints in one C-level pass; "<" fixes both
 #: the sizes and the byte order on every platform
 _LANES = {struct.calcsize("<" + code): code for code in "bhiq"}
+#: a bytes.translate table from a slot's top byte to the byte that extends
+#: its sign: 0x00 below 0x80, 0xff from 0x80 on
+_SIGN = bytes(128) + b"\xff" * 128
 
 
 def _bias(width: int, length: int) -> int:
     """2^(8*width - 1) in each of length slots of width bytes."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    return _ones(width, length) << (8 * width - 1)
+
+
+def _ones(width: int, length: int) -> int:
+    """1 in each of length slots of width bytes."""
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * length, "little")
 
 
 def _pack(cs: Sequence[int], width: int) -> int:
@@ -340,15 +349,27 @@ def _pack(cs: Sequence[int], width: int) -> int:
     coefficients in [-2^(8*width - 1), 2^(8*width - 1)).
 
     The slots are first written in two's complement, where a negative
-    coefficient does not borrow from the slot above it.  XOR with the bias
-    flips each slot's top bit, which turns the two's complement of c into
-    c + h in [0, 2^(8*width)), with h = 2^(8*width - 1); subtracting the
-    bias then leaves the sum of the c * 2^(8*width*i) themselves."""
+    coefficient does not borrow from the slot above it.  Slots of 1, 2, 4
+    and 8 bytes are struct's own; narrower slots are the low width bytes of
+    8-byte struct lanes, copied one byte column at a time, and a lane whose
+    upper bytes do not extend its slot's sign does not fit its slot.  XOR
+    with the bias flips each slot's top bit, which turns the two's
+    complement of c into c + h in [0, 2^(8*width)), with h =
+    2^(8*width - 1); subtracting the bias then leaves the sum of the
+    c * 2^(8*width*i) themselves."""
     lane = _LANES.get(width)
-    if lane is None:
-        data = b"".join([c.to_bytes(width, "little", signed=True) for c in cs])
-    else:
+    if lane is not None:
         data = struct.pack(f"<{len(cs)}{lane}", *cs)
+    elif width < 8:
+        wide = struct.pack(f"<{len(cs)}q", *cs)
+        sign = wide[width - 1 :: 8].translate(_SIGN)
+        if any(wide[j::8] != sign for j in range(width, 8)):
+            raise OverflowError(f"a coefficient does not fit {width}-byte slots")
+        data = bytearray(width * len(cs))
+        for j in range(width):
+            data[j::width] = wide[j::8]
+    else:
+        data = b"".join([c.to_bytes(width, "little", signed=True) for c in cs])
     bias = _bias(width, len(cs))
     return (int.from_bytes(data, "little") ^ bias) - bias
 
@@ -359,11 +380,22 @@ def _unpack(x: int, width: int, length: int) -> list:
 
     With the bias added, every slot holds c + h in [0, 2^(8*width)), so no
     slot borrows from or carries into its neighbour; XOR with the bias
-    leaves each slot in two's complement, read back as a signed int."""
+    leaves each slot in two's complement, read back as a signed int.  Slots
+    narrower than 8 bytes, other than 1, 2 and 4, are copied into the low
+    bytes of 8-byte lanes, whose upper bytes take the slot top byte's
+    sign."""
     bias = _bias(width, length)
     size = width * length
     data = (((x + bias) & ((1 << (8 * size)) - 1)) ^ bias).to_bytes(size, "little")
     lane = _LANES.get(width)
+    if lane is None and width < 8:
+        wide = bytearray(8 * length)
+        for j in range(width):
+            wide[j::8] = data[j::width]
+        sign = data[width - 1 :: width].translate(_SIGN)
+        for j in range(width, 8):
+            wide[j::8] = sign
+        data, lane = wide, "q"
     if lane is None:
         return [
             int.from_bytes(data[i : i + width], "little", signed=True)

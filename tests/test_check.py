@@ -111,7 +111,6 @@ def test_pass_says_when_less_was_compared_than_asked():
         3, "compared through 3 of 4"
     )
     assert check("demo", 9, short, note="given").note == "given; compared through 3 of 9"
-    # classical:legendre is capped at order 40 whatever order is asked
+    # classical:legendre compares through the order asked
     legendre = verify_classical("legendre", 60)
-    assert (legendre.ok, legendre.order, legendre.note) == (True, 40, "compared through 40 of 60")
-    assert verify_classical("legendre", 40).note == ""
+    assert (legendre.ok, legendre.order, legendre.note) == (True, 60, "")

@@ -320,12 +320,17 @@ def test_distinct_parts_difference_matches_pentagonal_rule():
         assert distinct_parts_difference(n) == pentagonal_rule(n), n
 
 
-def test_distinct_parts_differences_from_one_table():
-    diffs = distinct_parts_differences(60)
-    assert diffs == [pentagonal_rule(n) for n in range(61)]
-    for n in range(31):
+def test_distinct_parts_differences_count_the_listed_partitions():
+    assert distinct_parts_differences(0) == [1]
+    diffs = distinct_parts_differences(40)
+    for n in range(41):
         sizes = [len(parts) for parts in distinct_subsets(1, None, n)]
         assert diffs[n] == sum(1 if k % 2 == 0 else -1 for k in sizes), n
+
+
+def test_distinct_parts_differences_follow_the_pentagonal_rule():
+    diffs = distinct_parts_differences(400)
+    assert diffs == [pentagonal_rule(n) for n in range(401)]
 
 
 def test_triangular_predicates():

@@ -481,6 +481,20 @@ def test_the_threshold_test_is_exact_at_every_threshold(width):
                 assert slots.holds(x) is slots.holds(x & slots.mask) is holds, (t, v, slot)
 
 
+def test_threshold_constants_match_their_bytes_construction():
+    # the constants built by shifts from one 1 per slot equal 2^t and
+    # 2^w - 2^(t+1) written into every slot byte by byte
+    for width in range(1, 10):
+        for length in range(1, 51):
+            slots = _Slots(length, width)
+            for t in range(8 * width - 1):
+                slots.threshold(t)
+                low = int.from_bytes((1 << t).to_bytes(width, "little") * length, "little")
+                top = (1 << (8 * width)) - (2 << t)
+                high = int.from_bytes(top.to_bytes(width, "little") * length, "little")
+                assert (slots.t, slots.low, slots.high) == (t, low, high), (width, length, t)
+
+
 def _list_binomial_product(runs, length):
     """The product of (1 - c*q^e) over the runs by one list update per
     binomial."""

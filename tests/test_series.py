@@ -1,6 +1,7 @@
 """Ring laws, truncation semantics, and reindexing of the series core."""
 
 import random
+import struct
 from fractions import Fraction
 from math import isqrt
 
@@ -280,8 +281,9 @@ def test_kronecker_sparse_dense_unequal_and_zero(order):
 @pytest.mark.parametrize("width", (1, 2, 3, 4, 5, 8, 16))
 @pytest.mark.parametrize("lanes", (True, False))
 def test_pack_unpack_round_trip(width, lanes, monkeypatch):
-    # 1, 2, 4 and 8 bytes go through struct, the others one at a time;
-    # without the struct lanes every width takes the slot-at-a-time path
+    # 1, 2, 4 and 8 bytes go through struct, 3, 5, 6 and 7 through 8-byte
+    # lanes and wider slots one at a time; without the direct struct codes
+    # every width below 8 takes the 8-byte lanes and 8 the slot-at-a-time path
     if not lanes:
         monkeypatch.setattr(series_module, "_LANES", {})
     h = 1 << (8 * width - 1)
@@ -294,6 +296,43 @@ def test_pack_unpack_round_trip(width, lanes, monkeypatch):
         # slots above the ones read back do not disturb them
         junk = rng.randrange(-(1 << 99), 1 << 99) << (8 * width * len(cs))
         assert _unpack(x + junk, width, len(cs)) == cs
+
+
+def _reference_pack(cs, width):
+    """The per-coefficient packing: each slot written by int.to_bytes."""
+    data = b"".join(c.to_bytes(width, "little", signed=True) for c in cs)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(cs), "little")
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def _reference_unpack(x, width, length):
+    """The per-coefficient unpacking: each slot read by int.from_bytes."""
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    size = width * length
+    data = (((x + bias) & ((1 << (8 * size)) - 1)) ^ bias).to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + width], "little", signed=True) for i in range(0, size, width)]
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_pack_unpack_match_the_per_coefficient_reference(width):
+    # every path (struct codes, 8-byte lanes, one slot at a time) against
+    # to_bytes/from_bytes per coefficient, at both ends of the slot range
+    h = 1 << (8 * width - 1)
+    rng = random.Random(2501 + width)
+    for length in (0, 1, 2, 7, 100):
+        ends = [rng.choice((-h, h - 1, -h + 1, h - 2, 0, -1)) for _ in range(length)]
+        spread = [rng.randrange(-h, h) for _ in range(length)]
+        for cs in (ends, spread, [-h] * length, [h - 1] * length):
+            x = _pack(cs, width)
+            assert x == _reference_pack(cs, width)
+            assert _unpack(x, width, length) == _reference_unpack(x, width, length) == cs
+            junk = rng.randrange(-(1 << 99), 1 << 99) << (8 * width * length)
+            assert _unpack(x + junk, width, length) == cs
+        if length:
+            # a coefficient just outside the slot raises, whichever path it takes
+            for v in (h, -h - 1):
+                with pytest.raises((OverflowError, struct.error)):
+                    _pack(spread[:-1] + [v], width)
 
 
 def test_integer_products_take_the_kronecker_path(monkeypatch):
