@@ -81,10 +81,11 @@ from .products import (
     theta1d,
     theta2d,
 )
-from .report import SidePair, VerificationReport, check, one_pair
+from .report import Side as SideValue, SidePair, VerificationReport, check, one_pair
 from .series import (
     Coeff,
     QSeries,
+    Quotient,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     _pack,
@@ -256,7 +257,7 @@ def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]
 
 
 @shared
-def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[QSeries, QSeries]:
+def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[SideValue, QSeries]:
     """Both sides of the conjugate Bailey lemma for any monomial a whose
     square is the pair's relative parameter.
 
@@ -362,79 +363,72 @@ _C_LADDER2_RATIO = Ratio(
     muls=((1, 2, 2), (1, 2, 3)),
     divs=((1, 1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 2)),
 )
+#: the ladders' initial products as factors their walks net against divides
+_C_PREFIX = ((1, 1, 1, None), (1, 2, 2, None))  # (q;q)_inf (q^2;q)_inf^2
+_C_PREFIX2 = ((1, 1, 2, None), (1, 2, 2, None))  # (q;q)_inf^2 (q^2;q)_inf^2
 
 
 @shared
-def _c_sum_triple(order: int) -> QSeries:
+def _c_sum_triple(order: int) -> Quotient:
     # sum q^n (-q;q)_n (q^3;q^2)_n / ((q^2;q)_n (q;q)_n (q^2;q)_n)
     return ratio_sum(one(order), _C_LADDER_RATIO, order)
 
 
 @shared
-def _c_prefix(order: int) -> QSeries:
-    p2 = poch_infinite(_Q2, 1, order)
-    return poch_infinite(_Q, 1, order) * p2 * p2
-
-
-@shared
-def _c_explicit_sum(order: int) -> QSeries:
+def _c_explicit_sum(order: int) -> Quotient:
     # (q;q)_inf (q^2;q)_inf^2 times the triple-ratio sum
-    return _c_prefix(order) * _c_sum_triple(order)
+    p2 = poch_infinite(_Q2, 1, order)
+    return poch_infinite(_Q, 1, order) * p2 * p2 * _c_sum_triple(order)
 
 
 @shared
 def _c_ladder_tails(order: int) -> QSeries:
     # sum q^n (-q;q)_n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2
-    init = _c_prefix(order).mul_binomial(-1, 1)
-    return ratio_sum(init, _C_LADDER_RATIO, order)
+    return ratio_sum(one(order).mul_binomial(-1, 1), _C_LADDER_RATIO, order, factors=_C_PREFIX)
 
 
 @shared
-def _c_ladder_overline(order: int) -> QSeries:
+def _c_ladder_overline(order: int) -> Quotient:
     # sum q^n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / (-q^(n+1);q)_inf
-    init = _c_prefix(order).mul_binomial(-1, 1) * poch_infinite(_NEG_Q, 1, order).invert()
-    return ratio_sum(init, _C_LADDER_RATIO, order)
+    total = ratio_sum(one(order).mul_binomial(-1, 1), _C_LADDER_RATIO, order, factors=_C_PREFIX)
+    return Quotient(total, poch_infinite(_NEG_Q, 1, order))
 
 
 @shared
-def _c_ladder_pulled_out(order: int) -> QSeries:
+def _c_ladder_pulled_out(order: int) -> Quotient:
     # (-q;q)_inf times the overline ladder
     return poch_infinite(_NEG_Q, 1, order) * _c_ladder_overline(order)
 
 
 @shared
-def _c_ladder_euler_swapped(order: int) -> QSeries:
+def _c_ladder_euler_swapped(order: int) -> Quotient:
     # the overline ladder times 1/(q;q^2)_inf, Euler's form of (-q;q)_inf
-    return poch_infinite(_Q, 2, order).invert() * _c_ladder_overline(order)
+    return Quotient(one(order), poch_infinite(_Q, 2, order)) * _c_ladder_overline(order)
 
 
 @shared
-def _c_ladder_odd_tail(order: int) -> QSeries:
+def _c_ladder_odd_tail(order: int) -> Quotient:
     # sum q^n (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / ((-q^(n+1);q)_inf (q^(2n+3);q^2)_inf)
     den = poch_infinite(_NEG_Q, 1, order) * poch_infinite(Monomial(1, 3), 2, order)
-    return ratio_sum(_c_prefix(order) * den.invert(), _C_LADDER_RATIO, order)
+    return Quotient(ratio_sum(one(order), _C_LADDER_RATIO, order, factors=_C_PREFIX), den)
 
 
 @shared
-def _c_ladder_squares(order: int) -> QSeries:
+def _c_ladder_squares(order: int) -> Quotient:
     # sum q^n (q^(n+1);q)_inf^2 (q^(n+2);q)_inf^2 / ((q^(2n+2);q^2)_inf (q^(2n+3);q^2)_inf)
-    p1 = poch_infinite(_Q, 1, order)
-    p2 = poch_infinite(_Q2, 1, order)
     den = poch_infinite(_Q2, 2, order) * poch_infinite(Monomial(1, 3), 2, order)
-    return ratio_sum(p1 * p1 * p2 * p2 * den.invert(), _C_LADDER2_RATIO, order)
+    return Quotient(ratio_sum(one(order), _C_LADDER2_RATIO, order, factors=_C_PREFIX2), den)
 
 
 @shared
-def _c_ladder_merged(order: int) -> QSeries:
+def _c_ladder_merged(order: int) -> Quotient:
     # sum q^n (q^(n+1);q)_inf^2 (q^(n+2);q)_inf^2 / (q^(2n+2);q)_inf
-    p1 = poch_infinite(_Q, 1, order)
-    p2 = poch_infinite(_Q2, 1, order)
-    init = p1 * p1 * p2 * p2 * poch_infinite(_Q2, 1, order).invert()
-    return ratio_sum(init, _C_LADDER2_RATIO, order)
+    total = ratio_sum(one(order), _C_LADDER2_RATIO, order, factors=_C_PREFIX2)
+    return Quotient(total, poch_infinite(_Q2, 1, order))
 
 
 @shared
-def _c_ladder_finite(order: int) -> QSeries:
+def _c_ladder_finite(order: int) -> Quotient:
     # sum q^n (q^(n+1);q)_inf (q^(n+1);q)_(n+1) (q^(n+2);q)_inf^2
     p2 = poch_infinite(_Q2, 1, order)
     init = poch_infinite(_Q, 1, order).mul_binomial(-1, 1) * p2 * p2
@@ -498,7 +492,7 @@ def _c_mapped_assembly(order: int) -> QSeries:
 
 
 @shared
-def _d_core_sum(order: int) -> QSeries:
+def _d_core_sum(order: int) -> Quotient:
     # S = sum_{n>=1} q^(2n) (-q;q)_(n-1) (q;q^2)_n / (q;q)_n^3
     init = one(order).div_binomial(-1, 1).div_binomial(-1, 1)
     ratio = Ratio(
@@ -510,13 +504,13 @@ def _d_core_sum(order: int) -> QSeries:
 
 
 @shared
-def _d_core_product(order: int) -> QSeries:
+def _d_core_product(order: int) -> Quotient:
     # (q;q)_inf^3 * S
     return _poch3(order) * _d_core_sum(order)
 
 
 @shared
-def _d_ladder_middle(order: int) -> QSeries:
+def _d_ladder_middle(order: int) -> Quotient:
     # sum q^(2n) (-q;q)_(n-1) (q;q)_(2n) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
     init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(-1, 2)
@@ -529,7 +523,7 @@ def _d_ladder_middle(order: int) -> QSeries:
 
 
 @shared
-def _d_ladder_even(order: int) -> QSeries:
+def _d_ladder_even(order: int) -> Quotient:
     # sum q^(2n) (q^2;q^2)_(n-1) (q^n;q)_(n+1) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
     init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(-1, 2)
@@ -572,7 +566,7 @@ def _d_v_from(order: int, r0: int) -> QSeries:
 
 
 @shared
-def _d_half_split(order: int) -> QSeries:
+def _d_half_split(order: int) -> Quotient:
     # (q;q)_inf^3 + 2 (q;q)_inf^3 S: the lemma's left side, and twice the
     # halved identity's
     return _poch3(order) + _d_core_product(order).scale(2)
@@ -672,11 +666,11 @@ def _d_inner_final(order: int) -> QSeries:
 
 # -- stage table -------------------------------------------------------------
 
-SideFn = Callable[[int], QSeries]
+SideFn = Callable[[int], SideValue]
 #: one side of a stage: the name of a builder in this module, or a function
 #: of the order
 Side = Union[str, SideFn]
-StageBuilder = Callable[[int], tuple[QSeries, QSeries]]
+StageBuilder = Callable[[int], tuple[SideValue, SideValue]]
 
 
 def _side(side: Side) -> SideFn:

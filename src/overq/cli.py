@@ -40,7 +40,7 @@ from .identities import (
 )
 from .products import Monomial, poch_finite, poch_infinite, sharing
 from .report import VerificationReport
-from .series import QSeries
+from .series import QSeries, divided
 
 DEFAULT_ORDER = 120
 ORDER_ENV = "OVERQ_ORDER"
@@ -152,7 +152,7 @@ def _series_for(sid: str, order: int) -> QSeries:
             raise UsageError(f"classical series id must end in :lhs or :rhs, got {sid!r}")
         pairs = _known(classical, cid)(order)
         _, lhs, rhs = pairs[0]
-        return lhs if side == "lhs" else rhs
+        return divided(lhs if side == "lhs" else rhs)
     if head == "poch" and rest:
         bits = rest.split(":")
         if len(bits) not in (2, 3):

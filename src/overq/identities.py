@@ -38,12 +38,14 @@ from .products import (
     theta1d,
     theta2d,
 )
-from .report import SidePair, VerificationReport, check, deferred, one_pair
+from .report import Side, SidePair, VerificationReport, check, deferred, one_pair
 from .series import (
     Coeff,
     QSeries,
+    Quotient,
     _div_binomial_inplace,
     _mul_binomial_inplace,  # unused here; bench/spans.py traces this binding
+    divided,
     one,
 )
 
@@ -70,11 +72,13 @@ def gen_family(fam: Family, order: int) -> QSeries:
     and the infinite-product divides are left to cancel against the
     factors: for F, A, A2, B, C and D every divide does, and no product is
     built or divided.  G's finite divide (1 + q^s) pairs with nothing, so
-    its sum builds the products and divides.
+    its sum builds the products and is a quotient, divided once here.
     """
-    spec = _spec(fam)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    return divided(_family_sum(_spec(fam), order))
+
+
+def _family_sum(spec: FamilySpec, order: int) -> Side:
+    """gen_family's sum as ratio_sum returns it: G's a quotient."""
     ratio, factors = _family_table(spec)
     return ratio_sum(one(order), ratio, order, start=1, at=spec.prefactor, factors=factors)
 
@@ -103,11 +107,10 @@ def jacobi_theta(order: int) -> QSeries:
     return theta1d(Theta1D((1, 1, 0), div=2, sign="alternating", weight=(2, 1)), order)
 
 
-def psi_product(order: int) -> QSeries:
+def psi_product(order: int) -> Quotient:
     """psi(q) as the product (q^2;q^2)_inf / (q;q^2)_inf."""
-    even = poch_infinite(Monomial(1, 2), 2, order)
-    odd = poch_infinite(Monomial(1, 1), 2, order)
-    return even * odd.invert()
+    even, odd = Monomial(1, 2), Monomial(1, 1)
+    return Quotient(poch_infinite(even, 2, order), poch_infinite(odd, 2, order))
 
 
 def rhs_theorem(fam: Family, order: int) -> QSeries:
@@ -157,10 +160,10 @@ def mapped_inner_order(order: int) -> int:
 def verify_theorem(fam: Family, order: int) -> VerificationReport:
     """Compare gen_family with rhs_theorem.
 
-    F, G, A, A2, B compare directly through the order.  C and D compare on
-    the q^(8n+2) scale: coefficient n of the generating side is placed at
-    exponent 8n+2 (exact re-indexing, nothing dropped) for all n <= inner
-    where 8*inner+2 <= order.
+    F, G, A, A2, B compare directly through the order, G's sum as its
+    undivided quotient.  C and D compare on the q^(8n+2) scale: coefficient
+    n of the generating side is placed at exponent 8n+2 (exact re-indexing,
+    nothing dropped) for all n <= inner where 8*inner+2 <= order.
     """
     spec = _spec(fam)
     mapped = spec.name in MAPPED_FAMILIES
@@ -169,7 +172,7 @@ def verify_theorem(fam: Family, order: int) -> VerificationReport:
     note = f"coefficients n <= {inner} at exponents 8n+2" if mapped else ""
 
     def sides():
-        lhs = gen_family(spec, inner).stretch(8, 2) if mapped else gen_family(spec, order)
+        lhs = gen_family(spec, inner).stretch(8, 2) if mapped else _family_sum(spec, order)
         return lhs, rhs_theorem(spec, top)
 
     return check(f"theorem:{spec.name}", top, one_pair(note, sides), note)
@@ -177,8 +180,8 @@ def verify_theorem(fam: Family, order: int) -> VerificationReport:
 
 # -- classical identities ----------------------------------------------------
 #
-# Each builder returns labelled (lhs, rhs) pairs, all sides QSeries of the
-# requested order.  verify_classical compares every pair and reports the
+# Each builder returns labelled (lhs, rhs) pairs, each side a QSeries or a
+# Quotient of the requested order.  verify_classical compares every pair and reports the
 # first mismatching one.
 
 SidePairs = list[SidePair]
@@ -220,7 +223,7 @@ def _classical_gauss(order: int) -> SidePairs:
 
 def _classical_euler(order: int) -> SidePairs:
     lhs = poch_infinite(Monomial(-1, 1), 1, order)
-    rhs = poch_infinite(Monomial(1, 1), 2, order).invert()
+    rhs = Quotient(one(order), poch_infinite(Monomial(1, 1), 2, order))
     return [("product-vs-reciprocal", lhs, rhs)]
 
 
@@ -231,7 +234,7 @@ def _classical_q_binomial(order: int) -> SidePairs:
     return [("sum-vs-product", ratio_sum(one(order), ratio, order), psi_product(order))]
 
 
-def fine_sides(a: Monomial, t: Monomial, order: int) -> tuple[QSeries, QSeries]:
+def fine_sides(a: Monomial, t: Monomial, order: int) -> tuple[Side, Side]:
     """Both sides of Fine's identity
 
         sum_{n>=0} (a*q^(n+1);q)_n t^n / (q;q)_n
@@ -258,7 +261,7 @@ def fine_sides(a: Monomial, t: Monomial, order: int) -> tuple[QSeries, QSeries]:
 
     diag = a.e + t.e  # extra exponent per index from (-a*t)^n
     right = Ratio((-a.c * t.c, 3, 2 + diag), muls=((t.c, 1, t.e),), divs=((1, 1, 1),))
-    rhs = poch_infinite(t, 1, order).invert() * ratio_sum(one(order), right, order)
+    rhs = Quotient(one(order), poch_infinite(t, 1, order)) * ratio_sum(one(order), right, order)
     return lhs, rhs
 
 
@@ -267,7 +270,7 @@ def _classical_fine(sigma: int, order: int) -> SidePairs:
     return [(f"a={'-' if sigma < 0 else ''}1/q,t=q", lhs, rhs)]
 
 
-def aw_sides(zsign: int, order: int) -> tuple[QSeries, QSeries]:
+def aw_sides(zsign: int, order: int) -> tuple[Side, QSeries]:
     """Both sides of the Andrews-Warnaar sum
 
         sum_{n>=0} (-z*q;q^2)_n (-q/z;q^2)_n q^n / (-q;q)_(2n+1)
@@ -310,11 +313,11 @@ def _classical_gr_iii10(order: int) -> SidePairs:
         order,
     )
     p = poch_infinite(Monomial(1, 2), 2, order)
-    prefactor = (
+    prefactor = Quotient(
         poch_infinite(Monomial(1, 1), 2, order)
         * poch_infinite(Monomial(-1, 3), 2, order)
-        * poch_infinite(Monomial(-1, 2), 2, order)
-        * (p * p * p).invert()
+        * poch_infinite(Monomial(-1, 2), 2, order),
+        p * p * p,
     )
     rhs = prefactor * phi32(
         (Monomial(1, 1), Monomial(1, 1), Monomial(1, 2)),
@@ -335,13 +338,9 @@ def _classical_gr_iii9(order: int) -> SidePairs:
         2,
         order,
     )
-    prefactor = (
-        poch_infinite(Monomial(1, 1), 2, order)
-        * poch_infinite(Monomial(-1, 3), 2, order)
-        * (
-            poch_infinite(Monomial(-1, 2), 2, order)
-            * poch_infinite(Monomial(1, 2), 2, order)
-        ).invert()
+    prefactor = Quotient(
+        poch_infinite(Monomial(1, 1), 2, order) * poch_infinite(Monomial(-1, 3), 2, order),
+        poch_infinite(Monomial(-1, 2), 2, order) * poch_infinite(Monomial(1, 2), 2, order),
     )
     rhs = prefactor * phi32(
         (Monomial(-1, 1), Monomial(1, 2), Monomial(-1, 1)),

@@ -63,19 +63,13 @@ Every q-hypergeometric sum over n in the package is an initial term plus a
 Ratio table: term(n+1)/term(n) is a signed power of q times binomial
 factors multiplied in or divided out.  A factor is one row (c, a, b)
 everywhere, standing for (1 - c*q^(a*n + b)); a factor realized at one n
-is the row (c, 0, e).  ratio_sum sums such a table; phi32 is the 3-phi-2
-instance.  Its walk runs on the same packing and never divides: it carries
-the sum's numerator U and denominator P, two packed integers in one layout
-under one bound, and divides once at the end, exactly (see ratio_sum).
+is the row (c, 0, e).  ratio_sum sums such a table on the same packing,
+as a numerator and a denominator that nothing divides (see ratio_sum);
+phi32 is the 3-phi-2 instance.
 
 An initial term may come as factors, runs (c*q^e; q)_n^m of binomials
 (1 - c*q^e) with c = +-1 and e >= 1, which ratio_sum nets against the
-divides it applies instead of building them.  Every such binomial has
-constant term 1, so it is a unit of the series truncated to any length,
-and one that is both a factor and a divide cancels exactly: the sum is
-unchanged whichever way the factors and divides are paired.  A sum whose
-every divide cancels needs no product and no division; one that leaves a
-divide over builds the factors as one packed product and divides.
+divides it applies instead of building them (see ratio_sum).
 
 A builder marked @shared runs once per argument set inside a sharing()
 scope and hands every later caller in the scope that same immutable
@@ -90,16 +84,15 @@ import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .series import (
     Coeff,
     OrderExceededError,
     QSeries,
+    Quotient,
     _div_binomial_inplace,  # unused here; bench/spans.py traces this binding
-    _hensel_div,
     _kronecker_mul,
     _mul_binomial_inplace,
     _ones,
@@ -280,7 +273,11 @@ def _shift_div(x: int, c: int, e: int, w: int, mask: int) -> int:
 def _binomial_product(runs: Iterable[tuple[int, Iterable[int]]], length: int) -> list:
     """The first length coefficients of the product of the binomials
     (1 - c*q^e) over the runs (c, exponents), c = +-1 and every e >= 0, on
-    one packed integer whose slots widen when the bound needs it."""
+    one packed integer whose slots widen when the bound needs it.
+
+    The bound holds in any order of the binomials, and callers pass the
+    largest e first: the (1 - q^k), k >= K, multiply to signed counts of
+    partitions into distinct parts >= K, small until K is."""
     slots, bound, x = _Slots(length, _START_WIDTH), 1, 1
     w, mask = 8 * slots.width, slots.mask
     for c, exponents in runs:
@@ -312,7 +309,7 @@ def poch_finite(a: Monomial, base: int, n: int, order: int) -> QSeries:
         exponents.append(ex)
         if ex == 0 and a.c == 1:
             break  # the factor (1 - q^0) zeroed the whole product
-    return QSeries(_binomial_product(((a.c, exponents),), order + 1), order)
+    return QSeries(_binomial_product(((a.c, exponents[::-1]),), order + 1), order)
 
 
 @shared
@@ -325,7 +322,7 @@ def poch_infinite(a: Monomial, base: int, order: int) -> QSeries:
         raise NonconvergentProduct(
             f"({a}; q^{base})_inf needs a positive leading exponent"
         )
-    runs = ((a.c, range(a.e, order + 1, base)),)
+    runs = ((a.c, range(a.e, order + 1, base)[::-1]),)
     return QSeries(_binomial_product(runs, order + 1), order)
 
 
@@ -471,7 +468,7 @@ def ratio_sum(
     start: int = 0,
     at: int = 0,
     factors: Sequence[tuple[int, int, int, Optional[int]]] = (),
-) -> QSeries:
+) -> Union[QSeries, Quotient]:
     """Sum over n >= start of term(n), truncated at the order, where
     term(start) = q^at * init * F and term(n+1) = term(n) * ratio at n,
     with F the product of the factors (c, e, m, n): (c*q^e; q)_n^m for
@@ -494,36 +491,31 @@ def ratio_sum(
 
         U_n = P_n + sign * q^step * M_n * U_(n+1).
 
-    Both are shift-and-add on packed integers in one _Slots layout of P's
-    L slots, under one bound on every coefficient of U and P, kept as the
-    module docstring proves: a step raises it by at most g, 1 plus the
-    larger of the table's multiply and divide bit lengths, so each step
-    that could pass w - 1 first reserves g bits.  U_n keeps only the
-    l <= L slots that still reach the order and P keeps all L, which the
-    quotient needs; a mask reduces modulo 2^(w*l), a ring map, so one mask
-    a step is enough.
+    Both are shift-and-add on packed integers in one _Slots layout of
+    L = order + 1 slots, under one bound on every coefficient of U and P
+    (module docstring): a step raises it by at most g, 1 plus the larger of
+    the table's multiply and divide bit lengths, so each step that could
+    pass w - 1 first reserves g bits.  P keeps all L slots, a denominator
+    through the order; U_n only the l <= L - at that still reach the order
+    from q^at, by a mask modulo 2^(w*l), a ring map, once a step.
 
-    The sum is init * F * U_start / P_start.  Every factor of F has
-    constant term 1, so it is a unit of the integer series truncated to L
-    coefficients, a ring in which a factor of F and an equal divide of P
-    cancel exactly.  So the walk nets each divide (1 - c*q^e) it applies to
-    P, e < L, against F's binomials, kept as one list of multiplicities per
-    sign.  If every applied divide is netted, P_start is a factor of F and
-    the sum is init * F' * U_start, where F' is what F has left: F itself
-    is never built and nothing is divided (see _unmatched for F').
-    Otherwise init * F is built and divided by all of P_start.  A constant
-    divide (1 - c*q^0) is a scalar, so P_start is T times a series with
-    constant term 1, where T is the product of those scalars; the quotient
-    divides by that series, then by T.  When init is integral,
-    series._hensel_div divides, and returns its 2-adic quotient only once
-    the divisor times it gives the numerator exactly; a Fraction init
-    takes QSeries inversion instead.
+    The sum is q^at * init * F * U_start / P_start.  Every factor of F has
+    constant term 1, so it is a unit of the integer series truncated to
+    L - at coefficients, a ring in which a factor of F and an equal divide
+    of P cancel exactly, whichever way they are paired.  So the walk nets
+    each divide (1 - c*q^e) it applies to P, e < L - at, against F's
+    binomials, kept as one list of multiplicities per sign.  If every such
+    divide is netted, the sum is q^at * init * F' * U_start, where F' is
+    what F has left: F itself is never built (see _unmatched for F').
+    Otherwise it is the series.Quotient of q^at * init * F * U_start over
+    P_start, F built as one packed product; a constant divide (1 - c*q^0)
+    stays in P_start's constant term as the scalar 1 - c.
     """
     if init.order < order - at:
         raise OrderExceededError(
             f"initial term of order {init.order} at q^{at} cannot reach q^{order}"
         )
-    full = order + 1 - at  # slots of P and of U_start
+    full = order + 1 - at  # slots of U_start
     sign, slope, offset = ratio.shift
     low, special, *compiled = _compiled(ratio) or (None, (), (), ())
     per_n = {}  # the rows at each n the compiled rows do not stand for
@@ -543,7 +535,7 @@ def ratio_sum(
     # factors, _paired and the length tests below only drop binomials, or
     # swap one with |c| = 1 for another, so the table's rows bound each step
     grow = 1 + max(_bits(ratio.muls), _bits(ratio.divs))
-    slots, bound, u, p, scale = _Slots(full, _START_WIDTH), 1, 1, 1, 1
+    slots, bound, u, p = _Slots(order + 1, _START_WIDTH), 1, 1, 1
     w, mask = 8 * slots.width, slots.mask
     # F's binomials by sign and exponent; None once a divide is not one
     counts = _counts(factors, full) if factors else None
@@ -554,12 +546,10 @@ def ratio_sum(
             w, mask = 8 * slots.width, slots.mask
         for c, a, b in divs:
             e = a * k + b
-            if e == 0:
-                scale *= 1 - c
-            if e < full:
+            if e <= order:
                 shift = w * e
                 p = _shift_add(p, p & (mask >> shift), c, shift)
-                if counts:
+                if counts and e < full:
                     row = counts.get(c)
                     if row and row[e]:
                         row[e] -= 1
@@ -573,34 +563,25 @@ def ratio_sum(
         step = slope * k + offset
         shifted = u << (w * step)
         size += step
-        u = (p + shifted if sign == 1 else p - shifted) & (mask >> (w * (full - size)))
+        u = (p + shifted if sign == 1 else p - shifted) & (mask >> (w * (order + 1 - size)))
         bound += grow
-    top = full - 1
     s = _unpack(u, slots.width, full)
     if counts:
         s = _unmatched(s, counts)
     elif factors:
         runs = [
-            (c, range(e, full if n is None else min(full, e + n)))
+            (c, range(e, full if n is None else min(full, e + n))[::-1])
             for c, e, m, n in factors
             for _ in range(m)
         ]
-        s = _kronecker_mul(_binomial_product(runs, full), s, top)
-    s = QSeries(s, top)
+        s = _kronecker_mul(_binomial_product(runs, full), s, full - 1)
     head = init.coeffs[:full]
     if head[0] != 1 or any(head[1:]):
-        s = QSeries(head, top) * s
-    if not counts and p != 1:
-        den = _unpack(p, slots.width, full)
-        if scale != 1:
-            den = [x // scale for x in den]
-        if s.is_integral():
-            s = QSeries(_hensel_div(s.coeffs, den, top), top)
-        else:
-            s = s * QSeries(den, top).invert()
-        if scale != 1:
-            s = s.scale(Fraction(1, scale))
-    return QSeries([0] * (order + 1 - full) + list(s.coeffs), order)
+        s = (QSeries(head) * QSeries(s)).coeffs
+    num = QSeries([0] * (order + 1 - full) + list(s), order)
+    if counts or p == 1:
+        return num
+    return Quotient(num, QSeries(_unpack(p, slots.width, order + 1), order))
 
 
 def phi32(
@@ -609,13 +590,14 @@ def phi32(
     z: Monomial,
     base: int,
     order: int,
-) -> QSeries:
+) -> Union[QSeries, Quotient]:
     """The 3-phi-2 sum over n >= 0 of
 
         (u1;Q)_n (u2;Q)_n (u3;Q)_n / ((Q;Q)_n (l1;Q)_n (l2;Q)_n) * z^n
 
-    with Q = q^base, truncated at the order.  z must carry a positive power
-    of q so the terms eventually drop below the truncation."""
+    with Q = q^base, truncated at the order, as ratio_sum returns it.  z
+    must carry a positive power of q so the terms eventually drop below the
+    truncation."""
     if len(upper) != 3 or len(lower) != 2:
         raise ValueError("phi32 takes three upper and two lower parameters")
     if base < 1:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
-from .series import QSeries
+from .series import QSeries, Quotient, divided
 
-SidePair = tuple[str, QSeries, QSeries]
+Side = Union[QSeries, Quotient]
+SidePair = tuple[str, Side, Side]
 
 
 @dataclass(frozen=True)
@@ -69,27 +70,33 @@ NO_PAIRS_NOTE = "no pair was compared"
 
 def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> VerificationReport:
     """Compare each labelled pair through min(order, lhs.order, rhs.order),
-    stopping at the first that differs.
+    stopping at the first that differs.  A side is a series or a
+    series.Quotient, compared as lhs.num * rhs.den against rhs.num *
+    lhs.den (a series is itself over 1); only a failing pair is divided.
 
     pairs may be a lazy generator: it is not advanced past a failing pair,
     and the elapsed time covers building the sides as well as comparing
     them.  A failure reports the pair's label as the note and the pair's
-    order.  A pair whose two sides are one object fails too, with
-    SAME_OBJECT_NOTE after its label and no mismatch; so does a source with
-    no pair, with NO_PAIRS_NOTE.  A pass reports the smallest order compared
-    and the note, which defaults to "k comparisons" when more than one pair
-    was compared; when that order is below the requested one, "compared
-    through k of N" is appended.
+    order.  A pair whose two sides are one object, or two quotients of one
+    num and one den, fails too, with SAME_OBJECT_NOTE after its label and
+    no mismatch; so does a source with no pair, with NO_PAIRS_NOTE.  A pass
+    reports the smallest order compared and the note, which defaults to
+    "k comparisons" when more than one pair was compared; when that order
+    is below the requested one, "compared through k of N" is appended.
     """
     start = time.perf_counter()
     compared, count = order, 0
     for label, lhs, rhs in pairs:
         through = min(order, lhs.order, rhs.order)
-        if lhs is rhs:
+        ln, ld = (lhs.num, lhs.den) if isinstance(lhs, Quotient) else (lhs, None)
+        rn, rd = (rhs.num, rhs.den) if isinstance(rhs, Quotient) else (rhs, None)
+        if ln is rn and ld is rd:
             bad = f"{label}: {SAME_OBJECT_NOTE}" if label else SAME_OBJECT_NOTE
             return VerificationReport(name, through, False, None, bad, time.perf_counter() - start)
-        mismatch = lhs.first_mismatch(rhs, through)
-        if mismatch is not None:
+        left = ln if rd is None else ln * rd
+        right = rn if ld is None else rn * ld
+        if left.first_mismatch(right, through) is not None:
+            mismatch = divided(lhs).first_mismatch(divided(rhs), through)
             return VerificationReport(
                 name, through, False, mismatch, label, time.perf_counter() - start
             )
@@ -111,7 +118,7 @@ def deferred(build: Callable[..., Iterable[SidePair]], *args: Any) -> Iterator[S
 
 
 def one_pair(
-    label: str, build: Callable[..., tuple[QSeries, QSeries]], *args: Any
+    label: str, build: Callable[..., tuple[Side, Side]], *args: Any
 ) -> Iterator[SidePair]:
     """The single pair (label, *build(*args)), built when check asks for it."""
     yield (label, *build(*args))

@@ -19,29 +19,24 @@ nonzero terms with 2k <= w and w > 16: then it runs term by term
 (_sparse_mul), k C-level passes over the other operand.  The rule comes
 from timing every integer product of verify --target all at orders 400 and
 800 both ways: the multiply's cost grows with w, the passes' with k, and in
-slots of 2 bytes or fewer the multiply is cheapest.  120 of the 144
-products it sent term by term were the Bailey relation's, which now makes
-no product; 12 remain in each pass, at order 400 as at 800.  A product with
+slots of 2 bytes or fewer the multiply is cheapest.  A product with
 a Fraction coefficient runs the schoolbook double loop (_schoolbook_mul),
 which the tests also use as the reference for both fast paths.  _pack and
 _unpack move a coefficient list in and out of its packed integer: slots of
 1, 2, 4 or 8 bytes go through struct in one C-level pass; slots of 3, 5, 6
 or 7 bytes go through 8-byte struct lanes, one C-level copy per byte
 column; wider slots take one coefficient per step.  products builds its
-Pochhammer products and its ratio sums on the same packing, and a ratio
-sum ends in one exact division (_hensel_div): a 2-adic quotient that
-b*c == a accepts, else a times the Newton inverse.
+Pochhammer products and its ratio sums on the same packing; a ratio sum
+that leaves a divide over is a Quotient, which nothing divides.
 
 The two in-place binomial kernels multiply or divide a coefficient list by
-(1 + c*q^e).  The Bailey pairs' betas, the lemma's right-side terms before
-they are packed, the initial-term factors a ratio_sum walk does not cancel
-(products._unmatched), one initial term in identities and
-QSeries.mul_binomial/div_binomial run on them.  Each runs as C-level
-builtins over slices (map, itertools.accumulate) rather than one Python
-step per coefficient.  The multiply is one map: every coefficient reads one
-e below it, none of them updated yet.  The divide reads coefficients it has
-already updated, and the package divides only by (1 - q^e) and (1 + q^e),
-so it dispatches on c and on e against the list length L:
+(1 + c*q^e), for builders in every module and QSeries.mul_binomial and
+div_binomial.  Each runs as C-level builtins over slices (map,
+itertools.accumulate) rather than one Python step per coefficient.  The
+multiply is one map: every coefficient reads one e below it, none of them
+updated yet.  The divide reads coefficients it has already updated, and
+the package divides only by (1 - q^e) and (1 + q^e), so it dispatches on
+c and on e against the list length L:
 
 - (1 - q^e) with e*e < L: the quotient is a running sum along each residue
   class mod e, one accumulate per class, so e calls of about L/e steps;
@@ -62,6 +57,7 @@ reference for the fast path.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import add, neg, sub
@@ -75,7 +71,7 @@ class OrderExceededError(IndexError):
 
 
 class ZeroConstantTermError(ZeroDivisionError):
-    """Inversion of a series whose constant term is zero."""
+    """Inversion of, or a quotient over, a series of zero constant term."""
 
 
 def _norm(x: Coeff) -> Coeff:
@@ -267,6 +263,58 @@ class QSeries:
         cs = list(self.coeffs)
         _div_binomial_inplace(cs, c, e)
         return QSeries(cs, self.order)
+
+
+@dataclass(frozen=True)
+class Quotient:
+    """num/den, two series of one order, den of nonzero constant term, kept
+    undivided: report.check compares sides A/P and B/Q as A*Q against B*P.
+    P and Q are units of the series truncated after q^N, so A/P and B/Q
+    agree through q^N exactly when A*Q and B*P do, and first differ where
+    they do, at q^k, by the difference there times P_0*Q_0."""
+
+    num: QSeries
+    den: QSeries
+
+    def __post_init__(self):
+        if self.num.order != self.den.order:
+            raise ValueError("a quotient's num and den need one order")
+        if self.den.coeffs[0] == 0:
+            raise ZeroConstantTermError("a quotient's den needs a nonzero constant term")
+
+    @property
+    def order(self) -> int:
+        return self.num.order
+
+    def __mul__(self, other):
+        if isinstance(other, Quotient):
+            return Quotient(self.num * other.num, self.den * other.den)
+        return Quotient(self.num * other, self.den)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: QSeries) -> "Quotient":
+        return Quotient(self.num + other * self.den, self.den)
+
+    __radd__ = __add__
+
+    def scale(self, r: Coeff) -> "Quotient":
+        return Quotient(self.num.scale(r), self.den)
+
+    def shift(self, e: int) -> "Quotient":
+        return Quotient(self.num.shift(e), self.den)
+
+    def mul_binomial(self, c: Coeff, e: int) -> "Quotient":
+        return Quotient(self.num.mul_binomial(c, e), self.den)
+
+    def series(self) -> QSeries:
+        """num/den divided out, for display and builders that return a series."""
+        return self.num * self.den.invert()
+
+
+def divided(side: Union[QSeries, Quotient]) -> QSeries:
+    """A side as a series: a Quotient divided once, a QSeries as it is."""
+    return side.series() if isinstance(side, Quotient) else side
 
 
 # -- factories --------------------------------------------------------------
@@ -463,38 +511,6 @@ def _newton_invert(a: Sequence[int], n: int) -> list:
         t = _kronecker_mul(a[: k + m], g + [0] * m, k + m - 1)[k:]
         g += map(neg, _kronecker_mul(g[:m], t, m - 1))
     return g
-
-
-def _hensel_div(a: Sequence[int], b: Sequence[int], n: int) -> list:
-    """Coefficients q^0 .. q^n of a/b for integer a, b of n + 1 coefficients
-    each, b[0] = +-1, first by one 2-adic division (Brent and Zimmermann,
-    Modern Computer Arithmetic, 2010, 2.4 and 2.5).
-
-    In the fewest whole bytes w that hold every coefficient of a and b, let
-    A = a(2^w) and B = b(2^w).  B = b[0] modulo 2^w is odd, and Newton's
-    iteration y <- y*(2 - B*y), from y = b[0], doubles the correct low bits
-    of its inverse modulo 2^(w*(n+1)) each step.  A*y read back from its
-    slots is the quotient whenever every quotient coefficient fits a slot.
-    The quotient is unique, since b[0] is a unit, so the candidate c is
-    returned only if b*c == a exactly.  Otherwise the quotient is wider
-    than a and b, and a * (1/b) by _newton_invert, whose products size
-    their own slots, gives it; doubling the slots and dividing again took
-    1.8x as long over the package's divisions at orders 400 to 1000.
-    """
-    bits = max(max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length()) + 1
-    width = (bits + 7) // 8
-    top = 8 * width * (n + 1)
-    big = _pack(b, width)
-    y, k = b[0], 8 * width
-    while k < top:
-        # B*y = 1 + 2^h * t modulo 2^k, and y - 2^h * y * t is right to 2^k
-        h, k = k, min(2 * k, top)
-        t = (((big & ((1 << k) - 1)) * y) >> h) & ((1 << (k - h)) - 1)
-        y = (y - (((y * t) & ((1 << (k - h)) - 1)) << h)) & ((1 << k) - 1)
-    c = _unpack(_pack(a, width) * y, width, n + 1)
-    if _kronecker_mul(b, c, n) == list(a):
-        return c
-    return _kronecker_mul(a, _newton_invert(b, n), n)
 
 
 # -- in-place kernels -------------------------------------------------------

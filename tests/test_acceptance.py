@@ -17,6 +17,7 @@ from overq.enumeration import (
     pentagonal_rule,
     signed_count,
 )
+from overq.series import divided
 from overq.identities import (
     CLASSICAL_IDS,
     gen_family,
@@ -65,7 +66,7 @@ def test_criterion_2_overlined_pair_families(capsys):
 
 
 def test_criterion_3_psi_square_family(capsys):
-    psi_ok = psi_theta(300).equal_up_to(psi_product(300), 300)
+    psi_ok = psi_theta(300).equal_up_to(divided(psi_product(300)), 300)
     rep = verify_theorem("B", 300)
     ok = psi_ok and rep.ok
     _verdict(capsys, 3, ok, "psi built two ways agrees; family B at order 300")

@@ -7,6 +7,7 @@ import pytest
 
 from overq import bailey, products
 from overq.products import sharing
+from overq.series import divided
 
 #: SHA-256 over every stage's two sides at orders 0, 1, 60 and 400, taken
 #: from the hand-written stage functions the table replaced
@@ -18,24 +19,9 @@ LEAF_BUILDERS = frozenset({"poch_infinite"})
 
 #: (stage, builder) -> why both sides of the stage may build it
 SHARED_ON_BOTH_SIDES = {
-    ("C:infinite-tails-absorbed", "_c_prefix"): (
-        "the display moves the prefix (q;q)_inf (q^2;q)_inf^2 into the tails; "
-        "the left multiplies it into the sum, the right starts the ladder from it"
-    ),
-    ("C:overline-factor-pulled-out", "_c_prefix"): (
-        "both ladders start from the prefix; the stage checks the pulled-out "
-        "(-q^(n+1);q)_inf, which only the right side divides by"
-    ),
-    ("C:euler-reciprocal-swap", "_c_prefix"): (
-        "built inside _c_ladder_overline, which both sides multiply"
-    ),
     ("C:euler-reciprocal-swap", "_c_ladder_overline"): (
         "the display swaps the multiplier (-q;q)_inf for 1/(q;q^2)_inf in front "
         "of one ladder; the stage checks Euler's identity on that multiplier"
-    ),
-    ("C:odd-tail-folded", "_c_prefix"): (
-        "both ladders start from the prefix; the stage checks the folded odd "
-        "tail (q^(2n+3);q^2)_inf, which only the right side divides by"
     ),
     ("D:extended-to-r0", "_d_v_from"): (
         "one four-term lattice at r0 = 1 against r0 = 0: the stage checks that "
@@ -49,7 +35,7 @@ def side_digest(orders) -> str:
     with sharing():
         for order in orders:
             for name, build in bailey.CHAIN_STAGES:
-                for side in build(order):
+                for side in map(divided, build(order)):
                     h.update(repr((name, order, side.order, side.coeffs)).encode())
     return h.hexdigest()
 

@@ -69,6 +69,16 @@ def test_coeffs_fractions_roundtrip(capsys):
     assert all(v.denominator >= 1 for v in vals.values())
 
 
+def test_coeffs_divides_a_quotient_side_for_display(capsys):
+    # Euler's 1/(q;q^2)_inf, a quotient side, prints as the series (-q;q)_inf
+    tables = []
+    for side in ("lhs", "rhs"):
+        code, out, _ = run(capsys, "coeffs", "--series", f"classical:euler:{side}", "--order", "30")
+        assert code == 0
+        tables.append(json.loads(out)["coeffs"])
+    assert tables[0] == tables[1] and [30, "296"] in tables[1]
+
+
 def test_coeffs_unknown_series(capsys):
     code, _, err = run(capsys, "coeffs", "--series", "nope:A", "--order", "5")
     assert code == 2

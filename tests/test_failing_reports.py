@@ -10,11 +10,13 @@ import dataclasses
 import overq.bailey as bailey
 import overq.identities as identities
 from overq.enumeration import oracle_compare
-from overq.series import QSeries
+from overq.series import QSeries, divided
 
 
-def flip(series, at):
-    """series with coefficient `at` (if within its order) raised by one."""
+def flip(side, at):
+    """side, divided if a quotient, with coefficient `at` (if within its
+    order) raised by one."""
+    series = divided(side)
     if at > series.order:
         return series
     cs = list(series.coeffs)

@@ -18,7 +18,7 @@ from overq.identities import (
     verify_theorem,
 )
 from overq.products import Monomial, NegativeExponentFactor, poch_finite, poch_infinite
-from overq.series import monomial, zero
+from overq.series import divided, monomial, zero
 
 ALL_FAMILIES = tuple(FAMILIES)
 
@@ -94,7 +94,7 @@ def test_rhs_pentagonal_family_term_level():
 
 
 def test_psi_sum_equals_psi_product():
-    assert psi_theta(200).equal_up_to(psi_product(200), 200)
+    assert psi_theta(200).equal_up_to(divided(psi_product(200)), 200)
 
 
 @pytest.mark.parametrize("cid", CLASSICAL_IDS)
@@ -146,7 +146,7 @@ def test_fine_sides_generic_instances():
         (Monomial(1, -1), Monomial(-1, 2)),
     ):
         lhs, rhs = fine_sides(a, t, 80)
-        assert lhs.equal_up_to(rhs, 80), (a, t)
+        assert divided(lhs).equal_up_to(divided(rhs), 80), (a, t)
 
 
 def test_aw_sides_validation():

@@ -10,6 +10,7 @@ from overq.series import (
     _mul_binomial_inplace,
     _pack,
     _unpack,
+    divided,
     monomial,
     one,
 )
@@ -178,13 +179,13 @@ def test_phi32_below_argument_degree_is_one():
 
 def test_phi32_unit_upper_parameter_terminates():
     # an upper parameter equal to 1 kills every term past n = 0
-    got = phi32(
+    got = divided(phi32(
         (Monomial(1, 0), Monomial(1, 1), Monomial(-1, 1)),
         (Monomial(1, 2), Monomial(1, 2)),
         Monomial(1, 1),
         1,
         30,
-    )
+    ))
     assert got.equal_up_to(one(30), 30)
 
 
@@ -195,8 +196,8 @@ def test_phi32_truncation_stable():
         Monomial(1, 1),
         2,
     )
-    small = phi32(*args, 60)
-    large = phi32(*args, 110)
+    small = divided(phi32(*args, 60))
+    large = divided(phi32(*args, 110))
     assert small.equal_up_to(large, 60)
 
 
@@ -216,13 +217,13 @@ def test_phi32_q_analog_oracle_alternating():
     # base q^2 with parameters (-1, q, -q; q^2, q^2) at argument q^2 sums to
     # sum_n (-1)^n q^(n^2+n) / (q^2;q^2)_inf^3; checked coefficientwise
     n = 60
-    got = phi32(
+    got = divided(phi32(
         (Monomial(-1, 0), Monomial(1, 1), Monomial(-1, 1)),
         (Monomial(1, 2), Monomial(1, 2)),
         Monomial(1, 2),
         2,
         n,
-    )
+    ))
     p2 = poch_infinite(Monomial(1, 2), 2, n)
     theta = theta1d(Theta1D((1, 1, 0), sign="alternating"), n)
     want = theta * (p2 * p2 * p2).invert()
@@ -233,13 +234,13 @@ def test_phi32_q_analog_oracle_weighted():
     # base q^2 with parameters (-q, -1, q; -q^2, -q^2) at argument q^2 sums to
     # sum_n (2n+1) q^(n^2+n) / psi(q^2); checked coefficientwise
     n = 60
-    got = phi32(
+    got = divided(phi32(
         (Monomial(-1, 1), Monomial(-1, 0), Monomial(1, 1)),
         (Monomial(-1, 2), Monomial(-1, 2)),
         Monomial(1, 2),
         2,
         n,
-    )
+    ))
     theta = theta1d(Theta1D((1, 1, 0), weight=(2, 1)), n)
     psi_q2 = theta1d(Theta1D((1, 1, 0), div=2), n).stretch(2).truncate(n)
     assert got.equal_up_to(theta * psi_q2.invert(), n)
@@ -532,6 +533,32 @@ def test_binomial_product_over_mixed_sign_runs(order, monkeypatch):
     monkeypatch.setattr(_Slots, "reserve", counted)
     assert _binomial_product(runs, length) == _list_binomial_product(runs, length)
     assert len(widened) >= 2 or order < 1000
+
+
+@pytest.mark.parametrize("order", (1000, 3200))
+def test_binomial_product_top_down_matches_bottom_up(order, monkeypatch):
+    # (-q;q)_inf (q;q^2)_inf (q^2;q)_inf, smallest exponent first and largest
+    # first: one product, though the slots widen at different steps
+    length = order + 1
+    runs = [(-1, range(1, length)), (1, range(1, length, 2)), (1, range(2, length))]
+    widened = []
+    real = _Slots.reserve
+
+    def counted(self, bound, grow, *packed):
+        got = real(self, bound, grow, *packed)
+        if got[0] is not self:
+            widened.append(got[0].width)
+        return got
+
+    def product(runs):
+        widened.clear()
+        return _binomial_product(runs, length), len(widened)
+
+    monkeypatch.setattr(_Slots, "reserve", counted)
+    up, up_widened = product(runs)
+    down, down_widened = product([(c, e[::-1]) for c, e in reversed(runs)])
+    assert up == down == _list_binomial_product(runs, length)
+    assert up_widened >= 2 and down_widened >= 1, (up_widened, down_widened)
 
 
 @pytest.mark.parametrize("length", (1, 2, 7, 61, 401))

@@ -28,11 +28,14 @@ from overq.products import (
     poch_finite,
     ratio_sum,
 )
+from overq.report import check
 from overq.series import (
     OrderExceededError,
     QSeries,
+    Quotient,
     _div_binomial_inplace,
     _mul_binomial_inplace,
+    divided,
     monomial,
     one,
     zero,
@@ -89,6 +92,7 @@ def _random_ratio(rng, sign):
 
 
 def _assert_same(got, want, order):
+    got = divided(got)  # a sum that leaves a divide over is a Quotient
     assert got.order == want.order == order
     assert got.coeffs == want.coeffs
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
@@ -409,15 +413,21 @@ def test_packed_walk_matches_the_list_walk(order, fractions):
 @pytest.mark.parametrize("order", ORDERS + (400,))
 @pytest.mark.parametrize("sign", (1, -1))
 def test_a_constant_divide_leaves_the_division_2_adic(order, sign, monkeypatch):
-    # (1 + q^0) = 2 at every n: P_start is 2^k times a unit series, so the
-    # walk still divides 2-adically, then by 2^k, and never inverts
+    # (1 + q^0) = 2 at every n: P_start is 2^k times a unit series, and
+    # 2^k stays in the denominator's constant term: the check that takes
+    # the quotient divides by nothing, and the sum is not integral
     ratio = Ratio((sign, 1, 1), muls=((-1, 1, 1),), divs=((-1, 0, 0), (1, 1, 1)))
     init = _random_init(random.Random(order), order, False)
     want = _list_horner_sum(init, ratio, order, 1)
-    monkeypatch.setattr(QSeries, "invert", None)
-    got = ratio_sum(init, ratio, order, start=1)
+    with monkeypatch.context() as m:
+        m.setattr(QSeries, "invert", None)
+        got = ratio_sum(init, ratio, order, start=1)
+        assert check("sum", order, [("", got, want)]).ok
     _assert_same(got, want, order)
-    assert not got.is_integral() or order < 2
+    assert isinstance(got, Quotient) == (order >= 2) == (not want.is_integral())
+    if order >= 2:
+        t = got.den.coeffs[0]
+        assert t > 1 and t & (t - 1) == 0
 
 
 def test_the_walk_widens_its_slots(monkeypatch):
@@ -673,11 +683,11 @@ def test_a_divide_with_c_2_is_left_over(order, fractions, monkeypatch):
 def test_g_leaves_a_divide_over_and_divides(monkeypatch):
     want = _inline_gen_family(FAMILIES["G"], 400)
     calls = []
-    _spy(monkeypatch, "_hensel_div", calls)
     _spy(monkeypatch, "_unmatched", calls)
     _spy(monkeypatch, "_binomial_product", calls)
+    assert isinstance(identities._family_sum(FAMILIES["G"], 400), Quotient)
+    assert calls == ["_binomial_product"]
     _assert_same(gen_family("G", 400), want, 400)
-    assert calls == ["_binomial_product", "_hensel_div"]
 
 
 def _refuse(*args):
@@ -688,7 +698,6 @@ def _refuse(*args):
 def test_gen_family_builds_no_product_and_divides_nothing(name, monkeypatch):
     want = _inline_gen_family(FAMILIES[name], 300)
     monkeypatch.setattr(products, "poch_infinite", _refuse)
-    monkeypatch.setattr(products, "_hensel_div", _refuse)
     monkeypatch.setattr(QSeries, "invert", _refuse)
     if name != "D":  # D's tail (q^(L/2);q)_inf^3 is one Kronecker product
         monkeypatch.setattr(products, "_kronecker_mul", _refuse)

@@ -11,10 +11,10 @@ import overq.series as series_module
 from overq.series import (
     OrderExceededError,
     QSeries,
+    Quotient,
     ZeroConstantTermError,
     _add_inplace,
     _div_binomial_inplace,
-    _hensel_div,
     _kronecker_mul,
     _mul_binomial_inplace,
     _newton_invert,
@@ -29,6 +29,7 @@ from overq.series import (
     zero,
 )
 from overq.products import Monomial, Theta1D, poch_infinite, theta1d
+from overq.report import check
 
 ORDER = 40
 SWEEPS = 12
@@ -564,25 +565,35 @@ def test_other_inversions_keep_the_schoolbook(order, monkeypatch):
         assert list(QSeries(cs, order).invert().coeffs) == _schoolbook_invert(cs, order)
 
 
-# -- 2-adic division against multiplication by the inverse --------------------
+# -- a quotient checked cross-multiplied, against its divided series ----------
 
 
 def _by_inverse(a, b, order):
     return list((QSeries(a, order) * QSeries(b, order).invert()).coeffs)
 
 
+def _slipped(cs, k):
+    return QSeries(cs[:k] + [cs[k] + 1] + cs[k + 1 :])
+
+
 @pytest.mark.parametrize("order", BINOMIAL_ORDERS)
 @pytest.mark.parametrize("c0", (1, -1))
-def test_hensel_division_matches_the_inverse(order, c0, monkeypatch):
+def test_a_quotient_checks_as_its_divided_series(order, c0, monkeypatch):
+    # check passes a/b against the divided series, and fails a slipped one
+    # at the slip, with the divided values, although it divides only then
     rng = random.Random(1515 + order + c0)
     small = [rng.randint(-3, 3) for _ in range(order + 1)]
     for b in _unit_series(rng, order, c0):
         for a in (small, one(order).coeffs, _kronecker_mul(b, small, order)):
-            assert _hensel_div(a, b, order) == _by_inverse(a, b, order)
-    # a quotient as narrow as its operands is the 2-adic candidate itself
-    monkeypatch.setattr(series_module, "_newton_invert", None)
-    for b in _unit_series(rng, order, c0):
-        assert _hensel_div(_kronecker_mul(b, small, order), b, order) == small
+            side = Quotient(QSeries(a, order), QSeries(b, order))
+            want = _by_inverse(a, b, order)
+            k = rng.randrange(order + 1)
+            slip = check("q", order, [("", side, _slipped(want, k))])
+            assert slip.mismatch == (k, want[k], want[k] + 1)
+            with monkeypatch.context() as m:
+                m.setattr(QSeries, "invert", None)
+                assert check("q", order, [("", side, QSeries(want, order))]).ok
+                assert check("q", order, [("", side, side * 1)]).ok
 
 
 def _partition_numbers(n):
@@ -600,9 +611,12 @@ def _partition_numbers(n):
     return p
 
 
-def test_hensel_division_wider_than_its_first_slots():
-    # 1/(q;q)_inf: 105-bit quotient coefficients at 1000 from 1-bit operands
-    b = list(poch_infinite(Monomial(1, 1), 1, 1000).coeffs)
-    got = _hensel_div(one(1000).coeffs, b, 1000)
-    assert got == _partition_numbers(1000)
-    assert got[1000] == 24061467864032622473692149727991
+def test_a_quotient_wider_than_its_parts():
+    # 1/(q;q)_inf: 105-bit coefficients at 1000 from 1-bit num and den
+    side = Quotient(one(1000), poch_infinite(Monomial(1, 1), 1, 1000))
+    want = _partition_numbers(1000)
+    assert list(side.series().coeffs) == want
+    assert want[1000] == 24061467864032622473692149727991
+    assert check("p", 1000, [("", side, QSeries(want))]).ok
+    slip = check("p", 1000, [("", side, _slipped(want, 1000))])
+    assert slip.mismatch == (1000, want[1000], want[1000] + 1)

@@ -5,6 +5,7 @@ import pytest
 
 from overq import bailey
 from overq.products import Monomial, poch_infinite, shared, sharing
+from overq.series import divided
 
 Q = Monomial(1, 1)
 
@@ -56,8 +57,8 @@ def test_a_builder_that_raises_is_not_cached():
     assert runs == [3, 3]
 
 
-def _typed(series):
-    return [(type(c), c) for c in series.coeffs]
+def _typed(side):
+    return [(type(c), c) for c in divided(side).coeffs]
 
 
 @pytest.mark.parametrize("order", [60, 120])
