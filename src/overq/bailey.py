@@ -44,7 +44,8 @@ wrapper) is the one that runs.  The seven D displays that carry halves are
 checked with both sides doubled, so every side is integral.  Consecutive
 sum-over-n stages share a ratio table only when the terms are literally
 equal; every stage's initial term and every lattice exponent formula is
-coded independently.  The square-form sums are products.Theta2D specs.
+coded independently.  Every square-form sum is a products.Theta2D spec,
+with its r = 0 column a Theta1D where the spec's offset would be negative.
 
 Neighbouring stages share sides: stage k's right side is often stage
 k+1's left side.  Those builders are @shared, and chain_stage_reports runs
@@ -64,7 +65,6 @@ from typing import Callable, Iterator, Sequence, Union
 from .identities import gen_family, jacobi_theta, mapped_inner_order, rhs_theorem
 from .products import (
     Monomial,
-    NonintegralExponent,
     Ratio,
     Theta1D,
     Theta2D,
@@ -333,13 +333,6 @@ def _lattice(order: int, exponent: Callable[[int, int], int]) -> QSeries:
     return lattice_sum(order, exponent, lambda r, n, e: ((1, e),))
 
 
-def _eighth(value: int) -> int:
-    # _d_a3_sq's display carries its exponent as (...)/8; it must divide out
-    if value % 8:
-        raise NonintegralExponent(f"exponent {value} is not a multiple of 8")
-    return value // 8
-
-
 _Q = Monomial(1, 1)
 _Q2 = Monomial(1, 2)
 _NEG_Q = Monomial(-1, 1)
@@ -492,21 +485,17 @@ def _c_mapped_assembly(order: int) -> QSeries:
 
 
 @shared
-def _d_core_sum(order: int) -> Quotient:
-    # S = sum_{n>=1} q^(2n) (-q;q)_(n-1) (q;q^2)_n / (q;q)_n^3
-    init = one(order).div_binomial(-1, 1).div_binomial(-1, 1)
+def _d_core_product(order: int) -> QSeries:
+    # (q;q)_inf^3 S, S = sum_{n>=1} q^(2n) (-q;q)_(n-1) (q;q^2)_n / (q;q)_n^3:
+    # its n = 1 term is q^2 (q;q)_1 (q^2;q)_inf^3, and every divide of the
+    # walk nets against (q^2;q)_inf^3, so the sum is a plain series
     ratio = Ratio(
         (1, 0, 2),
         muls=((-1, 1, 0), (1, 2, 1)),
         divs=((1, 1, 1), (1, 1, 1), (1, 1, 1)),
     )
-    return ratio_sum(init, ratio, order, start=1, at=2)
-
-
-@shared
-def _d_core_product(order: int) -> Quotient:
-    # (q;q)_inf^3 * S
-    return _poch3(order) * _d_core_sum(order)
+    factors = ((1, 1, 1, 1), (1, 2, 3, None))
+    return ratio_sum(one(order), ratio, order, start=1, at=2, factors=factors)
 
 
 @shared
@@ -566,7 +555,7 @@ def _d_v_from(order: int, r0: int) -> QSeries:
 
 
 @shared
-def _d_half_split(order: int) -> Quotient:
+def _d_half_split(order: int) -> QSeries:
     # (q;q)_inf^3 + 2 (q;q)_inf^3 S: the lemma's left side, and twice the
     # halved identity's
     return _poch3(order) + _d_core_product(order).scale(2)
@@ -605,11 +594,6 @@ def _d_a3(r: int, n: int) -> int:
     return _d_p(r, n) + 2 * n + r + 1
 
 
-def _d_a3_sq(r: int, n: int) -> int:
-    # not a Theta2D spec: its first square's offset, 2r - 1, is negative at r = 0
-    return _eighth((2 * r - 1) ** 2 + (2 * r + 4 * n + 3) ** 2 - 2)
-
-
 @shared
 def _d_grouped_sums(order: int) -> QSeries:
     # twice: -1/2 sum q^(2n^2+n) - 1/2 sum q^(2n^2+3n+1) - 2 sum q^B
@@ -632,7 +616,8 @@ def _d_grouped_assembly(order: int) -> QSeries:
         - theta1d(Theta1D((16, 24, 8), div=8), order)
         - theta2d(Theta2D(2, 1, 4, 2, shift=-2, div=8), order).scale(4)
         + theta2d(Theta2D(2, 1, 4, 0, shift=-2, div=8), order).scale(2)
-        + _lattice(order, _d_a3_sq).scale(2)
+        + theta2d(Theta2D(2, 1, 4, 4, shift=-2, div=8), order).scale(2)
+        + theta1d(Theta1D((16, 24, 8), div=8), order).scale(2)
     )
 
 

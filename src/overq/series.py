@@ -271,7 +271,12 @@ class Quotient:
     undivided: report.check compares sides A/P and B/Q as A*Q against B*P.
     P and Q are units of the series truncated after q^N, so A/P and B/Q
     agree through q^N exactly when A*Q and B*P do, and first differ where
-    they do, at q^k, by the difference there times P_0*Q_0."""
+    they do, at q^k, by the difference there times P_0*Q_0.
+
+    It multiplies, shifts and takes a binomial factor, which is all its
+    builders ask of it.  It does not add or scale: the sides that do (the D
+    chain's half split and Jacobi swap) add and scale a sum that nets to a
+    series."""
 
     num: QSeries
     den: QSeries
@@ -292,14 +297,6 @@ class Quotient:
         return Quotient(self.num * other, self.den)
 
     __rmul__ = __mul__
-
-    def __add__(self, other: QSeries) -> "Quotient":
-        return Quotient(self.num + other * self.den, self.den)
-
-    __radd__ = __add__
-
-    def scale(self, r: Coeff) -> "Quotient":
-        return Quotient(self.num.scale(r), self.den)
 
     def shift(self, e: int) -> "Quotient":
         return Quotient(self.num.shift(e), self.den)

@@ -19,10 +19,22 @@ from overq.bailey import (
     verify_chain,
     verify_lemma,
 )
-from overq.products import Monomial, Ratio, poch_finite, poch_infinite, ratio_sum, sharing
+from overq.products import (
+    Monomial,
+    Ratio,
+    Theta1D,
+    Theta2D,
+    poch_finite,
+    poch_infinite,
+    ratio_sum,
+    sharing,
+    theta1d,
+    theta2d,
+)
 from overq.report import SAME_OBJECT_NOTE, check
 from overq.series import (
     QSeries,
+    Quotient,
     _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
@@ -427,3 +439,88 @@ def test_relation_slips_fail_at_their_n_and_exponent(slip, n, mismatch):
     assert (report.ok, report.mismatch, report.note) == (
         False, mismatch, f"defining relation fails at n={n}"
     )
+
+
+# -- the D chain's netted core and its square forms ----------------------------
+
+
+def _divided_d_core(order):
+    """(q;q)_inf^3 times the core sum S walked from its n = 1 term
+    q^2/(1-q)^2 with nothing netted, and divided."""
+    ratio = Ratio(
+        (1, 0, 2),
+        muls=((-1, 1, 0), (1, 2, 1)),
+        divs=((1, 1, 1), (1, 1, 1), (1, 1, 1)),
+    )
+    init = one(order).div_binomial(-1, 1).div_binomial(-1, 1)
+    p = poch_infinite(Q, 1, order)
+    return divided(p * p * p * ratio_sum(init, ratio, order, start=1, at=2))
+
+
+def _refuse(*args):
+    raise AssertionError("built a product or divided")
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 60, 400))
+def test_d_core_product_nets_the_divided_walk(order, monkeypatch):
+    want = _divided_d_core(order)
+    tails = []
+    real = products._kronecker_mul
+
+    def tail_only(cs, tail, n):
+        # the one product ratio_sum may make: the factors left past the
+        # walk's last divide, as 1 - sum c*k*q^e with every 2e past the
+        # end, as for gen_family("D")
+        assert all(2 * e >= len(cs) for e, c in enumerate(tail) if e and c)
+        tails.append(n)
+        return real(cs, tail, n)
+
+    for module in (products, bailey):
+        monkeypatch.setattr(module, "poch_infinite", _refuse)
+    monkeypatch.setattr(products, "_kronecker_mul", tail_only)
+    monkeypatch.setattr(QSeries, "__mul__", _refuse)
+    monkeypatch.setattr(QSeries, "invert", _refuse)
+    got = bailey._d_core_product(order)
+    assert isinstance(got, QSeries)
+    assert len(tails) <= 1
+    _assert_same(got, want)
+
+
+def test_the_ladder_split_compares_a_netted_walk_with_an_un_netted_one():
+    # D:ladder-binomial-split keeps two codings: the core nets every divide
+    # (test above), the middle ladder multiplies its products into a quotient
+    assert isinstance(bailey._d_ladder_middle(60), Quotient)
+
+
+_A3_ROWS = Theta2D(2, 1, 4, 4, shift=-2, div=8)
+_grouped_assembly = bailey._d_grouped_assembly
+
+
+def _a3_offset_raised(order):
+    # the r >= 1 rows with b2 two higher: every exponent stays integral
+    return (
+        _grouped_assembly(order)
+        - theta2d(_A3_ROWS, order).scale(2)
+        + theta2d(replace(_A3_ROWS, b2=_A3_ROWS.b2 + 2), order).scale(2)
+    )
+
+
+def _a3_column_dropped(order):
+    # the r = 0 column, 2n^2+3n+1, left out
+    return _grouped_assembly(order) - theta1d(Theta1D((16, 24, 8), div=8), order).scale(2)
+
+
+@pytest.mark.parametrize(
+    "slip, mismatches",
+    (
+        (_a3_offset_raised, {"eighth-square-forms": (3, 3, 1), "diagonals-paired-up": (3, 1, 3)}),
+        (
+            _a3_column_dropped,
+            {"eighth-square-forms": (1, -3, -5), "diagonals-paired-up": (1, -5, -3)},
+        ),
+    ),
+)
+def test_a_slip_in_the_grouped_assembly_fails_its_two_stages(slip, mismatches, monkeypatch):
+    monkeypatch.setattr(bailey, "_d_grouped_assembly", slip)
+    failed = {r.name: r.mismatch for r in chain_stage_reports(60) if not r.ok}
+    assert failed == {f"chain:D:{stage}": m for stage, m in mismatches.items()}

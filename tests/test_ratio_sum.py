@@ -412,7 +412,7 @@ def test_packed_walk_matches_the_list_walk(order, fractions):
 
 @pytest.mark.parametrize("order", ORDERS + (400,))
 @pytest.mark.parametrize("sign", (1, -1))
-def test_a_constant_divide_leaves_the_division_2_adic(order, sign, monkeypatch):
+def test_a_constant_divide_leaves_2_to_the_k_in_the_den_undivided(order, sign, monkeypatch):
     # (1 + q^0) = 2 at every n: P_start is 2^k times a unit series, and
     # 2^k stays in the denominator's constant term: the check that takes
     # the quotient divides by nothing, and the sum is not integral

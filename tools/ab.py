@@ -12,7 +12,9 @@ tool uses the standard library only.
 Each round runs the workload once per side and alternates which side runs
 first.  One untimed call per side comes first, so imports and lazy set-up
 are not timed.  Every call must verify: a failing report stops the run with
-exit 1.  The workloads mirror bench/workloads.py:
+exit 1.  The workloads take their inputs from bench/workloads.py, which
+is imported from this checkout's bench/ (with its src/ on the path, as
+workloads imports overq):
 
 - verify-all: ``verify --target all --order 400 --format json`` through
   the side's cli.main, output discarded;
@@ -44,10 +46,10 @@ import tracemalloc
 from pathlib import Path
 from typing import Callable
 
-FAMILIES = ("F", "G", "A", "A2", "B", "C", "D")
-VERIFY_ALL_ARGV = ("verify", "--target", "all", "--order", "400", "--format", "json")
-THEOREM_ORDERS = {"F": 1000, "G": 1000, "A": 1000, "A2": 1000, "B": 1000, "C": 8002, "D": 8002}
-ORACLE_WEIGHT = 22
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads
 
 
 def load(src: Path, name: str):
@@ -72,20 +74,24 @@ def workload(package, kind: str) -> Callable[[], bool]:
 
         def run() -> bool:
             with contextlib.redirect_stdout(io.StringIO()):
-                return cli.main(list(VERIFY_ALL_ARGV)) == 0
+                return cli.main(list(workloads.VERIFY_ALL_ARGV)) == 0
 
     elif kind == "theorems-deep":
         identities = importlib.import_module(f"{name}.identities")
 
         def run() -> bool:
-            reports = [identities.verify_theorem(f, THEOREM_ORDERS[f]) for f in FAMILIES]
+            reports = [
+                identities.verify_theorem(f, workloads.THEOREMS[f][1]) for f in workloads.FAMILIES
+            ]
             return all(r.ok for r in reports)
 
     else:
         enumeration = importlib.import_module(f"{name}.enumeration")
 
         def run() -> bool:
-            reports = [enumeration.oracle_compare(f, ORACLE_WEIGHT) for f in FAMILIES]
+            reports = [
+                enumeration.oracle_compare(f, workloads.ORACLE_WEIGHT) for f in workloads.FAMILIES
+            ]
             return all(r.ok for r in reports)
 
     return run
