@@ -382,9 +382,9 @@ def _c_ladder_tails(order: int) -> QSeries:
 
 @shared
 def _c_ladder_overline(order: int) -> Quotient:
-    # sum q^n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / (-q^(n+1);q)_inf
-    total = ratio_sum(one(order).mul_binomial(-1, 1), _C_LADDER_RATIO, order, factors=_C_PREFIX)
-    return Quotient(total, poch_infinite(_NEG_Q, 1, order))
+    # sum q^n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2 / (-q^(n+1);q)_inf:
+    # the tails over (-q;q)_inf, since (-q;q)_n / (-q;q)_inf = 1/(-q^(n+1);q)_inf
+    return Quotient(_c_ladder_tails(order), poch_infinite(_NEG_Q, 1, order))
 
 
 @shared
@@ -407,17 +407,23 @@ def _c_ladder_odd_tail(order: int) -> Quotient:
 
 
 @shared
+def _c_ladder_squared_tails(order: int) -> QSeries:
+    # sum q^n (q^(n+1);q)_inf^2 (q^(n+2);q)_inf^2 times (q^2;q)_2n, the
+    # numerator the next two ladders divide by their own products
+    return ratio_sum(one(order), _C_LADDER2_RATIO, order, factors=_C_PREFIX2)
+
+
+@shared
 def _c_ladder_squares(order: int) -> Quotient:
     # sum q^n (q^(n+1);q)_inf^2 (q^(n+2);q)_inf^2 / ((q^(2n+2);q^2)_inf (q^(2n+3);q^2)_inf)
     den = poch_infinite(_Q2, 2, order) * poch_infinite(Monomial(1, 3), 2, order)
-    return Quotient(ratio_sum(one(order), _C_LADDER2_RATIO, order, factors=_C_PREFIX2), den)
+    return Quotient(_c_ladder_squared_tails(order), den)
 
 
 @shared
 def _c_ladder_merged(order: int) -> Quotient:
     # sum q^n (q^(n+1);q)_inf^2 (q^(n+2);q)_inf^2 / (q^(2n+2);q)_inf
-    total = ratio_sum(one(order), _C_LADDER2_RATIO, order, factors=_C_PREFIX2)
-    return Quotient(total, poch_infinite(_Q2, 1, order))
+    return Quotient(_c_ladder_squared_tails(order), poch_infinite(_Q2, 1, order))
 
 
 @shared

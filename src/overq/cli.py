@@ -43,7 +43,6 @@ from .report import VerificationReport
 from .series import QSeries, divided
 
 DEFAULT_ORDER = 120
-ORDER_ENV = "OVERQ_ORDER"
 
 #: the largest weight `enum --n` and `oracle --max-n` accept.  The number
 #: of objects grows about 4x per 5 more weight: family C has 165,843 at
@@ -52,13 +51,13 @@ ORDER_ENV = "OVERQ_ORDER"
 #: every object and takes about 2.6 s and 115 MB.
 MAX_WEIGHT = 30
 
-#: the largest order `verify` and `coeffs` accept, from --order or
-#: OVERQ_ORDER.  It is the q^(8n+2) scale's top exponent for 1000
-#: generating coefficients, so `verify --target theorem:C --order 8002`
-#: runs, in about 0.2 s as a command.  A family on the plain scale builds
-#: 8003 coefficients there: `verify --target theorem:B --order 8002` takes
-#: about 2 s and 21 MB (README has the timings).  Most work grows about 4x
-#: per doubling of the order.
+#: the largest order `verify` and `coeffs` accept.  It is the q^(8n+2)
+#: scale's top exponent for 1000 generating coefficients, so
+#: `verify --target theorem:C --order 8002` runs, in about 0.2 s as a
+#: command.  A family on the plain scale builds 8003 coefficients there:
+#: `verify --target theorem:B --order 8002` takes about 2 s and 21 MB
+#: (README has the timings).  Most work grows about 4x per doubling of the
+#: order.
 MAX_ORDER = 8002
 
 class UsageError(Exception):
@@ -73,16 +72,7 @@ def _known(lookup: Callable[[str], Any], key: str) -> Any:
         raise UsageError(exc.args[0]) from None
 
 
-def _resolve_order(value: Optional[int]) -> int:
-    if value is None:
-        env = os.environ.get(ORDER_ENV)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"{ORDER_ENV} must be an integer, got {env!r}") from None
-        else:
-            value = DEFAULT_ORDER
+def _resolve_order(value: int) -> int:
     if not 0 <= value <= MAX_ORDER:
         raise UsageError(f"order must be in 0 .. {MAX_ORDER}")
     return value
@@ -150,8 +140,7 @@ def _series_for(sid: str, order: int) -> QSeries:
         cid, _, side = rest.rpartition(":")
         if side not in ("lhs", "rhs") or not cid:
             raise UsageError(f"classical series id must end in :lhs or :rhs, got {sid!r}")
-        pairs = _known(classical, cid)(order)
-        _, lhs, rhs = pairs[0]
+        _, lhs, rhs = next(_known(classical, cid)(order))
         return divided(lhs if side == "lhs" else rhs)
     if head == "poch" and rest:
         bits = rest.split(":")
@@ -278,7 +267,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overq",
         description="Exact q-series verification and overpartition enumeration.",
-        epilog=f"The default order is {DEFAULT_ORDER}, overridable via {ORDER_ENV}.",
+        epilog=f"The default order is {DEFAULT_ORDER}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,7 +280,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     p_verify.add_argument("--target", required=True)
-    p_verify.add_argument("--order", type=int, default=None)
+    p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
@@ -305,7 +294,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     p_coeffs.add_argument("--series", required=True)
-    p_coeffs.add_argument("--order", type=int, default=None)
+    p_coeffs.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_coeffs.add_argument("--format", choices=("json", "csv"), default="json")
     p_coeffs.add_argument("--out", default=None)
     p_coeffs.set_defaults(func=_cmd_coeffs)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, partial
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .enumeration import FamilySpec, distinct_parts_differences, family
 from .products import (
@@ -38,7 +38,7 @@ from .products import (
     theta1d,
     theta2d,
 )
-from .report import Side, SidePair, VerificationReport, check, deferred, one_pair
+from .report import Side, SidePair, VerificationReport, check, one_pair
 from .series import (
     Coeff,
     QSeries,
@@ -180,11 +180,12 @@ def verify_theorem(fam: Family, order: int) -> VerificationReport:
 
 # -- classical identities ----------------------------------------------------
 #
-# Each builder returns labelled (lhs, rhs) pairs, each side a QSeries or a
-# Quotient of the requested order.  verify_classical compares every pair and reports the
-# first mismatching one.
+# Each builder yields labelled (lhs, rhs) pairs, each side a QSeries or a
+# Quotient of the requested order.  verify_classical compares the pairs as
+# they are built and reports the first mismatching one, building no pair
+# after it.
 
-SidePairs = list[SidePair]
+SidePairs = Iterator[SidePair]
 
 
 def _pentagonal_bilateral_sum(order: int) -> QSeries:
@@ -196,42 +197,40 @@ def _pentagonal_bilateral_sum(order: int) -> QSeries:
 
 def _classical_pentagonal_bilateral(order: int) -> SidePairs:
     lhs = poch_infinite(Monomial(1, 1), 1, order)
-    return [("product-vs-bilateral-sum", lhs, _pentagonal_bilateral_sum(order))]
+    yield "product-vs-bilateral-sum", lhs, _pentagonal_bilateral_sum(order)
 
 
 def _classical_pentagonal_unilateral(order: int) -> SidePairs:
     lhs = poch_infinite(Monomial(1, 1), 1, order)
     plus = theta1d(Theta1D((3, 1, 0), div=2, start=1, sign="alternating"), order)
     minus = theta1d(Theta1D((3, -1, 0), div=2, start=1, sign="alternating"), order)
-    return [("product-vs-three-part-sum", lhs, one(order) + plus + minus)]
+    yield "product-vs-three-part-sum", lhs, one(order) + plus + minus
 
 
 def _classical_jacobi(order: int) -> SidePairs:
     p = poch_infinite(Monomial(1, 1), 1, order)
-    return [("cube-sum-vs-product", jacobi_theta(order), p * p * p)]
+    yield "cube-sum-vs-product", jacobi_theta(order), p * p * p
 
 
 def _classical_gauss(order: int) -> SidePairs:
     s = psi_theta(order)
+    yield "sum-vs-quotient-product", s, psi_product(order)
     overp = poch_infinite(Monomial(-1, 1), 1, order)
     full = poch_infinite(Monomial(1, 1), 1, order)
-    return [
-        ("sum-vs-quotient-product", s, psi_product(order)),
-        ("sum-vs-squared-product", s, overp * overp * full),
-    ]
+    yield "sum-vs-squared-product", s, overp * overp * full
 
 
 def _classical_euler(order: int) -> SidePairs:
     lhs = poch_infinite(Monomial(-1, 1), 1, order)
     rhs = Quotient(one(order), poch_infinite(Monomial(1, 1), 2, order))
-    return [("product-vs-reciprocal", lhs, rhs)]
+    yield "product-vs-reciprocal", lhs, rhs
 
 
 def _classical_q_binomial(order: int) -> SidePairs:
     # instantiated at base q^2, a = q, z = q:
     #   sum q^n (q;q^2)_n / (q^2;q^2)_n  =  (q^2;q^2)_inf / (q;q^2)_inf
     ratio = Ratio((1, 0, 1), muls=((1, 2, 1),), divs=((1, 2, 2),))
-    return [("sum-vs-product", ratio_sum(one(order), ratio, order), psi_product(order))]
+    yield "sum-vs-product", ratio_sum(one(order), ratio, order), psi_product(order)
 
 
 def fine_sides(a: Monomial, t: Monomial, order: int) -> tuple[Side, Side]:
@@ -267,7 +266,7 @@ def fine_sides(a: Monomial, t: Monomial, order: int) -> tuple[Side, Side]:
 
 def _classical_fine(sigma: int, order: int) -> SidePairs:
     lhs, rhs = fine_sides(Monomial(sigma, -1), Monomial(1, 1), order)
-    return [(f"a={'-' if sigma < 0 else ''}1/q,t=q", lhs, rhs)]
+    yield f"a={'-' if sigma < 0 else ''}1/q,t=q", lhs, rhs
 
 
 def aw_sides(zsign: int, order: int) -> tuple[Side, QSeries]:
@@ -300,7 +299,7 @@ def aw_sides(zsign: int, order: int) -> tuple[Side, QSeries]:
 
 def _classical_aw(zsign: int, order: int) -> SidePairs:
     lhs, rhs = aw_sides(zsign, order)
-    return [(f"z={zsign:+d}", lhs, rhs)]
+    yield f"z={zsign:+d}", lhs, rhs
 
 
 def _classical_gr_iii10(order: int) -> SidePairs:
@@ -326,7 +325,7 @@ def _classical_gr_iii10(order: int) -> SidePairs:
         2,
         order,
     )
-    return [("transformed-vs-direct", lhs, rhs)]
+    yield "transformed-vs-direct", lhs, rhs
 
 
 def _classical_gr_iii9(order: int) -> SidePairs:
@@ -349,46 +348,37 @@ def _classical_gr_iii9(order: int) -> SidePairs:
         2,
         order,
     )
-    return [("transformed-vs-direct", lhs, rhs)]
+    yield "transformed-vs-direct", lhs, rhs
 
 
 def _classical_basic_facts(order: int) -> SidePairs:
     rng = random.Random(8232026)
-    pairs: SidePairs = []
     for _ in range(6):
         a = Monomial(rng.choice((1, -1)), rng.randint(1, 3))
         b = rng.randint(1, 3)
         n = rng.randint(0, 8)
         m = rng.randint(0, 8)
         tag = f"a={a},base={b}"
-        pairs.append(
-            (
-                f"finite-split[{tag},n={n},m={m}]",
-                poch_finite(a, b, n + m, order),
-                poch_finite(a, b, m, order) * poch_finite(a.shifted(m * b), b, n, order),
-            )
+        yield (
+            f"finite-split[{tag},n={n},m={m}]",
+            poch_finite(a, b, n + m, order),
+            poch_finite(a, b, m, order) * poch_finite(a.shifted(m * b), b, n, order),
         )
-        pairs.append(
-            (
-                f"tail-split[{tag},n={n}]",
-                poch_infinite(a, b, order),
-                poch_finite(a, b, n, order) * poch_infinite(a.shifted(n * b), b, order),
-            )
+        yield (
+            f"tail-split[{tag},n={n}]",
+            poch_infinite(a, b, order),
+            poch_finite(a, b, n, order) * poch_infinite(a.shifted(n * b), b, order),
         )
-        pairs.append(
-            (
-                f"parity-split[{tag}]",
-                poch_infinite(a, b, order),
-                poch_infinite(a, 2 * b, order)
-                * poch_infinite(a.shifted(b), 2 * b, order),
-            )
+        yield (
+            f"parity-split[{tag}]",
+            poch_infinite(a, b, order),
+            poch_infinite(a, 2 * b, order) * poch_infinite(a.shifted(b), 2 * b, order),
         )
-    return pairs
 
 
 def _classical_legendre(order: int) -> SidePairs:
     counted = QSeries(distinct_parts_differences(order), order)
-    return [("signed-count-vs-bilateral-sum", counted, _pentagonal_bilateral_sum(order))]
+    yield "signed-count-vs-bilateral-sum", counted, _pentagonal_bilateral_sum(order)
 
 
 CLASSICAL: dict[str, Callable[[int], SidePairs]] = {
@@ -412,18 +402,14 @@ CLASSICAL_IDS = tuple(CLASSICAL)
 
 
 def classical(cid: str) -> Callable[[int], SidePairs]:
-    """The builder of a classical id's labelled (lhs, rhs) pairs."""
+    """The builder of a classical id's labelled (lhs, rhs) pairs: called
+    with an order, it yields them one at a time."""
     try:
         return CLASSICAL[cid]
     except KeyError:
         raise KeyError(f"unknown classical id {cid!r}; know {sorted(CLASSICAL)}") from None
 
 
-def classical_sides(cid: str, order: int) -> SidePairs:
-    """The labelled (lhs, rhs) pairs a classical id compares."""
-    return classical(cid)(order)
-
-
 def verify_classical(cid: str, order: int) -> VerificationReport:
     """Build and compare every side pair of one classical identity."""
-    return check(f"classical:{cid}", order, deferred(classical_sides, cid, order))
+    return check(f"classical:{cid}", order, classical(cid)(order))

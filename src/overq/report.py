@@ -112,11 +112,6 @@ def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> V
     return VerificationReport(name, compared, True, None, note, time.perf_counter() - start)
 
 
-def deferred(build: Callable[..., Iterable[SidePair]], *args: Any) -> Iterator[SidePair]:
-    """The pairs build(*args) returns, built when check asks for the first."""
-    yield from build(*args)
-
-
 def one_pair(
     label: str, build: Callable[..., tuple[Side, Side]], *args: Any
 ) -> Iterator[SidePair]:

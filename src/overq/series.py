@@ -335,10 +335,6 @@ def monomial(c: Coeff, e: int, order: int) -> QSeries:
     return QSeries(cs, order)
 
 
-def from_coeffs(coeffs: Iterable[Coeff], order: Optional[int] = None) -> QSeries:
-    return QSeries(list(coeffs), order)
-
-
 # -- dense products --------------------------------------------------------
 
 
@@ -530,11 +526,6 @@ def _plus_scaled(xs: Sequence[Coeff], ys: Sequence[Coeff], c: Coeff) -> list:
 def _mul_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
     if e < 0:
         raise ValueError("exponents are nonnegative")
-    if e == 0:
-        s = 1 + c
-        for i in range(len(cs)):
-            cs[i] *= s
-        return
     # the new coefficients are built in full before any is stored, so each
     # reads the old coefficient e below it
     cs[e:] = _plus_scaled(cs[e:], cs, c)

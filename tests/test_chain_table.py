@@ -1,11 +1,13 @@
-"""The chain's stage table: its names resolve, its sides are pinned, and the
-two sides of a stage share no @shared builder beyond an audited list."""
+"""The chain's stage table: its names resolve, its sides are pinned, the
+two sides of a stage share no @shared builder beyond an audited list, and
+no two builders repeat one ratio_sum walk."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from overq import bailey, products
+from overq import bailey, identities, products
 from overq.products import sharing
 from overq.series import divided
 
@@ -19,9 +21,21 @@ LEAF_BUILDERS = frozenset({"poch_infinite"})
 
 #: (stage, builder) -> why both sides of the stage may build it
 SHARED_ON_BOTH_SIDES = {
+    ("C:overline-factor-pulled-out", "_c_ladder_tails"): (
+        "the display pulls the multiplier (-q;q)_inf out of one ladder; the stage "
+        "checks that it cancels the overline ladder's denominator (-q;q)_inf"
+    ),
     ("C:euler-reciprocal-swap", "_c_ladder_overline"): (
         "the display swaps the multiplier (-q;q)_inf for 1/(q;q^2)_inf in front "
         "of one ladder; the stage checks Euler's identity on that multiplier"
+    ),
+    ("C:euler-reciprocal-swap", "_c_ladder_tails"): (
+        "the numerator of the overline ladder that both multipliers stand in "
+        "front of; the stage checks Euler's identity on the multiplier"
+    ),
+    ("C:even-odd-tails-merged", "_c_ladder_squared_tails"): (
+        "one walk over two denominators: the stage checks that "
+        "(q^2;q^2)_inf (q^3;q^2)_inf is (q^2;q)_inf"
     ),
     ("D:extended-to-r0", "_d_v_from"): (
         "one four-term lattice at r0 = 1 against r0 = 0: the stage checks that "
@@ -77,6 +91,26 @@ def test_sides_share_only_the_audited_builders(order):
 def test_audit_flags_a_builder_on_both_sides():
     row = ("C:scratch", "_c_explicit_sum", lambda o: bailey._c_sum_triple(o).shift(1))
     assert overlaps((row,), 30) == {("C:scratch", "_c_sum_triple")}
+
+
+def test_no_two_walks_take_equal_arguments(monkeypatch):
+    # a builder that repeats another's walk should take that builder's
+    # result; two walks that compile to one row set from two transcriptions
+    # of the table are different arguments, and kept on purpose: lovejoy's
+    # lemma left side and _c_ladder_odd_tail, _d_core_product and
+    # gen_family("D")
+    calls = []
+    real = products.ratio_sum
+
+    def spy(init, ratio, order, start=0, at=0, factors=()):
+        calls.append((tuple(init.coeffs), init.order, ratio, order, start, at, tuple(factors)))
+        return real(init, ratio, order, start, at, factors)
+
+    monkeypatch.setattr(bailey, "ratio_sum", spy)
+    monkeypatch.setattr(identities, "ratio_sum", spy)  # gen_family's walk
+    assert all(r.ok for r in bailey.chain_stage_reports(60))
+    assert [call[2:] for call, times in Counter(calls).items() if times > 1] == []
+    assert len(calls) == 12  # the chain's ten walks and the two gen_family sums
 
 
 def test_a_slip_in_d_p_fails_the_product_expanded_stage(monkeypatch):

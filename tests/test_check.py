@@ -4,7 +4,7 @@ import pytest
 
 import overq.report as report
 from overq.identities import verify_classical
-from overq.report import NO_PAIRS_NOTE, SAME_OBJECT_NOTE, check, deferred, one_pair
+from overq.report import NO_PAIRS_NOTE, SAME_OBJECT_NOTE, check, one_pair
 from overq.series import QSeries
 
 
@@ -71,8 +71,11 @@ def test_elapsed_covers_building(monkeypatch):
         clock[0] += 5.0
         return series([1]), series([1])
 
+    def pairs():
+        yield ("x", *build())
+
     assert check("demo", 0, one_pair("x", build)).elapsed == 5.0
-    assert check("demo", 0, deferred(lambda: [("x", *build())])).elapsed == 5.0
+    assert check("demo", 0, pairs()).elapsed == 5.0
 
 
 def test_helpers_build_lazily():
@@ -82,7 +85,10 @@ def test_helpers_build_lazily():
         calls.append(tag)
         return [(tag, series([1]), series([1]))]
 
-    pending = [one_pair("label", lambda: build("one")[0][1:]), deferred(build, "many")]
+    def many():
+        yield from build("many")
+
+    pending = [one_pair("label", lambda: build("one")[0][1:]), many()]
     assert calls == []
     assert [p[0] for gen in pending for p in gen] == ["label", "many"]
     assert calls == ["one", "many"]
@@ -98,7 +104,10 @@ def test_one_object_on_both_sides_fails_with_a_fixed_note():
 
 
 def test_an_empty_pair_source_fails():
-    for pairs in ([], iter(()), deferred(list)):
+    def nothing():
+        yield from ()
+
+    for pairs in ([], iter(()), nothing()):
         r = check("x", 10, pairs)
         assert (r.ok, r.order, r.mismatch, r.note) == (False, 10, None, NO_PAIRS_NOTE)
     assert not check("x", 10, [], note="given").ok

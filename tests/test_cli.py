@@ -198,26 +198,6 @@ def test_oracle_rejects_nonpositive_bound(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_order_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ORDER_ENV, "10")
-    code, out, _ = run(capsys, "coeffs", "--series", "gen:A")
-    assert code == 0
-    assert json.loads(out)["order"] == 10
-
-
-def test_order_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ORDER_ENV, "ten")
-    code, _, err = run(capsys, "coeffs", "--series", "gen:A")
-    assert code == 2 and "error:" in err
-
-
-def test_order_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ORDER_ENV, "10")
-    code, out, _ = run(capsys, "coeffs", "--series", "gen:A", "--order", "6")
-    assert code == 0
-    assert json.loads(out)["order"] == 6
-
-
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "series.json"
     code, out, _ = run(
@@ -267,22 +247,18 @@ def test_weight_cap_refuses_before_enumerating(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (("verify", "--target", "theorem:C", "--order", str(cli.MAX_ORDER + 1)), None),
-        (("verify", "--target", "all"), str(cli.MAX_ORDER + 1)),
-        (("coeffs", "--series", "gen:A", "--order", str(cli.MAX_ORDER + 1)), None),
-        (("coeffs", "--series", "gen:A"), str(cli.MAX_ORDER + 1)),
+        ("verify", "--target", "theorem:C", "--order", str(cli.MAX_ORDER + 1)),
+        ("coeffs", "--series", "gen:A", "--order", str(cli.MAX_ORDER + 1)),
     ],
 )
-def test_order_cap_refuses_before_building(capsys, monkeypatch, argv, env):
+def test_order_cap_refuses_before_building(capsys, monkeypatch, argv):
     def refused(*args, **kwargs):
         raise AssertionError("built above the order cap")
 
     for name in ("_verify_reports", "_series_for", "oracle_compare"):
         monkeypatch.setattr(cli, name, refused)
-    if env is not None:
-        monkeypatch.setenv(cli.ORDER_ENV, env)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f".. {cli.MAX_ORDER}" in err

@@ -57,6 +57,19 @@ def test_classical_second_pair(monkeypatch):
     assert fields(report) == ("classical:gauss", 30, False, (3, 1, 3), "sum-vs-squared-product")
 
 
+def test_classical_builds_no_pair_after_a_failing_one(monkeypatch):
+    # gauss's first pair fails, so its second pair's (-q;q)_inf is never built
+    monkeypatch.setattr(identities, "psi_product", flipped(identities.psi_product, 3))
+    built = []
+    poch_infinite = identities.poch_infinite
+    monkeypatch.setattr(
+        identities, "poch_infinite", lambda a, *rest: built.append(a) or poch_infinite(a, *rest)
+    )
+    report = identities.verify_classical("gauss", 30)
+    assert fields(report) == ("classical:gauss", 30, False, (3, 1, 2), "sum-vs-quotient-product")
+    assert built and identities.Monomial(-1, 1) not in built
+
+
 def test_bailey_relation_at_n(monkeypatch):
     p = bailey.PAIRS["slater-h1"]
 

@@ -7,7 +7,7 @@ from overq.identities import (
     CLASSICAL_IDS,
     MAPPED_FAMILIES,
     aw_sides,
-    classical_sides,
+    classical,
     fine_sides,
     gen_family,
     mapped_inner_order,
@@ -105,7 +105,7 @@ def test_verify_classical(cid):
 
 def test_classical_sides_unknown_id():
     with pytest.raises(KeyError):
-        classical_sides("nope", 10)
+        classical("nope")
 
 
 def test_two_square_support():

@@ -23,7 +23,6 @@ from overq.series import (
     _schoolbook_invert,
     _schoolbook_mul,
     _unpack,
-    from_coeffs,
     monomial,
     one,
     zero,
@@ -66,7 +65,6 @@ def test_construction_validates_length_and_order():
         QSeries([], None)
     with pytest.raises(TypeError):
         QSeries([0.5], 0)
-    assert from_coeffs([1, 2, 3]).order == 2
 
 
 def test_whole_fractions_collapse_to_int():
