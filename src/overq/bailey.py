@@ -31,8 +31,8 @@ pair's, through the same kernel (products.ratio_sum) as every other sum
 over n, with the infinite products netted into that walk as its initial
 term's factors; for both lemma instances every divide nets, so nothing is
 multiplied or divided.  The right side adds the shifted copies of each
-nonzero alpha_r's (1 - a) alpha_r / (1 - a q^r) into one packed integer,
-in slots wide enough for the sum.
+nonzero alpha_r's (1 - a) alpha_r / (1 - a q^r) in one series._shifted_sum,
+the packed kernel the sparse series product also runs on.
 
 verify_chain replays the two derivations that turn the lemma into the
 two-square identities, one displayed equality per stage, so a transcription
@@ -88,7 +88,7 @@ from .series import (
     Quotient,
     _div_binomial_inplace,
     _mul_binomial_inplace,
-    _pack,
+    _shifted_sum,
     _unpack,
     one,
 )
@@ -262,13 +262,10 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[SideValue, QSerie
     square is the pair's relative parameter.
 
     The left side's walk nets the products (q;q)_inf (-aq;q)_inf^2 against
-    its divides.  The right side packs each nonzero alpha_r's
-    dr = (1 - a) alpha_r / (1 - a*q^r), cut to the order + 1 - r
-    coefficients that reach the order from q^r, once, and adds it into one
-    integer at every exponent of its n-sum.  Each coefficient of the sum is
-    at most adds terms of size max |dr| * |a.c|, so slots of
-    bits(max |dr|) + bits(|a.c|) + bits(adds) + 1 bits read it back
-    exactly."""
+    its divides.  The right side is one series._shifted_sum, which bounds
+    its slots: each nonzero alpha_r's dr = (1 - a) alpha_r / (1 - a*q^r),
+    cut to the order + 1 - r coefficients that reach the order from q^r,
+    added at every exponent of its n-sum."""
     p = pair(p)
     if a.squared() != p.relative:
         raise MismatchedRelativeError(
@@ -310,15 +307,7 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[SideValue, QSerie
                 adds.append((hi, a.c))
             n += 1
         drs.append((dr, adds))
-    big = max((max(map(abs, dr)) for dr, _ in drs), default=0)
-    count = sum(len(adds) for _, adds in drs)
-    width = (big.bit_length() + abs(a.c).bit_length() + count.bit_length() + 1 + 7) // 8
-    acc = 0
-    for dr, adds in drs:
-        packed = _pack(dr, width)
-        for e, c in adds:
-            acc = _shift_add(acc, packed, -c, 8 * width * e)
-    return lhs, QSeries(_unpack(acc, width, order + 1), order)
+    return lhs, QSeries(_shifted_sum(drs, order + 1), order)
 
 
 def verify_lemma(p: PairLike, a: Monomial, order: int) -> VerificationReport:

@@ -138,8 +138,10 @@ def _series_for(sid: str, order: int) -> QSeries:
         return rhs_theorem(_known(family, rest), order)
     if head == "classical" and rest:
         cid, _, side = rest.rpartition(":")
-        if side not in ("lhs", "rhs") or not cid:
+        if side not in ("lhs", "rhs"):
             raise UsageError(f"classical series id must end in :lhs or :rhs, got {sid!r}")
+        if not cid:
+            raise UsageError(f"classical series id names no identity, got {sid!r}")
         _, lhs, rhs = next(_known(classical, cid)(order))
         return divided(lhs if side == "lhs" else rhs)
     if head == "poch" and rest:

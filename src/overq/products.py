@@ -391,39 +391,34 @@ def _paired(muls: Iterable[tuple], divs: Iterable[tuple]) -> tuple[list, list]:
 
 
 @functools.lru_cache(maxsize=None)
-def _compiled(ratio: Ratio) -> Optional[tuple[int, frozenset, tuple, tuple]]:
-    """(low, special, muls, divs): the rows _paired(*_cancelled(ratio.muls,
+def _compiled(ratio: Ratio) -> Optional[tuple[int, tuple, tuple]]:
+    """(low, muls, divs): the rows _paired(*_cancelled(ratio.muls,
     ratio.divs)), which realized at n are _paired(*ratio.factors(n)) for
-    every n >= low that is not in special, where factors raises nothing.
-    None for a table with a negative slope or a constant row that is
-    negative or the zero divide (1 - q^0), which takes factors and _paired
-    at every n.
+    every n >= low, where factors raises nothing.  None for a table with a
+    negative slope or a constant row that is negative or the zero divide
+    (1 - q^0), which takes factors and _paired at every n.
 
     At one n, _cancelled and _paired compare binomials only: each divide
     with the multiplies, and (1 - q^(2e)) for a divide (1 - c*q^e),
     c = +-1, with the multiplies and the (1 + c*q^e) paired before it.  Two
     rows with one c realize one exponent at every n if they are equal, at
-    no n if they differ only in b, and at one n at most otherwise.  special
-    holds every such n for any two of the multiplies, the divides, and the
-    (-c, a, b) and (1, 2a, 2b) of the unit divides, so at any n >= low
-    outside it every comparison of binomials agrees with the comparison of
-    their rows, and both take the same steps on the rows as on the
-    binomials at n.  A divide (1, a, b) with a > 0 meets its own (1, 2a, 2b)
-    where a*n + b = 0, so special also holds each n where it is the zero
-    divide; below low some row is negative."""
+    no n if they differ only in b, and at one n at most otherwise.  low
+    lies past every such n for any two of the multiplies, the divides, and
+    the (-c, a, b) and (1, 2a, 2b) of the unit divides, the zero divide
+    among them, and past every n where a row is negative."""
     rows = ratio.muls + ratio.divs
     if any(a < 0 or a == 0 and b < 0 for c, a, b in rows) or (1, 0, 0) in ratio.divs:
         return None
     units = [(c, a, b) for c, a, b in ratio.divs if c in (1, -1)]
     seen = set(rows) | {(-c, a, b) for c, a, b in units} | {(1, 2 * a, 2 * b) for c, a, b in units}
-    special = frozenset(
-        (b2 - b) // (a - a2)
+    meets = [
+        (b2 - b) // (a - a2) + 1
         for (c, a, b), (c2, a2, b2) in combinations(seen, 2)
         if c == c2 and a != a2 and (b2 - b) % (a - a2) == 0
-    )
-    low = max((-(b // a) for c, a, b in rows if a), default=0)
+    ]
+    low = max([-(b // a) for c, a, b in rows if a] + meets, default=0)
     muls, divs = _paired(*_cancelled(ratio.muls, ratio.divs))
-    return low, special, tuple(muls), tuple(divs)
+    return low, tuple(muls), tuple(divs)
 
 
 def _counts(factors: Iterable[tuple], full: int) -> dict[int, list]:
@@ -517,14 +512,14 @@ def ratio_sum(
         )
     full = order + 1 - at  # slots of U_start
     sign, slope, offset = ratio.shift
-    low, special, *compiled = _compiled(ratio) or (None, (), (), ())
+    low, *compiled = _compiled(ratio) or (None, (), ())
     per_n = {}  # the rows at each n the compiled rows do not stand for
     n = start
     while at <= order:
         step = slope * n + offset
         if step < 1:
             raise NonterminatingSum(f"step n={n} does not raise the term degree")
-        if low is None or n < low or n in special:
+        if low is None or n < low:
             # raises what a term-by-term sum raises at this n
             per_n[n] = _paired(*ratio.factors(n))
         at += step

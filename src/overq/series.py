@@ -16,18 +16,18 @@ The product of two integer series is one big-integer multiply by Kronecker
 substitution (_kronecker_mul), with a slot width of w bits proven wide
 enough to keep every coefficient exact, unless the sparser operand has k
 nonzero terms with 2k <= w and w > 16: then it runs term by term
-(_sparse_mul), k C-level passes over the other operand.  The rule comes
-from timing every integer product of verify --target all at orders 400 and
-800 both ways: the multiply's cost grows with w, the passes' with k, and in
-slots of 2 bytes or fewer the multiply is cheapest.  A product with
-a Fraction coefficient runs the schoolbook double loop (_schoolbook_mul),
-which the tests also use as the reference for both fast paths.  _pack and
-_unpack move a coefficient list in and out of its packed integer: slots of
-1, 2, 4 or 8 bytes go through struct in one C-level pass; slots of 3, 5, 6
-or 7 bytes go through 8-byte struct lanes, one C-level copy per byte
-column; wider slots take one coefficient per step.  products builds its
-Pochhammer products and its ratio sums on the same packing; a ratio sum
-that leaves a divide over is a Quotient, which nothing divides.
+(_sparse_mul), k shift-adds of the other operand packed once (_shifted_sum,
+which bailey's lemma sums share).  The rule was timed against k list
+passes and is kept: the multiply's cost grows with w, the adds' with k,
+and in slots of 2 bytes or fewer the multiply is cheapest.  A Fraction
+coefficient takes the schoolbook double loop (_schoolbook_mul), the
+tests' reference for both fast paths.  _pack and _unpack move a
+coefficient list in and out of its packed integer: slots of 1, 2, 4 or 8
+bytes go through struct in one C-level pass; slots of 3, 5, 6 or 7 bytes
+go through 8-byte struct lanes, one C-level copy per byte column; wider
+slots take one coefficient per step.  products builds its Pochhammer
+products and its ratio sums on the same packing; a ratio sum that leaves
+a divide over is a Quotient, which nothing divides.
 
 The two in-place binomial kernels multiply or divide a coefficient list by
 (1 + c*q^e), for builders in every module and QSeries.mul_binomial and
@@ -304,14 +304,10 @@ class Quotient:
     def mul_binomial(self, c: Coeff, e: int) -> "Quotient":
         return Quotient(self.num.mul_binomial(c, e), self.den)
 
-    def series(self) -> QSeries:
-        """num/den divided out, for display and builders that return a series."""
-        return self.num * self.den.invert()
-
 
 def divided(side: Union[QSeries, Quotient]) -> QSeries:
-    """A side as a series: a Quotient divided once, a QSeries as it is."""
-    return side.series() if isinstance(side, Quotient) else side
+    """A side as a series: a Quotient's num/den divided out once, a QSeries as it is."""
+    return side.num * side.den.invert() if isinstance(side, Quotient) else side
 
 
 # -- factories --------------------------------------------------------------
@@ -359,11 +355,8 @@ def _schoolbook_mul(a: Sequence[Coeff], b: Sequence[Coeff], n: int) -> list:
 def _sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
     """Coefficients q^0 .. q^n of a*b for integer a, b of n + 1 coefficients
     each, term by term: b shifted to each nonzero a_i and added a_i times,
-    one C-level pass of _add_inplace per term."""
-    out: list = [0] * (n + 1)
-    for i in compress(range(n + 1), a):
-        _add_inplace(out, b, i, a[i])
-    return out
+    one _shifted_sum."""
+    return _shifted_sum([(b, [(i, a[i]) for i in compress(range(n + 1), a)])], n + 1)
 
 
 #: a signed struct format code for each slot width in bytes, so slots of
@@ -473,6 +466,32 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list:
     return _unpack(_pack(a, width) * _pack(b, width), width, n + 1)
 
 
+def _shifted_sum(parts: Iterable[tuple[Sequence[int], Sequence[tuple[int, int]]]], length: int) -> list:
+    """The first length coefficients of the sum of c*q^e*cs over the parts
+    (cs, [(e, c), ...]) of integers, each cs packed once and added at each
+    of its shifts into one integer.
+
+    Its slots have w = bits(max|cs|) + bits(max|c|) + bits(count) + 1 bits,
+    rounded up to whole bytes, count the number of shifts in all.  A
+    coefficient of the sum has at most count terms c*cs_i, each below
+    2^(bits(max|c|) + bits(max|cs|)), so it is below 2^(w-1), as is each
+    cs_i: _pack and _unpack are exact, and slots past length cannot disturb
+    the ones below.  A part with no shifts is not packed: w does not count
+    its cs, which need not fit."""
+    parts = [(cs, shifts) for cs, shifts in parts if shifts]
+    big = max((max(map(abs, cs), default=0) for cs, _ in parts), default=0)
+    scale = max((abs(c) for _, shifts in parts for _, c in shifts), default=0)
+    count = sum(len(shifts) for _, shifts in parts)
+    width = (big.bit_length() + scale.bit_length() + count.bit_length() + 1 + 7) // 8
+    acc = 0
+    for cs, shifts in parts:
+        packed = _pack(cs, width)
+        for e, c in shifts:
+            copy = packed << (8 * width * e)
+            acc = acc + copy if c == 1 else acc - copy if c == -1 else acc + c * copy
+    return _unpack(acc, width, length)
+
+
 def _schoolbook_invert(a: Sequence[Coeff], n: int) -> list:
     """Coefficients q^0 .. q^n of 1/a, one coefficient from all the ones
     below it; the path for a rational series or a constant term other than
@@ -556,9 +575,3 @@ def _div_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
     # of e coefficients reads only the block below it
     for b in range(e, len(cs), e):
         cs[b : b + e] = _plus_scaled(cs[b : b + e], cs[b - e : b], -c)
-
-
-def _add_inplace(acc: list, cs: Sequence[Coeff], e: int = 0, scalar: Coeff = 1) -> None:
-    """acc += scalar * q^e * cs, clipped to len(acc)."""
-    top = min(len(acc), e + len(cs))
-    acc[e:top] = _plus_scaled(acc[e:top], cs, scalar)

@@ -35,9 +35,9 @@ from overq.report import SAME_OBJECT_NOTE, check
 from overq.series import (
     QSeries,
     Quotient,
-    _add_inplace,
     _div_binomial_inplace,
     _mul_binomial_inplace,
+    _plus_scaled,
     divided,
     monomial,
     one,
@@ -219,6 +219,12 @@ def test_lemma_positive_specialization():
     assert lhs.coeffs[:8] == (1, 0, 1, 1, -1, 3, -1, 1)
 
 
+def _add_shifted(acc, cs, e, c=1):
+    """acc += c * q^e * cs, clipped to len(acc), in C-level passes over slices."""
+    top = min(len(acc), e + len(cs))
+    acc[e:top] = _plus_scaled(acc[e:top], cs, c)
+
+
 def _reference_lemma_sides(p, a, order):
     """Both lemma sides built apart from lemma_sides' walks: the infinite
     products times the divided ratio sum, and alpha_r for every r <= order
@@ -243,9 +249,9 @@ def _reference_lemma_sides(p, a, order):
         n = 0
         while 2 * n * n + 2 * n * r + n + r + 2 * n * a.e <= order:
             e = 2 * n * n + 2 * n * r + n + r + 2 * n * a.e
-            _add_inplace(acc, dr, e)
+            _add_shifted(acc, dr, e)
             if e + a.e + r + 2 * n + 1 <= order:
-                _add_inplace(acc, dr, e + a.e + r + 2 * n + 1, a.c)
+                _add_shifted(acc, dr, e + a.e + r + 2 * n + 1, a.c)
             n += 1
     return lhs, QSeries(acc, order)
 
@@ -300,7 +306,7 @@ def _shifted_add_relation(p, n_max, order):
                 _div_binomial_inplace(den, -a.c, a.e + n + r)
             for e, c in enumerate(p.alpha(r, order).coeffs):
                 if c:
-                    _add_inplace(acc, den, e, c)
+                    _add_shifted(acc, den, e, c)
         sums.append(QSeries(acc, order))
     return sums
 

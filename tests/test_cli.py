@@ -85,6 +85,15 @@ def test_coeffs_unknown_series(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "sid, says", [("classical::lhs", "names no identity"), ("classical:euler:mid", "end in :lhs or :rhs")]
+)
+def test_coeffs_bad_classical_id_says_what_is_wrong(capsys, sid, says):
+    code, out, err = run(capsys, "coeffs", "--series", sid, "--order", "5")
+    assert code == 2 and out == ""
+    assert says in err and sid in err
+
+
 def test_coeffs_bad_monomial(capsys):
     code, _, err = run(capsys, "coeffs", "--series", "poch:2q:1:1", "--order", "5")
     assert code == 2

@@ -510,23 +510,15 @@ def test_a_compiled_table_gives_the_factors_at_every_n():
         if table is None:
             per_n += 1
             continue
-        low, special, muls, divs = table
-        for n in range(start, start + 41):
-            if n < low or n in special:
-                continue
+        low, muls, divs = table
+        for n in range(max(start, low), start + 41):
             want = _paired(*ratio.factors(n))
             got = ([(c, 0, a * n + b) for c, a, b in muls], [(c, 0, a * n + b) for c, a, b in divs])
             assert [sorted(x) for x in got] == [sorted(x) for x in want], (ratio, n)
     assert per_n < 10  # random rows are never constant and negative
-    # every planted coincidence is on the per-n path, and only a few n are
-    for ratio, start in PLANTED:
-        low, special, _, _ = products._compiled(ratio)
-        assert len(special) <= 12 and low <= 3
-    assert 3 in products._compiled(PLANTED[0][0])[1]
-    assert 3 in products._compiled(PLANTED[1][0])[1]
-    assert products._compiled(PLANTED[2][0])[0] == 3
-    assert 2 in products._compiled(PLANTED[3][0])[1]
-    assert 1 in products._compiled(PLANTED[4][0])[1]
+    # every planted coincidence (at n = 3, 3, below 3, 2 and 1) is on the
+    # per-n path, below its table's bound, and only a few n are
+    assert [products._compiled(ratio)[0] for ratio, _ in PLANTED] == [4, 7, 8, 3, 2]
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -13,7 +13,6 @@ from overq.series import (
     QSeries,
     Quotient,
     ZeroConstantTermError,
-    _add_inplace,
     _div_binomial_inplace,
     _kronecker_mul,
     _mul_binomial_inplace,
@@ -22,7 +21,9 @@ from overq.series import (
     _pack,
     _schoolbook_invert,
     _schoolbook_mul,
+    _shifted_sum,
     _unpack,
+    divided,
     monomial,
     one,
     zero,
@@ -395,6 +396,75 @@ def test_narrow_and_rational_products_keep_their_paths(order, monkeypatch):
     assert [list((half * dense).coeffs), list((dense * half).coeffs)] == want_half
 
 
+def _schoolbook_shifted_sum(parts, length):
+    """The sum of c*q^e*cs through q^(length-1): one schoolbook product per
+    part, of its shifts as a sparse series with its cs."""
+    total = [0] * length
+    for cs, shifts in parts:
+        a = [0] * length
+        for e, c in shifts:
+            if e < length:
+                a[e] += c
+        b = (list(cs) + [0] * length)[:length]
+        total = [x + y for x, y in zip(total, _schoolbook_mul(a, b, length - 1))]
+    return total
+
+
+def _recording_pack(monkeypatch):
+    """The slot widths, in bytes, of every _pack call from here on."""
+    widths = []
+    pack = series_module._pack
+    monkeypatch.setattr(series_module, "_pack", lambda cs, width: widths.append(width) or pack(cs, width))
+    return widths
+
+
+@pytest.mark.parametrize("length", (1, 2, 61, 401))
+def test_shifted_sums_match_the_schoolbook(length, monkeypatch):
+    rng = random.Random(6029 + length)
+    scales = (1, -1, 2, -2, 2**64 + 3, -(2**70))
+    for bound in (1, 2**20, 2**70):
+        parts = []
+        for _ in range(5):  # parts of different lengths, shifts past length
+            cs = [rng.randint(-bound, bound) for _ in range(rng.randint(0, length + 5))]
+            shifts = [(rng.randrange(length + 10), rng.choice(scales)) for _ in range(rng.randint(0, 4))]
+            parts.append((cs, shifts))
+        assert _shifted_sum(parts, length) == _schoolbook_shifted_sum(parts, length)
+    # a part with no shifts adds nothing: it neither widens the slots nor is
+    # packed into slots its coefficients would not fit
+    widths = _recording_pack(monkeypatch)
+    wide = ([2**40, -(2**40)], [])
+    assert _shifted_sum([wide, ([1] * length, [(0, 1)])], length) == [1] * length
+    assert _shifted_sum([wide], length) == [0] * length
+    assert widths == [1]
+
+
+#: (bits(max|cs|), bits(max|c|), bits(count)), whose sum plus 1 is the slot
+#: width w in bits: a whole number of bytes (2, 3, 4, 8 and 12), or one bit
+#: past one (17 and 65 bits), where that last bit takes a byte of its own
+SLOT_TOPS = ((10, 3, 2), (12, 4, 7), (16, 8, 7), (50, 6, 7), (60, 30, 5), (10, 3, 3), (50, 6, 8))
+
+
+@pytest.mark.parametrize("bits", SLOT_TOPS)
+def test_shifted_sums_reach_the_top_of_their_slots(bits, monkeypatch):
+    # count * max|c| * max|cs| just under 2^(w-1)
+    b, s, k = bits
+    big, scale, count = 2**b - 1, 2**s - 1, 2**k - 1
+    w = b + s + k + 1
+    widths = _recording_pack(monkeypatch)
+    cs = [big, -big, 1, 0, big]
+    for sign in (1, -1):
+        # count shifts of one part, or one shift of each of count parts,
+        # all adding into slots 1 and 2
+        one_part = [(cs, [(1, sign * scale)] * count)]
+        many = [([0] * j + cs, [(1 - j, sign * scale)]) for j in range(2)] * (count // 2)
+        many.append((cs, [(1, sign * scale)]))
+        for parts in (one_part, many):
+            got = _shifted_sum(parts, 8)
+            assert got == _schoolbook_shifted_sum(parts, 8)
+            assert got[1] == sign * count * scale * big and abs(got[1]) >= 2 ** (w - 2)
+    assert set(widths) == {(w + 7) // 8}
+
+
 def test_fraction_operand_product_unchanged():
     rng = random.Random(4099)
     for order in (0, 1, 7, 60):
@@ -500,29 +570,6 @@ def test_binomial_kernels_round_trip_and_refuse_a_zero_constant(order):
             _div_binomial_inplace(list(cs), -1, 0)
 
 
-def _loop_add(acc, cs, e=0, scalar=1):
-    """acc += scalar * q^e * cs, clipped to len(acc), one step per term."""
-    for i in range(min(len(cs), len(acc) - e)):
-        v = cs[i]
-        if v:
-            acc[i + e] += scalar * v
-
-
-@pytest.mark.parametrize("order", BINOMIAL_ORDERS)
-def test_add_inplace_matches_the_loop(order):
-    rng = random.Random(6203 + order)
-    n = order + 1
-    lists = _binomial_lists(rng, order)
-    for acc in lists:
-        for cs in lists + ([7, Fraction(1, 2)], []):
-            for e in sorted({0, 1, n // 2, n - 1, n, n + 3}):
-                for scalar in BINOMIAL_CS:
-                    got, want = list(acc), list(acc)
-                    _add_inplace(got, cs, e, scalar)
-                    _loop_add(want, cs, e, scalar)
-                    assert _canonical(got) == _canonical(want), (e, scalar)
-
-
 # -- Newton inversion against the schoolbook recurrence -----------------------
 
 
@@ -613,7 +660,7 @@ def test_a_quotient_wider_than_its_parts():
     # 1/(q;q)_inf: 105-bit coefficients at 1000 from 1-bit num and den
     side = Quotient(one(1000), poch_infinite(Monomial(1, 1), 1, 1000))
     want = _partition_numbers(1000)
-    assert list(side.series().coeffs) == want
+    assert list(divided(side).coeffs) == want
     assert want[1000] == 24061467864032622473692149727991
     assert check("p", 1000, [("", side, QSeries(want))]).ok
     slip = check("p", 1000, [("", side, _slipped(want, 1000))])
