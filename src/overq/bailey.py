@@ -57,7 +57,6 @@ than poch_infinite, outside an audited list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice
 from operator import neg
 from typing import Callable, Iterator, Sequence, Union
@@ -84,6 +83,7 @@ from .products import (
 from .report import Side as SideValue, SidePair, VerificationReport, check, one_pair
 from .series import (
     Coeff,
+    Frozen,
     QSeries,
     Quotient,
     _div_binomial_inplace,
@@ -98,8 +98,7 @@ class MismatchedRelativeError(ValueError):
     """A lemma parameter whose square is not the pair's relative parameter."""
 
 
-@dataclass(frozen=True)
-class BaileyPair:
+class BaileyPair(Frozen):
     """A named Bailey pair with polynomial alpha and closed-form beta.
 
     alpha is data: alpha_terms(r) gives alpha_r's nonzero terms as
@@ -233,7 +232,8 @@ def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]
         rows.append([(e, c) for e, c in p.alpha_terms(r) if e <= order])
     # (q;q)_(n+1) (aq;q)_(n+1) / ((q;q)_n (aq;q)_n), times beta's own ratio
     scaled = p.beta_ratio * Ratio((1, 0, 0), muls=((1, 1, 1), (a.c, 1, a.e + 1)))
-    for n, rhs in zip(range(n_max + 1), replace(p, beta_ratio=scaled).betas(order)):
+    scaled_pair = BaileyPair(p.name, p.relative, p.alpha_terms, p.alpha_low, scaled)
+    for n, rhs in zip(range(n_max + 1), scaled_pair.betas(order)):
         slots, bound, h = _Slots(length, _START_WIDTH), 0, 0
         top = min(n, len(rows) - 1)
         for r in range(top, -1, -1):
@@ -796,15 +796,16 @@ def chain_stage_reports(order: int) -> list[VerificationReport]:
 
 
 def chain_summary(reports: list[VerificationReport], order: int) -> VerificationReport:
-    """Aggregate over chain stage reports; the note names the first failure
-    and the elapsed time is the stages' total."""
+    """Aggregate over chain stage reports; the note names the first failure,
+    whose mismatch and differences it carries, and the elapsed time is the
+    stages' total."""
     bad = [r for r in reports if not r.ok]
-    mismatch, note = None, f"all {len(reports)} stages hold"
+    mismatch, note, differences = None, f"all {len(reports)} stages hold", None
     if bad:
-        mismatch = bad[0].mismatch
+        mismatch, differences = bad[0].mismatch, bad[0].differences
         note = f"{len(bad)} of {len(reports)} stages fail, first {bad[0].name}"
     elapsed = sum(r.elapsed for r in reports)
-    return VerificationReport("chain", order, not bad, mismatch, note, elapsed)
+    return VerificationReport("chain", order, not bad, mismatch, note, elapsed, differences)
 
 
 def verify_chain(order: int) -> VerificationReport:

@@ -30,18 +30,18 @@ plain at equal size).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product, repeat, starmap
 from operator import add, and_, attrgetter, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
+
+from .series import Frozen
 
 
 #: (size, overlined) parts
 Parts = tuple[tuple[int, bool], ...]
 
 
-@dataclass(frozen=True, order=True)
-class Overpartition:
+class Overpartition(Frozen, order=True):
     """Parts stored as (size, overlined) sorted descending, overlined first
     at equal size.  Overlined sizes are pairwise distinct."""
 
@@ -89,8 +89,7 @@ class Overpartition:
         return "+".join(bits)
 
 
-@dataclass(frozen=True, order=True)
-class OverpartitionPair:
+class OverpartitionPair(Frozen, order=True):
     first: Overpartition
     second: Overpartition
 
@@ -122,8 +121,7 @@ FamilyObject = Union[Overpartition, OverpartitionPair]
 Window = tuple[int, Optional[int]]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """Everything one family needs: its window table for enumeration, how to
     count its objects, and the factor table its generating series is built
     from.
@@ -283,7 +281,7 @@ def enumerate_family(name: str, n: int) -> list[FamilyObject]:
                 objs.append(OverpartitionPair(first, Overpartition(second)))
             else:
                 objs.append(first)
-    # the dataclasses compare objects as these plain-tuple keys do, but in
+    # the classes compare objects as these plain-tuple keys do, but in
     # Python; hashing and sorting the keys runs in C
     key = attrgetter("first.parts", "second.parts") if pair else attrgetter("parts")
     if len(set(map(key, objs))) != len(objs):

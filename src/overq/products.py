@@ -83,12 +83,12 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .series import (
     Coeff,
+    Frozen,
     OrderExceededError,
     QSeries,
     Quotient,
@@ -163,8 +163,7 @@ class NonintegralExponent(ValueError):
     """A theta exponent polynomial that does not divide out to an integer."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Frozen):
     """A signed power of q: c * q^e with c = +1 or -1."""
 
     c: int
@@ -326,8 +325,7 @@ def poch_infinite(a: Monomial, base: int, order: int) -> QSeries:
     return QSeries(_binomial_product(runs, order + 1), order)
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(Frozen):
     """The term ratio term(n+1)/term(n) of a sum over n:
 
         sign * q^(slope*n + offset) * prod muls / prod divs
@@ -612,8 +610,7 @@ _SIGN_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Theta1D:
+class Theta1D(Frozen):
     """One-sided theta-style sum: over n >= start of
 
         sign(n) * (wn*n + wc) * q^((A n^2 + B n + C) / div).
@@ -663,8 +660,7 @@ def theta1d(spec: Theta1D, order: int) -> QSeries:
     return QSeries(cs, order)
 
 
-@dataclass(frozen=True)
-class Theta2D:
+class Theta2D(Frozen):
     """Two-index theta-style sum: over r, n >= 0 of
 
         sign(n) * q^(((a1 r + b1)^2 + (a1 r + b1 + a2 n + b2)^2 + shift) / div).

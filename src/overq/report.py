@@ -8,24 +8,24 @@ check builds them as it goes, compares them and times the whole.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
-from .series import QSeries, Quotient, divided
+from .series import Frozen, QSeries, Quotient, divided
 
 Side = Union[QSeries, Quotient]
 SidePair = tuple[str, Side, Side]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of one coefficientwise comparison.
 
     order is the highest exponent compared.  mismatch, when present, is
     (exponent, left value, right value) for the first disagreeing
     coefficient; mismatch[0] is always an exponent (the Bailey relation
     names its index n in the note).  On a failure the note is the failing
-    pair's label.
+    pair's label.  differences, when present, is (count, first): how many
+    coefficients of the two sides differ through order, and the first five
+    (exponent, lhs - rhs) among them.
     """
 
     name: str
@@ -34,6 +34,7 @@ class VerificationReport:
     mismatch: Optional[tuple[int, Any, Any]] = None
     note: str = ""
     elapsed: float = 0.0
+    differences: Optional[tuple[int, tuple[tuple[int, Any], ...]]] = None
 
     def render(self) -> str:
         tag = "ok  " if self.ok else "FAIL"
@@ -41,6 +42,10 @@ class VerificationReport:
         if self.mismatch is not None:
             e, a, b = self.mismatch
             line += f" first mismatch at {e}: {a} != {b}"
+        if self.differences is not None:
+            count, first = self.differences
+            shown = ", ".join(f"{e}: {d}" for e, d in first)
+            line += f"; differing coefficients: {count}, lhs - rhs at {shown}"
         if self.note:
             line += f" [{self.note}]"
         return line
@@ -54,6 +59,10 @@ class VerificationReport:
         if self.mismatch is not None:
             e, a, b = self.mismatch
             out["mismatch"] = {"at": e, "lhs": str(a), "rhs": str(b)}
+            if self.differences is not None:
+                count, first = self.differences
+                out["mismatch"]["differing"] = count
+                out["mismatch"]["first_differences"] = [[e, str(d)] for e, d in first]
         if self.note:
             out["note"] = self.note
         out["elapsed"] = round(self.elapsed, 3)
@@ -96,9 +105,13 @@ def check(name: str, order: int, pairs: Iterable[SidePair], note: str = "") -> V
         left = ln if rd is None else ln * rd
         right = rn if ld is None else rn * ld
         if left.first_mismatch(right, through) is not None:
-            mismatch = divided(lhs).first_mismatch(divided(rhs), through)
+            a, b = divided(lhs), divided(rhs)
+            diffs = [
+                (e, x - y) for e, (x, y) in enumerate(zip(a.coeffs[: through + 1], b.coeffs)) if x != y
+            ]
             return VerificationReport(
-                name, through, False, mismatch, label, time.perf_counter() - start
+                name, through, False, a.first_mismatch(b, through), label,
+                time.perf_counter() - start, (len(diffs), tuple(diffs[:5])),
             )
         compared, count = min(compared, through), count + 1
     if not count:

@@ -1,7 +1,6 @@
 """Bailey pairs, the lemma specialization, and the stagewise proof chains."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -428,12 +427,16 @@ def _drop_alpha_7_last_term(p):
     )
 
 
+def _beta_ratio_slipped(p, beta_ratio):
+    return BaileyPair(p.name, p.relative, p.alpha_terms, p.alpha_low, beta_ratio)
+
+
 #: (pair with a slip, n, mismatch): n, the exponent and lhs - rhs there are
 #: those of the relation before it is multiplied through
 SLIPS = (
-    (replace(PAIRS["lovejoy-q2"], beta_ratio=Ratio((1, 0, 0), divs=((1, 1, 1), (1, 1, 3)))), 1, (2, 1, 0)),
-    (replace(PAIRS["slater-h1"], beta_ratio=Ratio((1, 0, 1), divs=((1, 1, 1), (1, 1, 2)))), 1, (2, 0, -1)),
-    (replace(PAIRS["slater-h1"], beta_ratio=Ratio((-1, 0, 1), divs=((1, 1, 1), (1, 1, 1)))), 1, (1, 1, -1)),
+    (_beta_ratio_slipped(PAIRS["lovejoy-q2"], Ratio((1, 0, 0), divs=((1, 1, 1), (1, 1, 3)))), 1, (2, 1, 0)),
+    (_beta_ratio_slipped(PAIRS["slater-h1"], Ratio((1, 0, 1), divs=((1, 1, 1), (1, 1, 2)))), 1, (2, 0, -1)),
+    (_beta_ratio_slipped(PAIRS["slater-h1"], Ratio((-1, 0, 1), divs=((1, 1, 1), (1, 1, 1)))), 1, (1, 1, -1)),
     (_drop_alpha_7_last_term(PAIRS["lovejoy-q2"]), 7, (70, 0, 1)),
     (_drop_alpha_7_last_term(PAIRS["slater-h1"]), 7, (56, -1, 0)),
 )
@@ -507,7 +510,7 @@ def _a3_offset_raised(order):
     return (
         _grouped_assembly(order)
         - theta2d(_A3_ROWS, order).scale(2)
-        + theta2d(replace(_A3_ROWS, b2=_A3_ROWS.b2 + 2), order).scale(2)
+        + theta2d(Theta2D(2, 1, 4, 6, shift=-2, div=8), order).scale(2)
     )
 
 

@@ -2,15 +2,18 @@
 
 Each test corrupts one builder by flipping a single coefficient and pins
 the report's (name, order, ok, mismatch, note): the mismatch exponent, the
-pair label in the note and the order a failure reports.
+pair label in the note and the order a failure reports.  Some also pin the
+differences: how many coefficients differ and the first lhs - rhs.
 """
 
-import dataclasses
+import json
 
 import overq.bailey as bailey
+import overq.cli as cli
 import overq.identities as identities
 from overq.enumeration import oracle_compare
-from overq.series import QSeries, divided
+from overq.report import check
+from overq.series import QSeries, Quotient, divided, one
 
 
 def flip(side, at):
@@ -38,6 +41,35 @@ def test_direct_theorem(monkeypatch):
     monkeypatch.setattr(identities, "rhs_theorem", flipped(identities.rhs_theorem, 6))
     report = identities.verify_theorem("A", 20)
     assert fields(report) == ("theorem:A", 20, False, (6, 3, 4), "")
+    assert report.differences == (1, ((6, -1),))
+    assert report.render().endswith(
+        " first mismatch at 6: 3 != 4; differing coefficients: 1, lhs - rhs at 6: -1"
+    )
+
+
+def test_quotient_side_differences():
+    # 1/(1 - q) = 1 + q + q^2 + ..., against ones with q^4 raised and q^7 dropped
+    lhs = Quotient(one(10), QSeries([1, -1] + [0] * 9))
+    rhs = QSeries([1, 1, 1, 1, 2, 1, 1, 0, 1, 1, 1])
+    report = check("quotient", 10, [("label", lhs, rhs)])
+    assert fields(report) == ("quotient", 10, False, (4, 1, 2), "label")
+    assert report.differences == (2, ((4, -1), (7, 1)))
+    # every coefficient differs: eleven counted, the first five listed
+    report = check("quotient", 10, [("label", lhs, QSeries([0] * 11))])
+    assert report.differences == (11, tuple((e, 1) for e in range(5)))
+    assert report.to_dict()["mismatch"] == {
+        "at": 0, "lhs": "1", "rhs": "0", "differing": 11,
+        "first_differences": [[e, "1"] for e in range(5)],
+    }
+
+
+def test_cli_json_nests_the_differences(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "rhs_theorem", flipped(identities.rhs_theorem, 6))
+    assert cli.main(["verify", "--target", "theorem:A", "--order", "20", "--format", "json"]) == 1
+    (doc,) = json.loads(capsys.readouterr().out)
+    assert doc["mismatch"] == {
+        "at": 6, "lhs": "3", "rhs": "4", "differing": 1, "first_differences": [[6, "-1"]]
+    }
 
 
 def test_mapped_theorem(monkeypatch):
@@ -76,7 +108,8 @@ def test_bailey_relation_at_n(monkeypatch):
     def alpha_terms(r):  # alpha_3's row gains the term q^13
         return tuple(p.alpha_terms(r)) + (((13, 1),) if r == 3 else ())
 
-    monkeypatch.setitem(bailey.PAIRS, "slater-h1", dataclasses.replace(p, alpha_terms=alpha_terms))
+    slipped = bailey.BaileyPair(p.name, p.relative, alpha_terms, p.alpha_low, p.beta_ratio)
+    monkeypatch.setitem(bailey.PAIRS, "slater-h1", slipped)
     report = bailey.bailey_check("slater-h1", n_max=10, order=30)
     assert fields(report) == (
         "bailey:slater-h1", 30, False, (13, 1, 0), "defining relation fails at n=3"
@@ -104,6 +137,9 @@ def test_chain_stage_and_summary(monkeypatch):
     assert fields(bailey.chain_summary(list(reports.values()), 30)) == (
         "chain", 30, False, (4, 0, 1),
         "2 of 34 stages fail, first chain:C:difference-of-squares",
+    )
+    assert bailey.chain_summary(list(reports.values()), 30).differences == (
+        reports["chain:C:difference-of-squares"].differences
     )
 
 

@@ -6,7 +6,6 @@ side with QSeries.invert: the same verdict and the same (exponent, lhs,
 rhs).  And no verification divides.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -53,7 +52,7 @@ def _fine_right_offset(monkeypatch):
 
     def slipped(init, ratio, order, *args, **kwargs):
         if ratio.shift == (-1, 3, 2):
-            ratio = dataclasses.replace(ratio, shift=(-1, 3, 3))
+            ratio = Ratio((-1, 3, 3), ratio.muls, ratio.divs)
         return real(init, ratio, order, *args, **kwargs)
 
     monkeypatch.setattr(identities, "ratio_sum", slipped)
