@@ -61,6 +61,7 @@ from itertools import islice
 from operator import neg
 from typing import Callable, Iterator, Sequence, Union
 
+from ._frozen import Frozen
 from .identities import gen_family, jacobi_theta, mapped_inner_order, rhs_theorem
 from .products import (
     Monomial,
@@ -83,7 +84,6 @@ from .products import (
 from .report import Side as SideValue, SidePair, VerificationReport, check, one_pair
 from .series import (
     Coeff,
-    Frozen,
     QSeries,
     Quotient,
     _div_binomial_inplace,

@@ -19,9 +19,6 @@ built.  oracle compares through its --max-n weight and reads no order.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import re
 import sys
@@ -98,10 +95,16 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
+def _emit_json(payload: Any, out: Optional[str]) -> None:
+    import json  # only the commands that write JSON pay for the import
+
+    _emit(json.dumps(payload, indent=2), out)
+
+
 def _emit_reports(reports: list[VerificationReport], args: argparse.Namespace) -> int:
     """Write the reports in the requested format; exit 1 if any failed."""
     if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
+        _emit_json([r.to_dict() for r in reports], args.out)
     else:
         _emit("\n".join(r.render() for r in reports), args.out)
     return 0 if all(r.ok for r in reports) else 1
@@ -212,18 +215,16 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     series = _series_for(args.series, order)
     table = [(e, str(c)) for e, c in enumerate(series.coeffs) if c]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["exponent", "coefficient"])
-        writer.writerows(table)
-        _emit(buf.getvalue(), args.out)
+        # no field holds a comma, quote or newline, so none needs quoting;
+        # rows end in \r\n, as csv.writer's do
+        _emit("".join(f"{e},{v}\r\n" for e, v in [("exponent", "coefficient"), *table]), args.out)
     else:
         payload = {
             "series": args.series,
             "order": series.order,
             "coeffs": [[e, v] for e, v in table],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
     return 0
 
 
@@ -239,14 +240,14 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         lines = [obj.render(unicode=args.unicode) for obj in objs]
         if args.format == "json":
             payload = {"family": spec.name, "n": args.n, "objects": lines}
-            _emit(json.dumps(payload, indent=2), args.out)
+            _emit_json(payload, args.out)
         else:
             _emit("\n".join(lines), args.out)
     else:
         even, odd, signed = signed_count(args.family, args.n)
         if args.format == "json":
             payload = {"family": spec.name, "n": args.n, "counts": [even, odd, signed]}
-            _emit(json.dumps(payload, indent=2), args.out)
+            _emit_json(payload, args.out)
         else:
             _emit(f"({even}, {odd}, {signed})", args.out)
     return 0

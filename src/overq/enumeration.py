@@ -34,7 +34,7 @@ from itertools import product, repeat, starmap
 from operator import add, and_, attrgetter, sub
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .series import Frozen
+from ._frozen import Frozen
 
 
 #: (size, overlined) parts

@@ -86,9 +86,9 @@ from contextvars import ContextVar
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from ._frozen import Frozen
 from .series import (
     Coeff,
-    Frozen,
     OrderExceededError,
     QSeries,
     Quotient,

@@ -10,7 +10,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
-from .series import Frozen, QSeries, Quotient, divided
+from ._frozen import Frozen
+from .series import QSeries, Quotient, divided
 
 Side = Union[QSeries, Quotient]
 SidePair = tuple[str, Side, Side]

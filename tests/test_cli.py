@@ -56,6 +56,23 @@ def test_coeffs_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["exponent", "coefficient"]
     assert ["3", "-2"] in rows
+    assert out == "exponent,coefficient\r\n1,1\r\n3,-2\r\n6,3\r\n10,-4\r\n"
+
+
+@pytest.mark.parametrize("sid", ["gen:A", "rhs:D", "classical:gr-iii9:lhs", "classical:euler:rhs"])
+def test_coeffs_bytes_match_the_csv_and_json_writers(capsys, sid):
+    # coeffs writes its CSV rows by hand; they and its JSON must be byte for
+    # byte what csv.writer and json.dumps(indent=2) write
+    table = [(e, str(c)) for e, c in enumerate(cli._series_for(sid, 40).coeffs) if c]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["exponent", "coefficient"])
+    writer.writerows(table)
+    code, out, _ = run(capsys, "coeffs", "--series", sid, "--order", "40", "--format", "csv")
+    assert code == 0 and out == buf.getvalue()
+    code, out, _ = run(capsys, "coeffs", "--series", sid, "--order", "40", "--format", "json")
+    payload = {"series": sid, "order": 40, "coeffs": [[e, v] for e, v in table]}
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_coeffs_fractions_roundtrip(capsys):

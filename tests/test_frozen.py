@@ -1,11 +1,13 @@
 """The package's value classes against the frozen dataclasses they replace.
 
-Each of the ten classes built on series.Frozen gets a twin from
+Each of the ten classes built on _frozen.Frozen gets a twin from
 dataclasses.make_dataclass with the same fields and defaults (frozen, and
 ordered for the two overpartition classes), carrying the class's own
 __post_init__ and __repr__.  Construction, validation, equality, hashing,
-repr and ordering must match the twin's.  A second test checks that the
-package imports without dataclasses or inspect.
+repr and ordering must match the twin's.  QSeries, a slotted value that
+is not a Frozen class, must copy and pickle like them.  The last tests
+check that the package imports without dataclasses or inspect, and that
+_frozen imports no other module of the package.
 """
 
 import copy
@@ -16,14 +18,17 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from overq import series
+from overq._frozen import Frozen
 from overq.bailey import PAIRS, BaileyPair, _lovejoy_alpha
 from overq.enumeration import FAMILIES, FamilySpec, Overpartition, OverpartitionPair, enumerate_family
 from overq.products import Monomial, Ratio, Theta1D, Theta2D
 from overq.report import VerificationReport
-from overq.series import Frozen, QSeries, Quotient, ZeroConstantTermError
+from overq.series import QSeries, Quotient, ZeroConstantTermError
 
 ORDERED = (Overpartition, OverpartitionPair)
 
@@ -165,8 +170,7 @@ def test_assignment_and_deletion_raise(cls):
 
 
 #: a picklable instance of each class: BaileyPair's stored alpha_low is a
-#: lambda, and a QSeries neither pickles nor deep-copies (it is slotted and
-#: refuses setattr), so Quotient is copied shallowly
+#: lambda, so its instance takes two module-level functions instead
 PICKLABLE = {cls: cls(*CASES[cls][0][-1]) for cls in CLASSES}
 PICKLABLE[BaileyPair] = BaileyPair("p", Monomial(1, 2), _lovejoy_alpha, abs, Ratio((1, 0, 0)))
 
@@ -174,15 +178,25 @@ PICKLABLE[BaileyPair] = BaileyPair("p", Monomial(1, 2), _lovejoy_alpha, abs, Rat
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_pickle_and_deepcopy_round_trip(cls):
     x = PICKLABLE[cls]
-    if cls is Quotient:
-        assert copy.copy(x) == x
-        with pytest.raises(AttributeError, match="QSeries"):
-            copy.deepcopy(x)
-        return
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        y = pickle.loads(pickle.dumps(x, protocol))
-        assert y == x and hash(y) == hash(x) and type(y) is cls
-    assert copy.deepcopy(x) == x and copy.copy(x) == x
+    copies = [pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies + [copy.deepcopy(x), copy.copy(x)]:
+        assert type(y) is cls
+        if cls is Quotient:
+            # a QSeries equals only itself, so compare the series' contents
+            assert [(s.order, s.coeffs) for s in y._values] == [(s.order, s.coeffs) for s in x._values]
+        else:
+            assert y == x and hash(y) == hash(x)
+    assert copy.copy(x) == x
+
+
+@pytest.mark.parametrize("x", [QSeries([1, 2, 3]), QSeries([0, Fraction(1, 2)], 1), QSeries([7])], ids=repr)
+def test_qseries_pickles_and_copies(x):
+    copies = [pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(x), copy.deepcopy(x)]
+    for y in copies:
+        assert type(y) is QSeries and (y.order, y.coeffs) == (x.order, x.coeffs)
+        with pytest.raises(AttributeError, match="immutable"):
+            y.order = 0
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -224,3 +238,12 @@ def test_the_package_imports_without_dataclasses_or_inspect():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_frozen_lives_in_a_leaf_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, overq._frozen; print(sorted(m for m in sys.modules if m.startswith('overq')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['overq', 'overq._frozen']"
+    assert series.Frozen is Frozen

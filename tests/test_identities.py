@@ -1,9 +1,12 @@
 """Family generating series, theorem sides, and the classical identity suite."""
 
+import random
+
 import pytest
 
 from overq.enumeration import FAMILIES, is_sum_two_triangular, oracle_compare
 from overq.identities import (
+    _BASIC_FACTS,
     CLASSICAL_IDS,
     MAPPED_FAMILIES,
     aw_sides,
@@ -159,3 +162,19 @@ def test_aw_sides_validation():
 def test_verify_theorem_unknown_family():
     with pytest.raises(KeyError):
         verify_theorem("E", 10)
+
+
+def test_basic_facts_table_is_the_seeded_draws():
+    # the six parameter sets are the draws the checks once made at run time
+    rng = random.Random(8232026)
+    drawn = [
+        (rng.choice((1, -1)), rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 8), rng.randint(0, 8))
+        for _ in range(6)
+    ]
+    assert list(_BASIC_FACTS) == drawn
+    labels = [label for label, _, _ in classical("basic-facts")(4)]
+    assert len(labels) == 18 and labels[:3] == [
+        "finite-split[a=-q^2,base=1,n=5,m=1]",
+        "tail-split[a=-q^2,base=1,n=5]",
+        "parity-split[a=-q^2,base=1]",
+    ]

@@ -24,11 +24,14 @@ workloads imports overq):
 
 The output gives each side's median and quartiles over the rounds, the
 ratio of the medians (change / base), and in how many rounds the change
-was faster.  One more untimed call per side, after the rounds, runs under
-tracemalloc and gives the side's peak of traced memory, in bytes: the
-memory a pass allocates, apart from the interpreter and the imported
-modules.  It moves by some hundreds of bytes between calls on one tree,
-with what earlier calls left on the allocator's free lists.
+was faster.  Two more untimed calls per side, after the rounds, run under
+tracemalloc and give the side's traced peak, in bytes: the peak of the
+second call above what was traced when the first ended.  Freed dicts,
+tuples and lists wait on CPython's free lists and stay traced; the first
+call fills those lists, so the second reuses their entries rather than
+reading as new memory.  No gc.collect() runs between the calls: a full
+collection empties the free lists.  What the free lists take on beyond
+the first call's end still counts.
 """
 
 from __future__ import annotations
@@ -108,12 +111,17 @@ def timed(label: str, run: Callable[[], bool]) -> float:
 
 
 def traced_peak(label: str, run: Callable[[], bool]) -> int:
-    """The peak of traced memory, in bytes, over one untimed call."""
+    """The traced peak, in bytes, of a second untimed call above what the
+    first left traced, free lists included."""
     gc.collect()
     tracemalloc.start()
     try:
         ok = run()
-        peak = tracemalloc.get_traced_memory()[1]
+        # no gc.collect() here: a full collection empties the free lists
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ok = run() and ok
+        peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     if not ok:
@@ -165,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         f"change faster in {wins} of {args.rounds} rounds"
     )
     print(
-        f"traced peak of one call: base {peaks['base']:,} B, "
+        f"traced peak of a warm call: base {peaks['base']:,} B, "
         f"change {peaks['change']:,} B"
     )
     return 0
