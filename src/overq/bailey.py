@@ -98,6 +98,29 @@ class MismatchedRelativeError(ValueError):
     """A lemma parameter whose square is not the pair's relative parameter."""
 
 
+def _terms(ratio: Ratio, order: int) -> Iterator[QSeries]:
+    """t_0 = 1, t_1, ... at the order, t_(n+1)/t_n = ratio, each from the last."""
+    sign, slope, offset = ratio.shift
+    # t_n / q^at, in the order + 1 - at coefficients that reach the order
+    term: list[Coeff] = [0] * (order + 1)
+    term[0] = 1
+    at = n = 0
+    while True:
+        yield QSeries(([0] * at + term)[: order + 1], order)
+        at += slope * n + offset
+        del term[max(0, order + 1 - at):]
+        if sign == -1:
+            term[:] = map(neg, term)
+        muls, divs = ratio.factors(n)
+        for c, _, e in muls:
+            if e < len(term):
+                _mul_binomial_inplace(term, c, e)
+        for c, _, e in divs:
+            if e < len(term):
+                _div_binomial_inplace(term, c, e)
+        n += 1
+
+
 class BaileyPair(Frozen):
     """A named Bailey pair with polynomial alpha and closed-form beta.
 
@@ -124,25 +147,7 @@ class BaileyPair(Frozen):
 
     def betas(self, order: int) -> Iterator[QSeries]:
         """beta_0, beta_1, ... at the order, each advanced from the last."""
-        sign, slope, offset = self.beta_ratio.shift
-        # beta_n / q^at, in the order + 1 - at coefficients that reach the order
-        term: list[Coeff] = [0] * (order + 1)
-        term[0] = 1
-        at = n = 0
-        while True:
-            yield QSeries(([0] * at + term)[: order + 1], order)
-            at += slope * n + offset
-            del term[max(0, order + 1 - at):]
-            if sign == -1:
-                term[:] = map(neg, term)
-            muls, divs = self.beta_ratio.factors(n)
-            for c, _, e in muls:
-                if e < len(term):
-                    _mul_binomial_inplace(term, -c, e)
-            for c, _, e in divs:
-                if e < len(term):
-                    _div_binomial_inplace(term, -c, e)
-            n += 1
+        return _terms(self.beta_ratio, order)
 
     def beta(self, n: int, order: int) -> QSeries:
         return next(islice(self.betas(order), n, None))
@@ -232,8 +237,7 @@ def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]
         rows.append([(e, c) for e, c in p.alpha_terms(r) if e <= order])
     # (q;q)_(n+1) (aq;q)_(n+1) / ((q;q)_n (aq;q)_n), times beta's own ratio
     scaled = p.beta_ratio * Ratio((1, 0, 0), muls=((1, 1, 1), (a.c, 1, a.e + 1)))
-    scaled_pair = BaileyPair(p.name, p.relative, p.alpha_terms, p.alpha_low, scaled)
-    for n, rhs in zip(range(n_max + 1), scaled_pair.betas(order)):
+    for n, rhs in zip(range(n_max + 1), _terms(scaled, order)):
         slots, bound, h = _Slots(length, _START_WIDTH), 0, 0
         top = min(n, len(rows) - 1)
         for r in range(top, -1, -1):
@@ -293,8 +297,8 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[SideValue, QSerie
             if e <= order - r:
                 dr[e] += c
         if r:  # at r = 0, (1 - a q^r) cancels the normalization (1 - a)
-            _mul_binomial_inplace(dr, -a.c, a.e)
-            _div_binomial_inplace(dr, -a.c, a.e + r)
+            _mul_binomial_inplace(dr, a.c, a.e)
+            _div_binomial_inplace(dr, a.c, a.e + r)
         adds = []
         n = 0
         while True:
@@ -366,7 +370,7 @@ def _c_explicit_sum(order: int) -> Quotient:
 @shared
 def _c_ladder_tails(order: int) -> QSeries:
     # sum q^n (-q;q)_n (q;q^2)_(n+1) (q^(n+1);q)_inf (q^(n+2);q)_inf^2
-    return ratio_sum(one(order).mul_binomial(-1, 1), _C_LADDER_RATIO, order, factors=_C_PREFIX)
+    return ratio_sum(one(order).mul_binomial(1, 1), _C_LADDER_RATIO, order, factors=_C_PREFIX)
 
 
 @shared
@@ -419,7 +423,7 @@ def _c_ladder_merged(order: int) -> Quotient:
 def _c_ladder_finite(order: int) -> Quotient:
     # sum q^n (q^(n+1);q)_inf (q^(n+1);q)_(n+1) (q^(n+2);q)_inf^2
     p2 = poch_infinite(_Q2, 1, order)
-    init = poch_infinite(_Q, 1, order).mul_binomial(-1, 1) * p2 * p2
+    init = poch_infinite(_Q, 1, order).mul_binomial(1, 1) * p2 * p2
     return ratio_sum(init, _C_LADDER2_RATIO, order)
 
 
@@ -497,7 +501,7 @@ def _d_core_product(order: int) -> QSeries:
 def _d_ladder_middle(order: int) -> Quotient:
     # sum q^(2n) (-q;q)_(n-1) (q;q)_(2n) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
-    init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(-1, 2)
+    init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(1, 2)
     ratio = Ratio(
         (1, 0, 2),
         muls=((-1, 1, 0), (1, 2, 1), (1, 2, 2)),
@@ -510,7 +514,7 @@ def _d_ladder_middle(order: int) -> Quotient:
 def _d_ladder_even(order: int) -> Quotient:
     # sum q^(2n) (q^2;q^2)_(n-1) (q^n;q)_(n+1) (q^(n+1);q)_inf^3 / (q^2;q^2)_n
     p = poch_infinite(_Q2, 1, order)
-    init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(-1, 2)
+    init = (poch_finite(_Q, 1, 2, order) * (p * p * p)).div_binomial(1, 2)
     ratio = Ratio(
         (1, 0, 2),
         muls=((1, 2, 0), (1, 2, 1), (1, 2, 2)),
@@ -680,13 +684,13 @@ CHAIN_TABLE: tuple[tuple[str, Side, Side], ...] = (
     ("C:lemma-lhs-vs-explicit-sum", _lemma("lovejoy-q2", _NEG_Q, 0), "_c_explicit_sum"),
     (
         "C:lemma-rhs-vs-explicit-lattice",
-        lambda o: _lemma("lovejoy-q2", _NEG_Q, 1)(o).mul_binomial(-1, 1),
+        lambda o: _lemma("lovejoy-q2", _NEG_Q, 1)(o).mul_binomial(1, 1),
         "_c_bpd1_lattice",
     ),
-    ("C:specialized-identity", lambda o: _c_explicit_sum(o).mul_binomial(-1, 1), "_c_bpd1_lattice"),
+    ("C:specialized-identity", lambda o: _c_explicit_sum(o).mul_binomial(1, 1), "_c_bpd1_lattice"),
     (
         "C:infinite-tails-absorbed",
-        lambda o: _c_explicit_sum(o).mul_binomial(-1, 1),
+        lambda o: _c_explicit_sum(o).mul_binomial(1, 1),
         "_c_ladder_tails",
     ),
     ("C:overline-factor-pulled-out", "_c_ladder_tails", "_c_ladder_pulled_out"),

@@ -57,6 +57,10 @@ MAX_WEIGHT = 30
 #: order.
 MAX_ORDER = 8002
 
+#: `verify` checks a Bailey pair's defining relation for n = 0 .. RELATION_DEPTH
+RELATION_DEPTH = 40
+
+
 class UsageError(Exception):
     """Bad input that should exit 2."""
 
@@ -179,7 +183,7 @@ def _verify_reports(target: str, order: int) -> list[VerificationReport]:
         _known(classical, rest)
         return [verify_classical(rest, order)]
     if head == "bailey" and rest:
-        return [_bailey.bailey_check(_known(_bailey.pair, rest), n_max=40, order=order)]
+        return [_bailey.bailey_check(_known(_bailey.pair, rest), n_max=RELATION_DEPTH, order=order)]
     if head == "lemma" and rest:
         p = _known(_bailey.pair, rest)
         return [_bailey.verify_lemma(p, dict(_bailey.LEMMA_CASES)[p.name], order)]
@@ -190,7 +194,7 @@ def _verify_reports(target: str, order: int) -> list[VerificationReport]:
         reports = [verify_theorem(fam, order) for fam in FAMILIES]
         reports += [verify_classical(cid, order) for cid in CLASSICAL_IDS]
         for pair_name, a in _bailey.LEMMA_CASES:
-            reports.append(_bailey.bailey_check(pair_name, n_max=40, order=order))
+            reports.append(_bailey.bailey_check(pair_name, n_max=RELATION_DEPTH, order=order))
             reports.append(_bailey.verify_lemma(pair_name, a, order))
         reports.append(_bailey.verify_chain(order))
         return reports

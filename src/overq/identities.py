@@ -40,10 +40,9 @@ from .products import (
 )
 from .report import Side, SidePair, VerificationReport, check, one_pair
 from .series import (
-    Coeff,
     QSeries,
     Quotient,
-    _div_binomial_inplace,
+    _div_binomial_inplace,  # unused here; bench/spans.py traces this binding
     _mul_binomial_inplace,  # unused here; bench/spans.py traces this binding
     divided,
     one,
@@ -281,15 +280,12 @@ def aw_sides(zsign: int, order: int) -> tuple[Side, QSeries]:
     if zsign not in (1, -1):
         raise ValueError("z must be +1 or -1")
     tau = -zsign  # both upper products become (tau*q; q^2)_n
-    term: list[Coeff] = [0] * (order + 1)
-    term[0] = 1
-    _div_binomial_inplace(term, 1, 1)  # the n = 0 term 1/(1+q)
     ratio = Ratio(
         (1, 0, 1),
         muls=((tau, 2, 1), (tau, 2, 1)),
         divs=((-1, 2, 2), (-1, 2, 3)),
     )
-    lhs = ratio_sum(QSeries(term, order), ratio, order)
+    lhs = ratio_sum(one(order).div_binomial(-1, 1), ratio, order)  # n = 0: 1/(1 + q)
     if zsign == 1:
         rhs = theta1d(Theta1D((1, 1, 0), weight=(2, 1)), order)
     else:

@@ -446,7 +446,7 @@ def _unmatched(cs: list, counts: dict[int, list]) -> list:
                 continue
             if 2 * e < full:
                 for _ in range(k):
-                    _mul_binomial_inplace(cs, -c, e)
+                    _mul_binomial_inplace(cs, c, e)
             else:
                 tail[e] -= c * k
     if any(tail[1:]):

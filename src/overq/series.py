@@ -30,22 +30,13 @@ products and its ratio sums on the same packing; a ratio sum that leaves
 a divide over is a Quotient, which nothing divides.
 
 The two in-place binomial kernels multiply or divide a coefficient list by
-(1 + c*q^e), for builders in every module and QSeries.mul_binomial and
-div_binomial.  Each runs as C-level builtins over slices (map,
-itertools.accumulate) rather than one Python step per coefficient.  The
-multiply is one map: every coefficient reads one e below it, none of them
-updated yet.  The divide reads coefficients it has already updated, and
-the package divides only by (1 - q^e) and (1 + q^e), so it dispatches on
-c and on e against the list length L:
-
-- (1 - q^e) with e*e < L: the quotient is a running sum along each residue
-  class mod e, one accumulate per class, so e calls of about L/e steps;
-- (1 + q^e) with (2e)^2 < L: multiply by (1 - q^e) and divide by
-  (1 - q^(2e)), the same product, by the running sums mod 2e;
-- otherwise, and for any other c: one pass per block of e coefficients,
-  each reading the finished block below it, so about L/e calls of e steps.
-
-Both running-sum rules pick the pass with fewer Python-level calls.
+(1 - c*q^e), read as a products Ratio row (c, 0, e) reads it, for builders
+in every module and QSeries.mul_binomial and div_binomial.  Each runs as
+C-level builtins over slices rather than one Python step per coefficient.
+The multiply is one map: every coefficient reads one e below it, none of
+them updated yet.  The divide reads coefficients it has already updated, so
+it runs one pass per block of e coefficients, each reading the finished
+block below it: about L/e calls of e steps for a list of length L.
 
 invert on an integer series with constant term +-1 runs Newton's iteration
 g <- g*(2 - a*g) on the Kronecker product, doubling the correct length of g
@@ -58,7 +49,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import compress
 from operator import add, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -258,13 +249,13 @@ class QSeries:
     # -- binomial shortcuts -------------------------------------------------
 
     def mul_binomial(self, c: Coeff, e: int) -> "QSeries":
-        """Multiply by (1 + c*q^e) in one pass."""
+        """Multiply by (1 - c*q^e) in one pass."""
         cs = list(self.coeffs)
         _mul_binomial_inplace(cs, c, e)
         return QSeries(cs, self.order)
 
     def div_binomial(self, c: Coeff, e: int) -> "QSeries":
-        """Divide by (1 + c*q^e) in one pass."""
+        """Divide by (1 - c*q^e), one pass per block of e coefficients."""
         cs = list(self.coeffs)
         _div_binomial_inplace(cs, c, e)
         return QSeries(cs, self.order)
@@ -280,7 +271,10 @@ class Quotient(Frozen):
     It multiplies, shifts and takes a binomial factor, which is all its
     builders ask of it.  It does not add or scale: the sides that do (the D
     chain's half split and Jacobi swap) add and scale a sum that nets to a
-    series."""
+    series.
+
+    QSeries has no value equality, so a quotient equals only one of the
+    same two series objects, never one of equal but distinct series."""
 
     num: QSeries
     den: QSeries
@@ -306,6 +300,7 @@ class Quotient(Frozen):
         return Quotient(self.num.shift(e), self.den)
 
     def mul_binomial(self, c: Coeff, e: int) -> "Quotient":
+        """Multiply by (1 - c*q^e): the num takes the factor."""
         return Quotient(self.num.mul_binomial(c, e), self.den)
 
 
@@ -532,9 +527,10 @@ def _newton_invert(a: Sequence[int], n: int) -> list:
 # -- in-place kernels -------------------------------------------------------
 #
 # Builders elsewhere in the package run long chains of binomial updates on a
-# plain list and wrap the result in a QSeries once at the end.  The factor is
-# (1 + c*q^e) in both kernels.  Coefficients are not normalized here: a whole
-# Fraction may linger on the list until the QSeries wrap collapses it.
+# plain list and wrap the result in a QSeries once at the end.  (c, e) is the
+# binomial (1 - c*q^e) in both kernels, as a Ratio row (c, 0, e) reads it.
+# Coefficients are not normalized here: a whole Fraction may linger on the
+# list until the QSeries wrap collapses it.
 
 
 def _plus_scaled(xs: Sequence[Coeff], ys: Sequence[Coeff], c: Coeff) -> list:
@@ -547,35 +543,25 @@ def _plus_scaled(xs: Sequence[Coeff], ys: Sequence[Coeff], c: Coeff) -> list:
 
 
 def _mul_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
+    """Multiply cs by (1 - c*q^e) in place."""
     if e < 0:
         raise ValueError("exponents are nonnegative")
     # the new coefficients are built in full before any is stored, so each
     # reads the old coefficient e below it
-    cs[e:] = _plus_scaled(cs[e:], cs, c)
+    cs[e:] = _plus_scaled(cs[e:], cs, -c)
 
 
 def _div_binomial_inplace(cs: list, c: Coeff, e: int) -> None:
+    """Divide cs by (1 - c*q^e) in place."""
     if e < 0:
         raise ValueError("exponents are nonnegative")
     if e == 0:
-        s = 1 + c
-        if s == 0:
-            raise ZeroConstantTermError("division by the zero constant 1 + (-1)")
-        inv = _norm(Fraction(1, 1) / s)
-        for i in range(len(cs)):
-            cs[i] *= inv
+        if c == 1:
+            raise ZeroConstantTermError("division by the zero constant 1 - 1")
+        inv = _norm(Fraction(1) / (1 - c))
+        cs[:] = [x * inv for x in cs]
         return
-    if c == 1 and 4 * e * e < len(cs):
-        # 1/(1 + q^e) = (1 - q^e)/(1 - q^(2e))
-        cs[e:] = _plus_scaled(cs[e:], cs, -1)
-        c, e = -1, 2 * e
-    if c == -1 and e * e < len(cs):
-        # dividing by (1 - q^e) adds to each coefficient the updated one e
-        # below it: a running sum along each residue class mod e
-        for r in range(e):
-            cs[r::e] = accumulate(cs[r::e])
-        return
-    # every update reads the coefficient e below it, already updated: a block
-    # of e coefficients reads only the block below it
+    # every update adds c times the coefficient e below it, already updated:
+    # a block of e coefficients reads only the block below it
     for b in range(e, len(cs), e):
-        cs[b : b + e] = _plus_scaled(cs[b : b + e], cs[b - e : b], -c)
+        cs[b : b + e] = _plus_scaled(cs[b : b + e], cs[b - e : b], c)

@@ -7,6 +7,7 @@ plain pytest run shows the per-criterion verdicts.
 import time
 
 from overq.bailey import LEMMA_CASES, PAIRS, bailey_check, chain_stage_reports, verify_lemma
+from overq.cli import RELATION_DEPTH
 from overq.enumeration import (
     FAMILIES,
     distinct_parts_difference,
@@ -119,13 +120,13 @@ def test_criterion_6_classical_suite(capsys):
 def test_criterion_7_bailey_machinery(capsys):
     checks = []
     for name in PAIRS:
-        checks.append((f"pair {name}", bailey_check(name, 40, 200).ok))
+        checks.append((f"pair {name}", bailey_check(name, RELATION_DEPTH, 200).ok))
     for name, a in LEMMA_CASES:
         checks.append((f"lemma {name}", verify_lemma(name, a, 150).ok))
     for rep in chain_stage_reports(120):
         checks.append((rep.name, rep.ok))
     ok = all(c for _, c in checks)
-    _verdict(capsys, 7, ok, "both pairs to n=40, lemma sides, every chain stage")
+    _verdict(capsys, 7, ok, f"both pairs to n={RELATION_DEPTH}, lemma sides, every chain stage")
     assert ok, [t for t, c in checks if not c]
 
 

@@ -18,6 +18,7 @@ from overq.bailey import (
     verify_chain,
     verify_lemma,
 )
+from overq.cli import RELATION_DEPTH
 from overq.products import (
     Monomial,
     Ratio,
@@ -106,13 +107,13 @@ def test_alpha_beta_fixtures():
     lj = pair("lovejoy-q2")
     assert lj.alpha(0, 6).coeffs == one(6).coeffs
     assert lj.alpha(1, 6).coeffs == (monomial(1, 2, 6) + monomial(1, 4, 6)).coeffs
-    b1 = monomial(1, 0, 8).div_binomial(-1, 1).div_binomial(-1, 2)
+    b1 = monomial(1, 0, 8).div_binomial(1, 1).div_binomial(1, 2)
     assert lj.beta(1, 8).coeffs == b1.coeffs
 
     sl = pair("slater-h1")
     assert sl.alpha(0, 6).coeffs == one(6).coeffs
     assert sl.alpha(1, 6).coeffs == (monomial(1, 2, 6) - one(6)).coeffs
-    s1 = monomial(1, 1, 8).div_binomial(-1, 1).div_binomial(-1, 1)
+    s1 = monomial(1, 1, 8).div_binomial(1, 1).div_binomial(1, 1)
     assert sl.beta(1, 8).coeffs == s1.coeffs
 
 
@@ -243,8 +244,8 @@ def _reference_lemma_sides(p, a, order):
             continue
         dr = list(alpha_r.coeffs)
         if r:
-            _mul_binomial_inplace(dr, -a.c, a.e)
-            _div_binomial_inplace(dr, -a.c, a.e + r)
+            _mul_binomial_inplace(dr, a.c, a.e)
+            _div_binomial_inplace(dr, a.c, a.e + r)
         n = 0
         while 2 * n * n + 2 * n * r + n + r + 2 * n * a.e <= order:
             e = 2 * n * n + 2 * n * r + n + r + 2 * n * a.e
@@ -301,8 +302,8 @@ def _shifted_add_relation(p, n_max, order):
         den = [1] + [0] * order
         for r in range(n + 1):
             if r:
-                _mul_binomial_inplace(den, -1, n - r + 1)
-                _div_binomial_inplace(den, -a.c, a.e + n + r)
+                _mul_binomial_inplace(den, 1, n - r + 1)
+                _div_binomial_inplace(den, a.c, a.e + n + r)
             for e, c in enumerate(p.alpha(r, order).coeffs):
                 if c:
                     _add_shifted(acc, den, e, c)
@@ -390,7 +391,7 @@ def test_bailey_check_makes_no_series_product(name, monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", counted(QSeries.__mul__))
     for module, attr in ((series, "_kronecker_mul"), (series, "_sparse_mul"), (products, "_kronecker_mul")):
         monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
-    assert bailey_check(name, 40, 400).ok
+    assert bailey_check(name, RELATION_DEPTH, 400).ok
     assert calls == []
 
 
@@ -461,7 +462,7 @@ def _divided_d_core(order):
         muls=((-1, 1, 0), (1, 2, 1)),
         divs=((1, 1, 1), (1, 1, 1), (1, 1, 1)),
     )
-    init = one(order).div_binomial(-1, 1).div_binomial(-1, 1)
+    init = one(order).div_binomial(1, 1).div_binomial(1, 1)
     p = poch_infinite(Q, 1, order)
     return divided(p * p * p * ratio_sum(init, ratio, order, start=1, at=2))
 

@@ -5,9 +5,10 @@ dataclasses.make_dataclass with the same fields and defaults (frozen, and
 ordered for the two overpartition classes), carrying the class's own
 __post_init__ and __repr__.  Construction, validation, equality, hashing,
 repr and ordering must match the twin's.  QSeries, a slotted value that
-is not a Frozen class, must copy and pickle like them.  The last tests
-check that the package imports without dataclasses or inspect, and that
-_frozen imports no other module of the package.
+is not a Frozen class, must copy and pickle like them; having no value
+equality, it makes a Quotient equal only to one of the same two series.
+The last tests check that the package imports without dataclasses or
+inspect, and that _frozen imports no other module of the package.
 """
 
 import copy
@@ -187,6 +188,14 @@ def test_pickle_and_deepcopy_round_trip(cls):
         else:
             assert y == x and hash(y) == hash(x)
     assert copy.copy(x) == x
+
+
+def test_a_quotient_equals_only_a_quotient_of_the_same_series_objects():
+    x = Quotient(_NUM, _DEN)
+    twin = Quotient(QSeries(_NUM.coeffs), QSeries(_DEN.coeffs))
+    assert x != twin  # QSeries has no value equality
+    assert x == x and x == Quotient(_NUM, _DEN)
+    assert hash(x) == hash(x) == hash(Quotient(_NUM, _DEN))
 
 
 @pytest.mark.parametrize("x", [QSeries([1, 2, 3]), QSeries([0, Fraction(1, 2)], 1), QSeries([7])], ids=repr)

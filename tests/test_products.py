@@ -365,7 +365,7 @@ def _list_poch_finite(a, base, n, order):
             raise NegativeExponentFactor(f"factor (1 - {a.c}*q^{ex}) in ({a}; q^{base})_{n}")
         if ex > order:
             break
-        _mul_binomial_inplace(cs, -a.c, ex)
+        _mul_binomial_inplace(cs, a.c, ex)
         if ex == 0 and a.c == 1:
             break
     return cs
@@ -380,7 +380,7 @@ def _list_poch_infinite(a, base, order):
     cs[0] = 1
     ex = a.e
     while ex <= order:
-        _mul_binomial_inplace(cs, -a.c, ex)
+        _mul_binomial_inplace(cs, a.c, ex)
         ex += base
     return cs
 
@@ -503,7 +503,7 @@ def _list_binomial_product(runs, length):
     for c, exponents in runs:
         for e in exponents:
             if e < length:
-                _mul_binomial_inplace(cs, -c, e)
+                _mul_binomial_inplace(cs, c, e)
     return cs
 
 
@@ -583,7 +583,7 @@ def test_packed_divide_matches_the_list_kernel_within_its_bound(length):
                     mask = (1 << (8 * width * length)) - 1
                     x = _shift_div(_pack(cs, width) & mask, c, e, 8 * width, mask)
                     want = list(cs)
-                    _div_binomial_inplace(want, -c, e)
+                    _div_binomial_inplace(want, c, e)
                     assert _unpack(x, width, length) == want, (b, c, e)
                     assert max(map(abs, want)) < 1 << (b + grow)
     with pytest.raises(ValueError):

@@ -122,7 +122,7 @@ def test_a_zero_constant_denominator_is_refused():
 
 
 def test_two_quotients_of_one_num_and_den_fail_as_one_object():
-    side = Quotient(one(5).mul_binomial(1, 2), one(5).mul_binomial(-1, 1))
+    side = Quotient(one(5).mul_binomial(-1, 2), one(5).mul_binomial(1, 1))
     report = check("q", 5, [("x", side, Quotient(side.num, side.den))])
     assert (report.ok, report.mismatch, report.note) == (False, None, f"x: {SAME_OBJECT_NOTE}")
     assert check("q", 5, [("x", side, side * 1)]).ok

@@ -162,12 +162,12 @@ def _forward_advance(ratio, term, n, at, order):
             raise NegativeExponentFactor(f"factor (1 - {c}*q^{e}) at n={n}")
     for c, e in muls:
         if e < len(term):
-            _mul_binomial_inplace(term, -c, e)
+            _mul_binomial_inplace(term, c, e)
     for c, e in divs:
         if e == 0 and c == 1:
             raise ZeroDenominator(f"divisor (1 - q^0) at n={n}")
         if e < len(term):
-            _div_binomial_inplace(term, -c, e)
+            _div_binomial_inplace(term, c, e)
     return at
 
 
@@ -269,8 +269,8 @@ def _inline_gen_family(spec, order):
     for c, d, m in spec.inf_factors:
         for _ in range(m):
             for ex in range(1 + d, order + 1):
-                _mul_binomial_inplace(cur, -c, ex)
-    _mul_binomial_inplace(cur, -cf, 1 + df)
+                _mul_binomial_inplace(cur, c, ex)
+    _mul_binomial_inplace(cur, cf, 1 + df)
     ratio = Ratio(
         (1, 0, spec.prefactor),
         muls=((cf, 2, df), (cf, 2, df + 1)),
@@ -297,10 +297,10 @@ def _unpaired_apply(ratio, cs, muls, divs):
         cs[:] = [-v for v in cs]
     for c, _, e in muls:
         if e < len(cs):
-            _mul_binomial_inplace(cs, -c, e)
+            _mul_binomial_inplace(cs, c, e)
     for c, _, e in divs:
         if e < len(cs):
-            _div_binomial_inplace(cs, -c, e)
+            _div_binomial_inplace(cs, c, e)
 
 
 def _pairable(muls, divs):
@@ -584,7 +584,7 @@ def _times(init, factors):
     for c, e, m, n in factors:
         for ex in range(e, len(cs) if n is None else min(e + n, len(cs))):
             for _ in range(m):
-                _mul_binomial_inplace(cs, -c, ex)
+                _mul_binomial_inplace(cs, c, ex)
     return QSeries(cs, init.order)
 
 

@@ -218,9 +218,22 @@ def test_binomial_shortcuts_match_mul():
         s = _random_series(rng)
         c = rng.choice((1, -1, Fraction(1, 2)))
         e = rng.randrange(1, 6)
-        binom = monomial(c, e, ORDER) + one(ORDER)
+        binom = one(ORDER) - monomial(c, e, ORDER)
         assert s.mul_binomial(c, e).equal_up_to(s * binom, ORDER)
         assert s.div_binomial(c, e).mul_binomial(c, e).equal_up_to(s, ORDER)
+    # every public entry point reads (c, e) as (1 - c*q^e), at e = 0 and
+    # past the order too
+    s, den = _random_series(rng), _random_series(rng, nonzero_constant=True)
+    for c in (1, -1, 2, Fraction(1, 2)):
+        for e in (0, 1, 5, ORDER, ORDER + 1, ORDER + 7):
+            binom = one(ORDER) - monomial(c, e, ORDER)
+            assert s.mul_binomial(c, e).equal_up_to(s * binom, ORDER)
+            side = Quotient(s, den).mul_binomial(c, e)
+            assert side.num.equal_up_to(s * binom, ORDER) and side.den is den
+            if binom.coeffs[0]:
+                assert s.div_binomial(c, e).equal_up_to(s * binom.invert(), ORDER)
+    with pytest.raises(ZeroConstantTermError):
+        s.div_binomial(1, 0)
 
 
 # -- the Kronecker product against the schoolbook reference -------------------
@@ -488,31 +501,31 @@ BINOMIAL_CS = (1, -1, 2, Fraction(1, 3))
 
 
 def _loop_mul_binomial(cs, c, e):
-    """Multiply cs in place by (1 + c*q^e), one coefficient per step, from
+    """Multiply cs in place by (1 - c*q^e), one coefficient per step, from
     the top down so every step reads a coefficient not yet updated."""
     if e == 0:
-        s = 1 + c
+        s = 1 - c
         for i in range(len(cs)):
             cs[i] *= s
         return
     for i in range(len(cs) - 1, e - 1, -1):
         lo = cs[i - e]
         if lo:
-            cs[i] += c * lo
+            cs[i] -= c * lo
 
 
 def _loop_div_binomial(cs, c, e):
-    """Divide cs in place by (1 + c*q^e), one coefficient per step, from the
+    """Divide cs in place by (1 - c*q^e), one coefficient per step, from the
     bottom up so every step reads a coefficient already updated."""
     if e == 0:
-        inv = Fraction(1) / (1 + c)
+        inv = Fraction(1) / (1 - c)
         for i in range(len(cs)):
             cs[i] *= inv
         return
     for i in range(e, len(cs)):
         lo = cs[i - e]
         if lo:
-            cs[i] -= c * lo
+            cs[i] += c * lo
 
 
 def _binomial_lists(rng, order):
@@ -537,8 +550,8 @@ def test_binomial_kernels_match_the_loops(order):
     n = order + 1
     exponents = {0, 1, 31, 32, 33, n, n + 3}
     exponents |= {max(1, order // 2), max(1, order // 4)}  # a last block of one coefficient
-    # both sides of the running-sum rules: e*e < n for (1 - q^e), (2e)^2 < n
-    # for (1 + q^e)
+    # exponents near sqrt(n) and sqrt(n)/2, where the divide runs about e and
+    # 4e blocks of e coefficients
     root = isqrt(n)
     exponents |= {max(0, x + d) for x in (root, root // 2) for d in (-1, 0, 1)}
     for cs in _binomial_lists(rng, order):
@@ -549,7 +562,7 @@ def test_binomial_kernels_match_the_loops(order):
                     (_div_binomial_inplace, _loop_div_binomial),
                 ):
                     got, want = list(cs), list(cs)
-                    if kernel is _div_binomial_inplace and e == 0 and c == -1:
+                    if kernel is _div_binomial_inplace and e == 0 and c == 1:
                         continue  # the zero constant, refused below
                     kernel(got, c, e)
                     loop(want, c, e)
@@ -567,7 +580,7 @@ def test_binomial_kernels_round_trip_and_refuse_a_zero_constant(order):
                 _mul_binomial_inplace(work, c, e)
                 assert _canonical(work) == _canonical(cs)
         with pytest.raises(ZeroConstantTermError):
-            _div_binomial_inplace(list(cs), -1, 0)
+            _div_binomial_inplace(list(cs), 1, 0)
 
 
 # -- Newton inversion against the schoolbook recurrence -----------------------
