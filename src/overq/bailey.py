@@ -14,8 +14,8 @@ first r whose bound passes the order instead of building each alpha_r as
 a series.  bailey_check verifies the defining relation multiplied through
 by the unit (q;q)_n (a*q;q)_n (its constant term is 1), so it holds or
 fails with the relation at every order; its sum over r is a Horner walk
-on one packed integer.  lemma_sides builds both sides of the conjugate
-Bailey lemma: for a pair relative to a^2,
+on one packed integer, products._horner_sum.  lemma_sides builds both
+sides of the conjugate Bailey lemma: for a pair relative to a^2,
 
     (q;q)_inf (-a*q;q)_inf^2
         * sum_n q^n (a;q)_n (a^2 q;q^2)_n / (-a*q;q)_n * beta_n
@@ -57,7 +57,7 @@ than poch_infinite, outside an audited list.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, takewhile
 from operator import neg
 from typing import Callable, Iterator, Sequence, Union
 
@@ -68,10 +68,7 @@ from .products import (
     Ratio,
     Theta1D,
     Theta2D,
-    _shift_add,
-    _shift_div,
-    _Slots,
-    _START_WIDTH,
+    _horner_sum,
     lattice_sum,
     poch_finite,
     poch_infinite,
@@ -89,7 +86,6 @@ from .series import (
     _div_binomial_inplace,
     _mul_binomial_inplace,
     _shifted_sum,
-    _unpack,
     one,
 )
 
@@ -217,46 +213,23 @@ def _relation_pairs(p: BaileyPair, n_max: int, order: int) -> Iterator[SidePair]
     relation's own difference is this one times its inverse: a failure shows
     at the same n and exponent, with the same difference there.  The right
     side is beta's walk with the unit's term ratio chained in; the left side
-    comes from the alpha rows and a alone, in Horner form,
-    h <- alpha_r + rho_(r+1) * h from the last alpha_r that reaches the
-    order down to r = 0, on one packed integer in a products._Slots layout
-    of order + 1 slots: the multiply is a _shift_add, the divide a
-    _shift_div, and alpha_r's terms are added into their slots.  Before each
-    step the layout reserves that step's growth: 1 for the multiply,
-    bits(order // e) for the divide by (1 - a*q^e), and 1 + bits(max |c|)
-    for the terms about to be added, as the products module docstring
-    proves.
+    comes from the alpha rows and a alone, one products._horner_sum from the
+    last alpha_r that reaches the order down to r = 0.
     """
     a = p.relative
-    length = order + 1
     # alpha_r's terms through the order, for each r <= n_max that reaches it
-    rows = []
-    for r in range(n_max + 1):
-        if p.alpha_low(r) > order:
-            break
-        rows.append([(e, c) for e, c in p.alpha_terms(r) if e <= order])
+    reach = takewhile(lambda r: p.alpha_low(r) <= order, range(n_max + 1))
+    rows = [[(e, c) for e, c in p.alpha_terms(r) if e <= order] for r in reach]
     # (q;q)_(n+1) (aq;q)_(n+1) / ((q;q)_n (aq;q)_n), times beta's own ratio
     scaled = p.beta_ratio * Ratio((1, 0, 0), muls=((1, 1, 1), (a.c, 1, a.e + 1)))
     for n, rhs in zip(range(n_max + 1), _terms(scaled, order)):
-        slots, bound, h = _Slots(length, _START_WIDTH), 0, 0
         top = min(n, len(rows) - 1)
-        for r in range(top, -1, -1):
-            terms = rows[r]
-            grow = 1 + max(abs(c) for _, c in terms).bit_length() if terms else 0
-            if r < top:  # rho_(r+1)
-                grow += 1 + (order // (a.e + n + r + 1)).bit_length()
-            if bound + grow >= 8 * slots.width:
-                slots, bound, (h,) = slots.reserve(bound, grow, h)
-            w, mask = 8 * slots.width, slots.mask
-            if r < top:
-                shift = w * (n - r)
-                h = _shift_add(h, h & (mask >> shift), 1, shift) & mask
-                h = _shift_div(h, a.c, a.e + n + r + 1, w, mask)
-            for e, c in terms:
-                h += c << (w * e)
-            h &= mask
-            bound += grow
-        lhs = QSeries(_unpack(h, slots.width, length), order)
+        # rho_(r+1) = (1 - q^(n-r)) / (1 - a*q^(n+r+1)) for every r < top
+        steps = [
+            (rows[r], (n - r, a.c, a.e + n + r + 1) if r < top else None)
+            for r in range(top, -1, -1)
+        ]
+        lhs = QSeries(_horner_sum(steps, order + 1), order)
         yield f"defining relation fails at n={n}", lhs, rhs
 
 
@@ -289,13 +262,9 @@ def lemma_sides(p: PairLike, a: Monomial, order: int) -> tuple[SideValue, QSerie
     for r in range(order + 1):
         if p.alpha_low(r) + r > order:  # the summand exponent contains +r
             break
-        terms = p.alpha_terms(r)
-        if not terms:
+        dr = list(p.alpha(r, order - r).coeffs)
+        if not any(dr):
             continue
-        dr: list[Coeff] = [0] * (order + 1 - r)
-        for e, c in terms:
-            if e <= order - r:
-                dr[e] += c
         if r:  # at r = 0, (1 - a q^r) cancels the normalization (1 - a)
             _mul_binomial_inplace(dr, a.c, a.e)
             _div_binomial_inplace(dr, a.c, a.e + r)

@@ -22,7 +22,8 @@ Exactness rests on one invariant: a bound b <= w - 1 with every
 coefficient below 2^b in size, so that series._unpack reads every slot
 back exactly.  A binomial (1 - c*q^e) raises b by the bit length of c,
 and the sum of two packed integers raises it by 1.  So does a divide by
-(1 - c*q^e), c = +-1 and e >= 1, as _shift_div makes it, modulo q^L:
+(1 - c*q^e), c = +-1 and e >= 1, modulo q^L, as _shift_div makes it for
+_horner_sum, the Bailey relation's sum over r and the one walk that divides:
 1/(1 - q^e) is the product of the (1 + q^(e*2^k)) with e*2^k < L, those
 past q^(L-1) being 1 modulo q^L, and 1/(1 + q^e) is (1 - q^e)/(1 - q^(2e)).
 Either way that is bits((L - 1) // e) binomials with c = +-1, each one
@@ -199,7 +200,7 @@ class _Slots:
 
     __slots__ = ("length", "width", "mask", "ones", "t", "low", "high")
 
-    def __init__(self, length: int, width: int, t: int = 1):
+    def __init__(self, length: int, width: int = _START_WIDTH, t: int = 1):
         self.length, self.width = length, width
         self.mask = (1 << (8 * width * length)) - 1
         self.ones = _ones(width, length)
@@ -218,13 +219,11 @@ class _Slots:
         return not any((x + low) & high for x in packed)
 
     def reserve(self, bound: int, grow: int, *packed: int) -> tuple["_Slots", int, tuple]:
-        """The layout, the bound and the packed integers, every coefficient
-        of which is below 2^bound in size, with room for grow more bits
-        below the slot top: unchanged, with the smaller bound the one test
-        certifies, or packed again in wider slots."""
+        """Given bound + grow >= w, the layout, the bound and the packed
+        integers, every coefficient of which is below 2^bound in size, with
+        room for grow more bits below the slot top: with the smaller bound
+        the one test certifies, or packed again in wider slots."""
         w = 8 * self.width
-        if bound + grow < w:
-            return self, bound, packed
         while self.t + 1 + grow < w:
             if self.holds(*packed):
                 return self, self.t + 1, packed
@@ -253,10 +252,8 @@ def _shift_add(x: int, y: int, c: int, shift: int) -> int:
 
 def _shift_div(x: int, c: int, e: int, w: int, mask: int) -> int:
     """x / (1 - c*q^e) modulo 2^(w*L), for a packed series x of the L slots
-    of mask, c = +-1 and e >= 1, by doubling: 1/(1 - q^e) is
-    (1 + q^e)(1 + q^(2e))(1 + q^(4e))... up to the first factor past q^(L-1),
-    and 1/(1 + q^e) is (1 - q^e)/(1 - q^(2e)).  Each factor is one _shift_add,
-    so the bound rises by bits((L - 1) // e) in all (module docstring)."""
+    of mask, c = +-1 and e >= 1, by the doubling the module docstring
+    proves: bits((L - 1) // e) _shift_adds, raising the bound by as many."""
     if c not in (1, -1) or e < 1:
         raise ValueError(f"packed divide by (1 - {c}*q^{e}) needs c = +-1 and e >= 1")
     shift, top = w * e, mask.bit_length()
@@ -277,7 +274,7 @@ def _binomial_product(runs: Iterable[tuple[int, Iterable[int]]], length: int) ->
     The bound holds in any order of the binomials, and callers pass the
     largest e first: the (1 - q^k), k >= K, multiply to signed counts of
     partitions into distinct parts >= K, small until K is."""
-    slots, bound, x = _Slots(length, _START_WIDTH), 1, 1
+    slots, bound, x = _Slots(length), 1, 1
     w, mask = 8 * slots.width, slots.mask
     for c, exponents in runs:
         for e in exponents:
@@ -288,6 +285,34 @@ def _binomial_product(runs: Iterable[tuple[int, Iterable[int]]], length: int) ->
             x = _shift_add(x, x & (mask >> shift), c, shift) & mask
             bound += 1
     return _unpack(x, slots.width, length)
+
+
+def _horner_sum(steps: Iterable[tuple], length: int) -> list:
+    """The first length coefficients of h_0, where h_top = alpha_top and
+    h_r = alpha_r + rho_(r+1) * h_(r+1), from the steps (terms, rho) for
+    r = top down to 0: alpha_r's (exponent, coefficient) terms, exponents
+    below length, and rho = (1 - q^m)/(1 - c*q^d) as (m, c, d), m, d >= 1
+    and c = +-1, or None at r = top.  Each step reserves its growth (module
+    docstring): 1 for the _shift_add multiply, bits((length - 1) // d) for
+    the _shift_div divide and 1 + bits(max |c|) for the terms."""
+    slots, bound, h = _Slots(length), 0, 0
+    for terms, rho in steps:
+        grow = 1 + max(abs(c) for _, c in terms).bit_length() if terms else 0
+        if rho:
+            grow += 1 + ((length - 1) // rho[2]).bit_length()
+        if bound + grow >= 8 * slots.width:
+            slots, bound, (h,) = slots.reserve(bound, grow, h)
+        w, mask = 8 * slots.width, slots.mask
+        if rho:
+            m, c, d = rho
+            shift = w * m
+            h = _shift_add(h, h & (mask >> shift), 1, shift) & mask
+            h = _shift_div(h, c, d, w, mask)
+        for e, c in terms:
+            h += c << (w * e)
+        h &= mask
+        bound += grow
+    return _unpack(h, slots.width, length)
 
 
 def poch_finite(a: Monomial, base: int, n: int, order: int) -> QSeries:
@@ -337,6 +362,10 @@ class Ratio(Frozen):
     shift: tuple[int, int, int]
     muls: tuple[tuple[int, int, int], ...] = ()
     divs: tuple[tuple[int, int, int], ...] = ()
+
+    def __post_init__(self):
+        if self.shift[0] not in (1, -1):
+            raise ValueError("ratio shift sign must be +1 or -1")
 
     def __mul__(self, other: "Ratio") -> "Ratio":
         """The ratio of the termwise product of two sums."""
@@ -528,7 +557,7 @@ def ratio_sum(
     # factors, _paired and the length tests below only drop binomials, or
     # swap one with |c| = 1 for another, so the table's rows bound each step
     grow = 1 + max(_bits(ratio.muls), _bits(ratio.divs))
-    slots, bound, u, p = _Slots(order + 1, _START_WIDTH), 1, 1, 1
+    slots, bound, u, p = _Slots(order + 1), 1, 1, 1
     w, mask = 8 * slots.width, slots.mask
     # F's binomials by sign and exponent; None once a divide is not one
     counts = _counts(factors, full) if factors else None

@@ -111,6 +111,35 @@ def test_coeffs_bad_classical_id_says_what_is_wrong(capsys, sid, says):
     assert says in err and sid in err
 
 
+@pytest.mark.parametrize(
+    "sid, coeffs",
+    [
+        # (q;q)_inf: Euler's pentagonal numbers
+        ("poch:q:1", [[0, "1"], [1, "-1"], [2, "-1"], [5, "1"], [7, "1"]]),
+        # (-1;q)_3 = 2(1 + q)(1 + q^2), the monomial -1 read as -q^0
+        ("poch:-1:1:3", [[0, "2"], [1, "2"], [2, "2"], [3, "2"]]),
+    ],
+)
+def test_coeffs_infinite_and_constant_pochhammer(capsys, sid, coeffs):
+    code, out, _ = run(capsys, "coeffs", "--series", sid, "--order", "8")
+    assert code == 0
+    assert json.loads(out) == {"series": sid, "order": 8, "coeffs": coeffs}
+
+
+@pytest.mark.parametrize(
+    "sid, says",
+    [
+        ("poch:q", "poch:<mono>:<base>[:<n>]"),
+        ("poch:q:x", "non-integer base or length"),
+        ("poch:q:0", "base >= 1"),
+    ],
+)
+def test_coeffs_bad_pochhammer_id_says_what_is_wrong(capsys, sid, says):
+    code, out, err = run(capsys, "coeffs", "--series", sid, "--order", "5")
+    assert code == 2 and out == ""
+    assert says in err and sid in err
+
+
 def test_coeffs_bad_monomial(capsys):
     code, _, err = run(capsys, "coeffs", "--series", "poch:2q:1:1", "--order", "5")
     assert code == 2
@@ -148,6 +177,50 @@ def test_verify_unknown_target(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("name", ["lovejoy-q2", "slater-h1"])
+def test_verify_one_pairs_relation_and_lemma(capsys, name):
+    a = dict(bailey.LEMMA_CASES)[name]
+    code, out, _ = run(capsys, "verify", "--target", f"bailey:{name}", "--order", "30", "--format", "json")
+    assert code == 0
+    [doc] = json.loads(out)
+    assert (doc["name"], doc["order"], doc["ok"]) == (f"bailey:{name}", 30, True)
+    assert doc["note"] == f"defining relation holds for n <= {cli.RELATION_DEPTH}"
+    code, out, _ = run(capsys, "verify", "--target", f"lemma:{name}", "--order", "30", "--format", "json")
+    assert code == 0
+    [doc] = json.loads(out)
+    assert (doc["name"], doc["order"], doc["ok"]) == (f"lemma:{name}:a={a}", 30, True)
+    assert "note" not in doc
+
+
+@pytest.mark.parametrize("target", ["bogus", "chain:C", "bailey:", "lemma:nope"])
+def test_verify_an_unknown_target_form_is_a_usage_error(capsys, target):
+    code, out, err = run(capsys, "verify", "--target", target, "--order", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+#: SHA-256 of verify --target all's JSON at each order, elapsed dropped and
+#: written again by json.dumps(indent=2), taken before the Bailey relation's
+#: Horner walk moved into products
+VERIFY_ALL_DIGESTS = {
+    0: "9bfc21e3808a027848a597167ec3540ded5c5247dd0175688399a28c209fdeda",
+    1: "df9e2dccc9996752b8481a0c7e0b716605686e507d0cb418b5634608ae001ff5",
+    60: "c2849bbba43a109a56597eb6e2e282ccadb2c9bb9dbf16c9551bc6608624e273",
+    400: "268157872c881db6d41d3f85fe4ae300d7214f57eab8cfd91b27d0e6af0acd27",
+}
+
+
+@pytest.mark.parametrize("order", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_json_is_pinned(capsys, order):
+    code, out, _ = run(capsys, "verify", "--target", "all", "--order", str(order), "--format", "json")
+    assert code == 0
+    docs = json.loads(out)
+    for doc in docs:
+        del doc["elapsed"]
+    digest = hashlib.sha256(json.dumps(docs, indent=2).encode()).hexdigest()
+    assert digest == VERIFY_ALL_DIGESTS[order]
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     bad = VerificationReport(
         name="theorem:B", order=5, ok=False, mismatch=(3, 1, 2), note="", elapsed=0.0
@@ -165,6 +238,16 @@ def test_enum_list_ascii_and_unicode(capsys):
         capsys, "enum", "--family", "A", "--n", "1", "--list", "--unicode"
     )
     assert code == 0 and out == "(1̅, ∅)\n"
+
+
+def test_enum_list_json(capsys):
+    code, out, _ = run(capsys, "enum", "--family", "D", "--n", "4", "--list", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "family": "D",
+        "n": 4,
+        "objects": ["(1~, 2~+1~)", "(2+1~, 1~)", "(2~, 2~)", "(2~+1~, 1~)"],
+    }
 
 
 def test_enum_list_line_count(capsys):

@@ -5,12 +5,14 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import overq
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SPANS = os.path.join(os.path.dirname(SRC), "bench", "spans.py")
 
 #: the 60 public names, as the package exported them from eager imports
 PUBLIC = frozenset(
@@ -82,3 +84,15 @@ def test_enumeration_counts_without_the_arithmetic():
 def test_the_cli_imports_neither_json_nor_csv():
     code = "import sys, overq.cli; print(sorted({'json', 'csv'} & set(sys.modules)))"
     assert _fresh(code) == "[]"
+
+
+def test_every_traced_binding_resolves():
+    # the traced bench run patches each TRACE_TABLE row and refuses a row
+    # whose binding is gone, such as an import kept only for the tracer;
+    # spans.py is compiled from its text, so no bytecode is written beside it
+    spans = types.ModuleType("spans")
+    with open(SPANS) as f:
+        exec(compile(f.read(), SPANS, "exec"), spans.__dict__)
+    assert len(spans.TRACE_TABLE) > 40
+    for binding, name, _ in spans.TRACE_TABLE:
+        assert hasattr(spans.resolve(binding), name), f"overq.{binding}.{name}"

@@ -24,6 +24,7 @@ from overq.products import (
     Theta2D,
     ZeroDenominator,
     _binomial_product,
+    _horner_sum,
     _shift_div,
     _Slots,
     lattice_sum,
@@ -590,3 +591,36 @@ def test_packed_divide_matches_the_list_kernel_within_its_bound(length):
         _shift_div(1, 1, 0, 8, 255)
     with pytest.raises(ValueError):
         _shift_div(1, 2, 1, 8, 255)
+
+
+def _list_horner_sum(steps, length):
+    """h_0 of the steps by one list update per multiply, divide and term."""
+    h = [0] * length
+    for terms, rho in steps:
+        if rho:
+            m, c, d = rho
+            if m < length:
+                _mul_binomial_inplace(h, 1, m)
+            if d < length:
+                _div_binomial_inplace(h, c, d)
+        for e, c in terms:
+            h[e] += c
+    return h
+
+
+@pytest.mark.parametrize("length", (1, 2, 61, 401))
+@pytest.mark.parametrize("digits", (0, 6, 40))
+def test_horner_sum_matches_the_list_updates(length, digits):
+    # random steps with terms up to 10^digits in size and multiplies and
+    # divides from q^1 to past the end; the many divides by 1 -+ q and
+    # 1 -+ q^2 make even unit terms outgrow the slots the walk starts in
+    rng = random.Random(4099 * length + digits)
+    top = 10 ** digits
+    for _ in range(12):
+        steps = []
+        for r in range(rng.randint(0, 40), -1, -1):
+            terms = [(rng.randrange(length), rng.randint(-top, top)) for _ in range(rng.randint(0, 3))]
+            d = rng.choice((1, 2, rng.randint(1, length + 3)))
+            rho = (rng.randint(1, length + 3), rng.choice((1, -1)), d)
+            steps.append((terms, rho if steps else None))
+        assert _horner_sum(steps, length) == _list_horner_sum(steps, length)

@@ -361,6 +361,15 @@ def test_pairing_is_exact_and_only_for_unit_c():
         Ratio((1, 0, 1), muls=((1, 2, -2),), divs=((1, 1, -1),)).factors(0)
 
 
+@pytest.mark.parametrize("sign", (2, 0, -2))
+def test_a_shift_sign_other_than_one_is_refused(sign):
+    # ratio_sum read a sign of 2 as -1 and bailey._terms read it as +1,
+    # where the true term ratio 2*q gives sum 2^n q^n: neither walk may see it
+    with pytest.raises(ValueError, match="sign"):
+        Ratio((sign, 0, 1))
+    assert Ratio((-1, 0, 1)).shift == (-1, 0, 1)
+
+
 # -- the packed walk against the list Horner walk it replaced ------------------
 
 
